@@ -63,8 +63,9 @@ def build_system(R: int, *, ann: bool, exact: bool) -> Ficsum:
     Identical population for every mode at a given R: clustered
     fingerprint histories incorporated directly (normaliser warmed on
     the same values), similarity/error records, majority-class
-    classifiers (no tree bank — the per-candidate stacking loop is the
-    honest big-R fan-out), a full active window.
+    classifiers (no tree bank — the prediction block stacks one
+    ``predict_batch`` per candidate, the honest big-R fan-out), a full
+    active window.
     """
     cfg = FicsumConfig(
         window_size=W,
@@ -73,7 +74,6 @@ def build_system(R: int, *, ann: bool, exact: bool) -> Ficsum:
         oracle_drift=True,
         metafeatures=METAFEATURES,
         max_repository_size=R + 2,
-        forest_routing=False,
         ann_prefilter=ann,
         ann_exact=exact,
         seed=1,

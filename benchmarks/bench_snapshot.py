@@ -4,7 +4,7 @@ checkpoint cost and the metrics layer's throughput tax.
 Three measurements, all against populated, mid-stream systems:
 
 * **snapshot/restore latency** at repository sizes R in {10, 40}
-  (the same deterministic population as the forest-routing bench):
+  (the same deterministic population as the selection bench):
   wall time of one ``save_system`` (pack + hash + atomic rename) and
   one ``load_system`` (verify + unpack + rebuild mirrors), plus the
   artifact's on-disk size — the cost model for choosing a
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 from _harness import SCALE, render_table, save_bench_json, save_table
-from bench_forest_routing import build_system as build_populated_system
+from bench_selection_throughput import build_system as build_populated_system
 
 from repro.core import FicsumConfig
 from repro.core.variants import make_ficsum
@@ -49,7 +49,7 @@ N_REPS = 3
 
 
 def bench_snapshot_latency(R: int, workdir: Path) -> dict:
-    system = build_populated_system(R, forest=True)
+    system = build_populated_system(R)
     path = workdir / f"snap_r{R}"
     save_system(system, path)  # warm-up + artifact for sizing/restore
     artifact_bytes = sum(p.stat().st_size for p in path.iterdir())

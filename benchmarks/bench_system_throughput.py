@@ -1,54 +1,33 @@
-"""End-to-end FiCSUM throughput: pre-PR per-observation vs cached vs chunked.
+"""End-to-end FiCSUM throughput: per-observation vs chunked.
 
-The framework's execution cost has three layers on a repository-heavy
-stream (many stored concepts, so every fingerprint/repository step
-re-labels the window with R candidate classifiers):
+A repository-heavy stream (many stored concepts, so every fingerprint
+and repository step re-labels the window with R candidate classifiers)
+runs through both live entry points of the engine:
 
-* **legacy** — the pre-PR shape, faithfully emulated: no shared-window
-  extraction cache (every candidate pays a full extraction), the
-  per-row Python ``predict_batch`` loop, the per-state selection
-  scoring loop (``vectorized_selection`` off), and the pre-PR
-  extraction kernels (``np.histogram2d`` mutual information, ``np.unique`` EMD
-  envelopes, one EMD per IMF-entropy component on the error-distance
-  source, one ``predict_batch`` call per feature in the permutation
-  importance),
-* **per_obs** — this PR's per-observation path: shared-window
-  extraction cache + vectorised classifier batch paths + optimised
-  kernels,
-* **chunked** — the same plus ``process_chunk`` (event-aligned
+* **per_obs** — :meth:`Ficsum.process`, one observation per call;
+* **chunked** — :meth:`Ficsum.process_chunk` (event-aligned
   sub-chunks, one vectorised tree routing per sub-chunk, ring-buffer
   block writes).
 
-All three paths are bit-for-bit equivalent — the bench asserts that
-predictions, drift points and state-id traces agree — so the speedup
+Both are the same run — the bench asserts that predictions, drift
+points and state-id traces agree — so ``speedup_chunked_vs_per_obs``
 is pure execution engineering.  The stream recurs over 14 RBF concepts
-(repository grows past 20 states; the issue's bar is >= 6) with the
-paper's default repository period and a throughput-tuned fingerprint
-period (the paper recommends tuning P_C for runtime; Figure 3 shows
-the trade-off).  Emits ``BENCH_system_throughput.json`` with per-path
-numbers and asserts the chunked path clears 3x the pre-PR throughput
-on the full Table I component set.
+(the repository grows past 20 states) with the paper's default
+repository period and a throughput-tuned fingerprint period (the paper
+recommends tuning P_C for runtime; Figure 3 shows the trade-off).
+Emits ``BENCH_system_throughput.json`` with per-mode numbers for the
+full Table I set and the rolling-capable subset.
 """
 
 from __future__ import annotations
 
-import contextlib
-import math
 import time
 
-import numpy as np
 from _harness import SCALE, render_table, save_bench_json, save_table
 
-from repro.classifiers import HoeffdingTree
-from repro.classifiers.base import Classifier
 from repro.core import FicsumConfig
 from repro.core.variants import make_ficsum
 from repro.evaluation.prequential import prequential_run
-from repro.metafeatures import components as components_mod
-from repro.metafeatures import emd as emd_mod
-from repro.metafeatures import mutual_info as mi_mod
-from repro.metafeatures import shapley as shapley_mod
-from repro.metafeatures.components import ImfEntropy, MetaFeature
 from repro.streams.recurrence import RecurrentStream
 from repro.streams.synthetic.rbf import rbf_concepts
 
@@ -57,6 +36,7 @@ N_REPEATS = 2
 SEGMENT = max(120, int(220 * min(SCALE, 1.0)))
 SEED = 3
 CHUNK = 220
+MODES = ("per_obs", "chunked")
 
 #: Rolling-capable subset (no EMD/MI batch work) measured for context.
 ROLLING_SET = [
@@ -68,93 +48,6 @@ ROLLING_SET = [
     "partial_autocorrelation",
     "turning_point_rate",
 ]
-
-
-# ----------------------------------------------------------------------
-# Faithful pre-PR reference kernels (what the repo shipped before this
-# PR) — used only by the legacy mode.  All are value-identical to the
-# optimised versions, so every mode produces the same run.
-# ----------------------------------------------------------------------
-def _legacy_mi(x, lag=1, bins=0):
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size - lag
-    if n < 4:
-        return 0.0
-    a, b = x[:-lag], x[lag:]
-    if a.std() < 1e-12 or b.std() < 1e-12:
-        return 0.0
-    if bins <= 0:
-        bins = int(np.clip(math.ceil(math.sqrt(n / 5.0)), 2, 8))
-    joint, _, _ = np.histogram2d(a, b, bins=bins)
-    total = joint.sum()
-    if total <= 0:
-        return 0.0
-    pxy = joint / total
-    px = pxy.sum(axis=1, keepdims=True)
-    py = pxy.sum(axis=0, keepdims=True)
-    mask = pxy > 0
-    return float((pxy[mask] * np.log(pxy[mask] / (px @ py)[mask])).sum())
-
-
-def _legacy_envelope(x, idx, spline):
-    n = x.size
-    t = np.arange(n)
-    knots = np.unique(np.concatenate(([0], idx, [n - 1])))
-    values = x[knots]
-    return np.interp(t, knots, values)
-
-
-def _legacy_shapley(classifier, window_x, max_eval=12, rng=None):
-    window_x = np.asarray(window_x, dtype=np.float64)
-    w, d = window_x.shape
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if w == 0:
-        return np.zeros(d)
-    eval_idx = (
-        np.arange(w) if w <= max_eval else rng.choice(w, size=max_eval, replace=False)
-    )
-    base_x = window_x[eval_idx]
-    base_pred = classifier.predict_batch(base_x)
-    importances = np.zeros(d)
-    for j in range(d):
-        shuffled = window_x[rng.permutation(w)[: len(eval_idx)], j]
-        if np.allclose(shuffled, base_x[:, j]):
-            continue
-        perturbed = base_x.copy()
-        perturbed[:, j] = shuffled
-        changed = classifier.predict_batch(perturbed) != base_pred
-        importances[j] = float(changed.mean())
-    return importances
-
-
-@contextlib.contextmanager
-def pre_pr_kernels():
-    """Swap in the pre-PR kernels + per-row ``predict_batch`` loop."""
-    saved = (
-        HoeffdingTree.predict_batch,
-        mi_mod.lagged_mutual_information,
-        emd_mod._envelope,
-        ImfEntropy.batch_scalar_cached,
-        shapley_mod.window_permutation_importance,
-    )
-    HoeffdingTree.predict_batch = Classifier.predict_batch
-    mi_mod.lagged_mutual_information = _legacy_mi
-    components_mod.lagged_mutual_information = _legacy_mi
-    emd_mod._envelope = _legacy_envelope
-    ImfEntropy.batch_scalar_cached = MetaFeature.batch_scalar_cached
-    shapley_mod.window_permutation_importance = _legacy_shapley
-    components_mod.window_permutation_importance = _legacy_shapley
-    try:
-        yield
-    finally:
-        HoeffdingTree.predict_batch = saved[0]
-        mi_mod.lagged_mutual_information = saved[1]
-        components_mod.lagged_mutual_information = saved[1]
-        emd_mod._envelope = saved[2]
-        ImfEntropy.batch_scalar_cached = saved[3]
-        shapley_mod.window_permutation_importance = saved[4]
-        components_mod.window_permutation_importance = saved[4]
 
 
 def build_stream():
@@ -174,18 +67,14 @@ def run_mode(mode: str, metafeatures):
         oracle_drift=True,
         track_discrimination=True,
         metafeatures=metafeatures,
-        extraction_cache=(mode != "legacy"),
-        vectorized_selection=(mode != "legacy"),
     )
     stream = build_stream()
     system = make_ficsum(stream.meta.n_features, stream.meta.n_classes, cfg)
-    ctx = pre_pr_kernels() if mode == "legacy" else contextlib.nullcontext()
     start = time.perf_counter()
-    with ctx:
-        result = prequential_run(
-            system, stream, oracle_drift=True,
-            chunk_size=(CHUNK if mode == "chunked" else None),
-        )
+    result = prequential_run(
+        system, stream, oracle_drift=True,
+        chunk_size=(CHUNK if mode == "chunked" else None),
+    )
     wall = time.perf_counter() - start
     return result, system, wall
 
@@ -195,7 +84,7 @@ def run_throughput() -> dict:
     for label, selection in (("full-set", None), ("rolling-set", ROLLING_SET)):
         runs = {}
         per_mode: dict = {}
-        for mode in ("legacy", "per_obs", "chunked"):
+        for mode in MODES:
             result, system, wall = run_mode(mode, selection)
             runs[mode] = (result, system)
             per_mode[mode] = {
@@ -206,19 +95,14 @@ def run_throughput() -> dict:
                 "repository_states": len(system.repository),
                 "selection_events": system.selection_events,
             }
-        # All three execution paths must be the same run, observation
-        # for observation — the speedup is engineering, not behaviour.
-        ref_result, ref_system = runs["legacy"]
-        for mode in ("per_obs", "chunked"):
-            result, system = runs[mode]
-            assert result.accuracy == ref_result.accuracy, (label, mode)
-            assert result.state_ids == ref_result.state_ids, (label, mode)
-            assert system.drift_points == ref_system.drift_points, (label, mode)
-        per_mode["speedup_per_obs_vs_legacy"] = round(
-            per_mode["legacy"]["wall_time_s"] / per_mode["per_obs"]["wall_time_s"], 2
-        )
-        per_mode["speedup_chunked_vs_legacy"] = round(
-            per_mode["legacy"]["wall_time_s"] / per_mode["chunked"]["wall_time_s"], 2
+        # Both entry points must be the same run, observation for
+        # observation — the speedup is engineering, not behaviour.
+        (ref_result, ref_system), (result, system) = runs["per_obs"], runs["chunked"]
+        assert result.accuracy == ref_result.accuracy, label
+        assert result.state_ids == ref_result.state_ids, label
+        assert system.drift_points == ref_system.drift_points, label
+        per_mode["speedup_chunked_vs_per_obs"] = round(
+            per_mode["per_obs"]["wall_time_s"] / per_mode["chunked"]["wall_time_s"], 2
         )
         results[label] = per_mode
     return results
@@ -227,7 +111,7 @@ def run_throughput() -> dict:
 def build_table(results: dict) -> str:
     rows = []
     for label, modes in results.items():
-        for mode in ("legacy", "per_obs", "chunked"):
+        for mode in MODES:
             m = modes[mode]
             rows.append(
                 [
@@ -239,7 +123,7 @@ def build_table(results: dict) -> str:
                 ]
             )
         rows.append(
-            [label, "speedup", f"{modes['speedup_chunked_vs_legacy']:.2f}x", "", ""]
+            [label, "speedup", f"{modes['speedup_chunked_vs_per_obs']:.2f}x", "", ""]
         )
     n_obs = N_CONCEPTS * N_REPEATS * SEGMENT
     return render_table(
@@ -248,9 +132,9 @@ def build_table(results: dict) -> str:
         ["function set", "mode", "wall s", "obs/s", "repo"],
         rows,
         notes=(
-            "legacy replays the pre-PR execution (no extraction cache, "
-            "per-row predict_batch loop, pre-PR kernels); all modes "
-            "produce identical predictions, drifts and state traces."
+            "per_obs drives Ficsum.process, chunked drives "
+            "Ficsum.process_chunk; both produce identical predictions, "
+            "drifts and state traces."
         ),
     )
 
@@ -271,8 +155,5 @@ def test_system_throughput(benchmark):
         repo_states=full["chunked"]["repository_states"],
         selection_events=full["chunked"]["selection_events"],
     )
-    # The PR's acceptance bar: >= 3x end-to-end over the pre-PR
-    # per-observation path on the full Table I set, with a repository
-    # of >= 6 stored concepts so model-selection cost is visible.
-    assert full["legacy"]["repository_states"] >= 6, results
-    assert full["speedup_chunked_vs_legacy"] >= 3.0, results
+    # Model-selection cost is only visible with a populated repository.
+    assert full["chunked"]["repository_states"] >= 6, results

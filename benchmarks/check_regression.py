@@ -8,15 +8,18 @@ Usage::
         --benches fingerprint_throughput system_throughput \
         --tolerance 0.30
 
-Two classes of metric are compared, each within ``--tolerance``:
+Three classes of metric are compared, each within ``--tolerance``:
 
-* ``observations_per_sec`` — absolute throughput.  Meaningful when the
-  baseline was produced on comparable hardware (CI snapshots the
-  committed baseline before re-running the benches).
+* ``observations_per_sec`` — absolute throughput (higher is better).
+  Meaningful when the baseline was produced on comparable hardware (CI
+  snapshots the committed baseline before re-running the benches).
 * every ``speedup*`` key found anywhere in the payload — ratios of two
-  paths measured in the same process, so they are machine-independent
-  and catch "the optimisation quietly stopped working" regressions
-  even across hardware generations.
+  paths measured in the same process (higher is better), so they are
+  machine-independent and catch "the optimisation quietly stopped
+  working" regressions even across hardware generations.
+* every ``*_ms_per_event`` key found anywhere in the payload —
+  absolute per-layer cost (lower is better), e.g. the selection and
+  stacking phases of ``BENCH_selection_throughput.json``.
 
 Exits non-zero listing every regressed metric.
 """
@@ -30,6 +33,10 @@ from pathlib import Path
 from typing import Dict, Iterator, Tuple
 
 
+def _lower_is_better(key: str) -> bool:
+    return key.endswith("_ms_per_event")
+
+
 def iter_metrics(payload: Dict, prefix: str = "") -> Iterator[Tuple[str, float]]:
     """Yield (dotted-path, value) for every comparable metric."""
     for key, value in payload.items():
@@ -37,7 +44,9 @@ def iter_metrics(payload: Dict, prefix: str = "") -> Iterator[Tuple[str, float]]
         if isinstance(value, dict):
             yield from iter_metrics(value, f"{path}.")
         elif isinstance(value, (int, float)) and (
-            key == "observations_per_sec" or key.startswith("speedup")
+            key == "observations_per_sec"
+            or key.startswith("speedup")
+            or _lower_is_better(key)
         ):
             yield path, float(value)
 
@@ -66,15 +75,20 @@ def check_bench(
             continue
         if base_value <= 0:
             continue
-        floor = base_value * (1.0 - tolerance)
-        status = "ok" if cur_value >= floor else "REGRESSED"
+        if _lower_is_better(path):
+            bound = base_value * (1.0 + tolerance)
+            regressed, word, op = cur_value > bound, "ceiling", ">"
+        else:
+            bound = base_value * (1.0 - tolerance)
+            regressed, word, op = cur_value < bound, "floor", "<"
+        status = "REGRESSED" if regressed else "ok"
         print(
             f"  {path}: baseline={base_value:.2f} current={cur_value:.2f} "
-            f"floor={floor:.2f} [{status}]"
+            f"{word}={bound:.2f} [{status}]"
         )
-        if cur_value < floor:
+        if regressed:
             failures.append(
-                f"{path}: {cur_value:.2f} < {floor:.2f} "
+                f"{path}: {cur_value:.2f} {op} {bound:.2f} "
                 f"(baseline {base_value:.2f}, tolerance {tolerance:.0%})"
             )
     return failures
@@ -93,7 +107,6 @@ def main(argv=None) -> int:
             "fingerprint_throughput",
             "system_throughput",
             "selection_throughput",
-            "forest_routing",
             "repository_scale",
             "snapshot",
         ],

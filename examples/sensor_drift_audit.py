@@ -6,7 +6,7 @@ fixed) — the paper's Synth D/A/F setting.  This example injects each
 drift type in turn, extracts fingerprints before and after the change,
 and reports which meta-information functions move — the per-function
 story behind Table V, and a practical recipe for choosing features
-with the library's public extractor API.
+with the library's public fingerprint pipeline.
 
 Run:  python examples/sensor_drift_audit.py
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.classifiers import HoeffdingTree
-from repro.metafeatures import FUNCTION_NAMES, FingerprintExtractor
+from repro.metafeatures import FUNCTION_NAMES, FingerprintPipeline
 from repro.streams.synthetic import RandomTreeConcept
 from repro.streams.transforms import DriftingConcept, FeatureDrift
 
@@ -32,16 +32,16 @@ def collect_window(concept, classifier, rng, size=150):
     return np.stack(xs), np.array(ys), np.array(preds)
 
 
-def function_shift(extractor, fp_before, fp_after):
+def function_shift(pipeline, fp_before, fp_after):
     """Mean |change| per meta-information function across sources."""
     shifts = {}
     before = np.abs(fp_before)
     scale = np.maximum(np.abs(fp_before), 1e-3)
     rel = np.abs(fp_after - fp_before) / scale
-    for fn in extractor.schema.function_names:
+    for fn in pipeline.schema.function_names:
         dims = [
             i
-            for i, (_, f) in enumerate(extractor.schema.dims)
+            for i, (_, f) in enumerate(pipeline.schema.dims)
             if f == fn
         ]
         shifts[fn] = float(np.mean(rel[dims]))
@@ -51,7 +51,7 @@ def function_shift(extractor, fp_before, fp_after):
 def main() -> None:
     rng = np.random.default_rng(7)
     base = RandomTreeConcept(seed=11, n_features=5)
-    extractor = FingerprintExtractor(n_features=5)
+    pipeline = FingerprintPipeline(n_features=5)
 
     drift_kinds = {
         "distribution": dict(distribution=True),
@@ -65,15 +65,15 @@ def main() -> None:
     for kind, flags in drift_kinds.items():
         classifier = HoeffdingTree(n_classes=2, n_features=5, grace_period=30)
         xs, ys, preds = collect_window(base, classifier, rng)
-        fp_before = extractor.extract(xs, ys, preds, classifier)
+        fp_before = pipeline.extract(xs, ys, preds, classifier)
 
         drifted = DriftingConcept(
             base, FeatureDrift.random(rng, 5, intensity=1.5, **flags)
         )
         xs, ys, preds = collect_window(drifted, classifier, rng)
-        fp_after = extractor.extract(xs, ys, preds, classifier)
+        fp_after = pipeline.extract(xs, ys, preds, classifier)
 
-        for fn, shift in function_shift(extractor, fp_before, fp_after).items():
+        for fn, shift in function_shift(pipeline, fp_before, fp_after).items():
             rows[fn].append(shift)
 
     for fn in FUNCTION_NAMES:

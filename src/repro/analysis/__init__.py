@@ -4,7 +4,7 @@ The runtime equivalence harness pins every fast path bit-for-bit, but
 only on the streams a test drives.  This package checks the same
 family of contracts statically over the whole tree — determinism of
 state-bearing modules (RPR001), state-contract symmetry (RPR002),
-trusted-kernel hygiene (RPR003), toggle-equivalence coverage (RPR004)
+trusted-kernel hygiene (RPR003), no fast-path toggles (RPR004)
 and registry-metadata completeness (RPR005).
 
 Importing the package registers the built-in rules into :data:`RULES`

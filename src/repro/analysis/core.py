@@ -9,8 +9,7 @@ on every run.  The pieces:
   module *group* (``core``, ``metafeatures``, ``streams``, ...,
   ``tests``) derived from its path, and per-line suppressions.
 * :class:`LintContext` — every parsed module of one lint run.  Rules
-  receive the whole context, so project-wide contracts (e.g. "every
-  fast-path toggle is exercised by an equivalence test module") are
+  receive the whole context, so project-wide contracts are
   expressible alongside per-module ones.
 * :class:`LintRule` + :func:`register_rule` — rules plug into
   :data:`RULES`, a :class:`repro.registry.Registry`, exactly like
@@ -88,7 +87,6 @@ class SourceModule:
         self.group = module_group(path)
         self.suppressions = parse_suppressions(text)
         self.import_aliases = import_alias_table(self.tree)
-        self._identifiers: Optional[Set[str]] = None
 
     @property
     def name(self) -> str:
@@ -113,45 +111,6 @@ class SourceModule:
         if head is not None:
             parts = head.split(".") + parts[1:]
         return ".".join(parts)
-
-    def identifiers(self) -> Set[str]:
-        """Every identifier-ish token in the module.
-
-        Names, attribute names, keyword-argument names and string
-        constants — the haystack coverage rules (RPR004) search for a
-        field reference in.
-        """
-        if self._identifiers is None:
-            found: Set[str] = set()
-            for node in ast.walk(self.tree):
-                if isinstance(node, ast.Name):
-                    found.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    found.add(node.attr)
-                elif isinstance(node, ast.keyword) and node.arg:
-                    found.add(node.arg)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    found.add(node.value)
-            self._identifiers = found
-        return self._identifiers
-
-    def imports_module(self, dotted: str) -> bool:
-        """Whether the module imports ``dotted`` or anything from it.
-
-        Matches ``import equivalence``, ``import tests.equivalence``
-        and ``from equivalence import X`` alike: ``dotted`` just has to
-        appear as a segment of an imported target's dotted path.
-        """
-        parts = dotted.split(".")
-        n = len(parts)
-        for target in self.import_aliases.values():
-            segments = target.split(".")
-            if any(
-                segments[i : i + n] == parts
-                for i in range(len(segments) - n + 1)
-            ):
-                return True
-        return False
 
 
 class LintContext:

@@ -2,8 +2,8 @@
 
 Each rule statically enforces a contract the dynamic harness can only
 spot-check: determinism of state-bearing modules, ``state_dict`` /
-``load_state_dict`` symmetry, trusted-kernel hygiene, equivalence-test
-coverage of fast-path toggles, registry-metadata completeness of
+``load_state_dict`` symmetry, trusted-kernel hygiene, the absence of
+fast-path toggles, registry-metadata completeness of
 meta-feature components, and fault-handling hygiene (injection routes
 through :mod:`repro.faults`, broad handlers never swallow silently).
 Rules register through
@@ -434,45 +434,38 @@ class TrustedKernelRule(LintRule):
 
 @register_rule
 class ToggleCoverageRule(LintRule):
-    """RPR004: every fast-path toggle is pinned by an equivalence test.
+    """RPR004: no fast-path toggles.
 
-    Every boolean ``FicsumConfig`` field defaulting to ``True`` is
-    presumed to gate a fast path whose on/off traces must be
-    bit-for-bit identical, so some test module importing
-    ``tests/equivalence.py`` must reference it.  Semantic ablation
-    toggles (results legitimately differ) carry an explicit per-line
-    ``repro-lint: disable=RPR004`` on their field.
+    A fast path replaces its predecessor in place and is pinned against
+    the test-only reference implementation; it never sits beside the
+    old path behind a config switch.  Every boolean ``FicsumConfig``
+    field defaulting to ``True`` therefore has to be a semantic switch
+    (flipping it changes results by design) and say so with an explicit
+    per-line ``repro-lint: disable=RPR004`` on its field.
     """
 
     id = "RPR004"
     contract = (
-        "True-default boolean FicsumConfig fields must be referenced by "
-        "a test module importing the equivalence harness"
+        "True-default boolean FicsumConfig fields are semantic switches, "
+        "marked as such; fast paths are not toggles"
     )
-    scope = ("core", "tests")
+    scope = ("core",)
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         config = self._find_config(ctx)
         if config is None:
             return
         module, cls = config
-        corpus = self._equivalence_modules(ctx)
-        if not corpus:
-            # Without the tests corpus (e.g. `repro lint src`) coverage
-            # cannot be judged; stay silent rather than guess.
-            return
-        referenced: Set[str] = set()
-        for test_module in corpus:
-            referenced |= test_module.identifiers()
         for node in cls.body:
             field = self._true_bool_field(node)
-            if field is not None and field not in referenced:
+            if field is not None:
                 yield self.finding(
                     module,
                     node,
-                    f"fast-path toggle {field!r} is not referenced by any "
-                    "test module importing tests/equivalence.py; add an "
-                    "equivalence test or mark it as a semantic toggle",
+                    f"boolean field {field!r} defaults to True: a fast "
+                    "path replaces the old path instead of hiding it "
+                    "behind a toggle; mark a semantic switch with "
+                    "'repro-lint: disable=RPR004'",
                 )
 
     @staticmethod
@@ -484,14 +477,6 @@ class ToggleCoverageRule(LintRule):
                 if isinstance(node, ast.ClassDef) and node.name == "FicsumConfig":
                     return module, node
         return None
-
-    @staticmethod
-    def _equivalence_modules(ctx: LintContext) -> List[SourceModule]:
-        out = []
-        for module in ctx.group("tests"):
-            if module.name == "equivalence" or module.imports_module("equivalence"):
-                out.append(module)
-        return out
 
     @staticmethod
     def _true_bool_field(node: ast.AST) -> Optional[str]:

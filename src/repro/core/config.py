@@ -4,7 +4,10 @@ Defaults follow the paper's tuned values (Section VI-2): window size 75,
 buffer ratio 0.25, ``P_C`` = 3, ``P_S`` = 25, acceptance gate of two
 standard deviations.  The extra switches (``weighting``, ``plasticity``,
 ``second_selection``, ``oracle_drift``) exist for the ablation benches
-and the supplementary perfect-drift-signal experiment.
+and the supplementary perfect-drift-signal experiment.  There are no
+execution toggles: every field either changes what the framework
+computes or sizes it, and the one production path is pinned against
+the plain Algorithm 1 reference in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -42,12 +45,7 @@ class FicsumConfig:
         Meta-information component selection (registered component or
         Table V group names; ``None`` = the full built-in set) and
         behaviour-source restriction ("all", "supervised",
-        "unsupervised", "error_rate").  ``functions`` is the legacy
-        alias for ``metafeatures`` and is normalised into it.
-    incremental:
-        Serve rolling-capable meta-features from O(1) accumulators on
-        the fingerprint hot path (batch recomputation remains the
-        reference path and is used when disabled).
+        "unsupervised", "error_rate").
     sketch_profile:
         Accuracy-vs-speed knob for the extraction kernels: ``"exact"``
         (default, Table I values, provably unchanged), ``"balanced"``
@@ -57,37 +55,6 @@ class FicsumConfig:
         substituted components carry declared ``accuracy_knob``
         metadata; reported Table I accuracy deltas vs ``"exact"`` are a
         first-class metric of the experiment engine.
-    extraction_cache:
-        Share the classifier-independent fingerprint dimensions across
-        all candidate states fingerprinting the same window (model
-        selection, the post-drift re-check and the repository step),
-        turning O(R × full-extract) into O(full-extract +
-        R × dependent-dims).  Bit-for-bit identical results; the switch
-        exists for benchmarking the pre-cache cost.
-    vectorized_selection:
-        Score all repository candidates with batched kernels over the
-        contiguous :class:`~repro.core.repository.FingerprintMatrix`
-        (one scale + one matrix product instead of O(R) per-state
-        Python loops), with the dynamic weights read from matrix views
-        and re-expressed similarity records memoised per step.
-        Bit-for-bit identical runs — the batched path is only taken
-        when it is exactly equivalent to the sequential loop (it falls
-        back whenever a candidate fingerprint widens the normaliser's
-        observed range mid-selection); the switch exists for
-        benchmarking the pre-vectorization loop cost.
-    forest_routing:
-        Evaluate the active window under *all* candidate classifiers in
-        one pass: the repository's
-        :class:`~repro.classifiers.bank.ClassifierBank` routes the
-        window through every stored Hoeffding tree simultaneously and
-        one :meth:`FingerprintPipeline.extract_partial_many` call
-        computes the classifier-dependent fingerprint dimensions for
-        the whole ``(R, W)`` prediction block, removing the last
-        per-candidate Python fan-out from selection events.
-        Bit-for-bit identical runs (same predictions, drift points,
-        state traces, discrimination samples); the switch exists for
-        benchmarking the per-state loop, which also remains the
-        fallback when a repository holds non-tree classifiers.
     weighting:
         "full" (paper), "sigma" (scale term only), "fisher"
         (discrimination term only) or "none" (plain cosine) — ablation.
@@ -164,22 +131,17 @@ class FicsumConfig:
     similarity_gate: float = 2.0
     min_similarity_std: float = 0.015
     metafeatures: Optional[Sequence[str]] = None
-    functions: Optional[Sequence[str]] = None
     source_set: str = "all"
-    incremental: bool = True
     sketch_profile: str = "exact"
-    extraction_cache: bool = True
-    vectorized_selection: bool = True
-    forest_routing: bool = True
     weighting: str = "full"
-    # Semantic ablation toggles, not fast paths: flipping them changes
-    # results by design, so no bit-for-bit equivalence test can exist.
+    # Semantic switches, not fast paths: flipping them changes results
+    # by design (ann_exact=False is the approximate shortlist).
     plasticity: bool = True  # repro-lint: disable=RPR004
     second_selection: bool = True  # repro-lint: disable=RPR004
     oracle_drift: bool = False
     max_repository_size: int = 40
     ann_prefilter: bool = False
-    ann_exact: bool = True
+    ann_exact: bool = True  # repro-lint: disable=RPR004
     ann_shortlist_k: int = 16
     ann_projections: int = 16
     family_radius: float = 0.0
@@ -195,16 +157,6 @@ class FicsumConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.functions is not None:
-            if self.metafeatures is not None and tuple(
-                self.metafeatures
-            ) != tuple(self.functions):
-                raise ValueError(
-                    "functions is a legacy alias of metafeatures; "
-                    "pass only one of them"
-                )
-            self.metafeatures = self.functions
-            self.functions = None
         if self.metafeatures is not None:
             self.metafeatures = tuple(self.metafeatures)
             # Resolve eagerly so unknown names fail at config time with

@@ -88,7 +88,7 @@ class Ficsum(AdaptiveSystem):
             metafeatures=cfg.metafeatures,
             source_set=cfg.source_set,
             shapley_max_eval=cfg.shapley_max_eval,
-            window_size=cfg.window_size if cfg.incremental else None,
+            window_size=cfg.window_size,
             sketch_profile=cfg.sketch_profile,
         )
         self.n_dims = self.pipeline.n_dims
@@ -104,14 +104,6 @@ class Ficsum(AdaptiveSystem):
         self._step = 0
         self._weights = np.ones(self.n_dims)
         self._weights_version = 0
-        # Batched candidate scoring over the repository's contiguous
-        # fingerprint matrix (gated off for benchmarking the loop path).
-        self._vectorized = cfg.vectorized_selection
-        # One-pass candidate evaluation: route the window through all
-        # stored trees via the repository's ClassifierBank and extract
-        # every candidate's dependent dims in one call (gated off for
-        # benchmarking the per-state fan-out).
-        self._forest_routing = cfg.forest_routing
         # Big-R selection layer: random-projection shortlist (approx
         # mode) / lazily-gated exact walk (provable-exactness mode),
         # plus an optionally attached warm/cold tier for evictions.
@@ -156,9 +148,7 @@ class Ficsum(AdaptiveSystem):
         # Shared-window extraction: classifier-independent dimensions
         # computed once per window identity and reused across every
         # candidate state (model selection, re-check, repository step).
-        self._extract_cache: Optional[WindowExtractionCache] = (
-            WindowExtractionCache(self.pipeline) if cfg.extraction_cache else None
-        )
+        self._extract_cache = WindowExtractionCache(self.pipeline)
         self._switch_step = 0
         self._warmup_obs = int(cfg.drift_warmup_windows * cfg.window_size)
         self._freeze_streak = 0
@@ -281,20 +271,13 @@ class Ficsum(AdaptiveSystem):
         """Current dynamic weight vector (schema order)."""
         return self._weights.copy()
 
-    @property
-    def extractor(self) -> FingerprintPipeline:
-        """Legacy name for the fingerprint pipeline."""
-        return self.pipeline
-
     # ------------------------------------------------------------------
     def process(self, x: np.ndarray, y: int) -> int:
-        cfg = self.config
         x = np.asarray(x, dtype=np.float64)
         prediction = self._active.classifier.predict(x)
         self._active.classifier.learn(x, y)
         self.window.append(x, int(y), int(prediction))
-        if cfg.incremental:
-            self.pipeline.push(x, int(y), int(prediction))
+        self.pipeline.push(x, int(y), int(prediction))
         self._step += 1
         self._active.last_active_step = self._step
         self.metrics.inc("observations")
@@ -322,7 +305,6 @@ class Ficsum(AdaptiveSystem):
         points, state-id traces and all fingerprint state are identical
         to the per-observation path.
         """
-        cfg = self.config
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         n = len(y)
@@ -339,8 +321,7 @@ class Ficsum(AdaptiveSystem):
             preds = self._active.classifier.predict_learn_batch(xs, ys)
             predictions[i : i + m] = preds
             self.window.extend(xs, ys, preds)
-            if cfg.incremental:
-                self.pipeline.push_many(xs, ys, preds)
+            self.pipeline.push_many(xs, ys, preds)
             self._step += m
             self._active.last_active_step = self._step
             self.metrics.inc("observations", m)
@@ -595,31 +576,22 @@ class Ficsum(AdaptiveSystem):
     def _refresh_weights(self) -> None:
         """Recompute the dynamic weights (Step III-B).
 
-        The vectorized path reads all per-state statistics from the
-        repository's contiguous fingerprint matrix (identical values,
-        one batched scale per Fisher term).
+        All per-state statistics are read from the repository's
+        contiguous fingerprint matrix (one batched scale per term).
         """
-        cfg = self.config
-        matrix = self.repository.matrix() if self._vectorized else None
+        matrix = self.repository.matrix()
         self._weights = make_weights(
-            cfg.weighting, self._active, self.repository.states(),
-            self.normalizer, matrix=matrix,
+            self.config.weighting, self._active, self.repository.states(),
+            self.normalizer, matrix,
         )
         self._weights_version += 1
 
     def _fingerprint_step(self) -> None:
         cfg = self.config
         xa, ya, la = self.window.arrays()
-        if cfg.incremental:
-            fp_active = self.pipeline.extract_incremental(
-                xa, ya, la, self._active.classifier
-            )
-        elif self._extract_cache is not None:
-            fp_active = self._extract_cache.extract(
-                self._step, xa, ya, la, self._active.classifier
-            )
-        else:
-            fp_active = self.pipeline.extract(xa, ya, la, self._active.classifier)
+        fp_active = self.pipeline.extract_incremental(
+            xa, ya, la, self._active.classifier
+        )
         self.normalizer.update(fp_active)
         # Only windows drawn entirely after the last concept switch may
         # be incorporated into the concept fingerprint (the buffer's
@@ -724,14 +696,10 @@ class Ficsum(AdaptiveSystem):
     def _gated_record(self, state: ConceptState) -> Tuple[float, float]:
         """Re-scaled (mu, sigma) with the numerical floor applied.
 
-        Memoised per (state, step) on the vectorized path: the key
-        carries the record / normaliser-range / weights versions, so a
-        hit returns exactly what recomputation would.
+        Memoised per (state, step): the key carries the record /
+        normaliser-range / weights versions, so a hit returns exactly
+        what recomputation would.
         """
-        if not self._vectorized:
-            mu, sigma = state.rescaled_similarity_record(self._sim)
-            floor = self.config.min_similarity_std * max(1.0, abs(mu))
-            return mu, max(sigma, floor)
         cache = self._gated_cache_for_step()
         key = self._gated_key(state)
         hit = cache.get(state.state_id)
@@ -810,17 +778,11 @@ class Ficsum(AdaptiveSystem):
     ) -> np.ndarray:
         """The active window's fingerprint under ``state``'s classifier.
 
-        All candidate states share the window's classifier-independent
-        dimensions, so those are served from :class:`WindowExtractionCache`
-        (computed once per window identity — ``self._step``) and only the
-        prediction-derived dimensions are extracted per state.
+        The single-candidate case of :meth:`_stack_window_fingerprints`;
+        callers run at most once per event (re-check, prefilter query,
+        discrimination sample).
         """
-        preds = state.classifier.predict_batch(xa)
-        if self._extract_cache is not None:
-            return self._extract_cache.extract(
-                self._step, xa, ya, preds, state.classifier
-            )
-        return self.pipeline.extract(xa, ya, preds, state.classifier)
+        return self._stack_window_fingerprints(xa, ya, [state])[0]
 
     def _error_gate(self, state: ConceptState, fp: np.ndarray) -> bool:
         """Is the window error rate of ``state``'s classifier normal?
@@ -944,34 +906,27 @@ class Ficsum(AdaptiveSystem):
     ) -> np.ndarray:
         """(R, D) stack of the window's fingerprint under each candidate.
 
-        On the forest-routing path the whole stack is three batched
-        calls — bank-route (one mask descent + one NB kernel over all
-        trees), shared extraction (once per window identity), and
-        ``extract_partial_many`` over the ``(R, W)`` prediction block —
-        with zero per-candidate Python iterations.  The per-state loop
-        (one ``predict_batch`` + one dependent-dims extraction each)
-        remains for benchmarking, and as the fallback for repositories
-        holding non-tree classifiers; both paths are bit-for-bit
-        identical.
+        One ``(R, W)`` prediction block, then one shared-window
+        extraction call: the repository's
+        :class:`~repro.classifiers.bank.ClassifierBank` routes the
+        window through every stored tree in one mask descent + one NB
+        kernel; a repository holding non-tree classifiers has no bank,
+        so the block stacks each state's ``predict_batch`` instead.
+        The classifier-independent dimensions come from the extraction
+        cache (once per window identity, ``self._step``) and
+        ``extract_partial_many`` computes every candidate's dependent
+        dimensions over the block.
         """
-        if self._forest_routing:
-            bank = self.repository.bank()
-            if bank is not None:
-                preds_block = bank.predict_batch_many(
-                    [s.state_id for s in states], xa
-                )
-                classifiers = [s.classifier for s in states]
-                if self._extract_cache is not None:
-                    return self._extract_cache.extract_many(
-                        self._step, xa, ya, preds_block, classifiers
-                    )
-                return self.pipeline.extract_partial_many(
-                    xa, ya, preds_block, classifiers
-                )
-        fps = np.empty((len(states), self.n_dims))
-        for i, state in enumerate(states):
-            fps[i] = self._window_fingerprint(xa, ya, state)
-        return fps
+        bank = self.repository.bank()
+        if bank is not None:
+            preds_block = bank.predict_batch_many(
+                [s.state_id for s in states], xa
+            )
+        else:
+            preds_block = np.stack([s.classifier.predict_batch(xa) for s in states])
+        return self._extract_cache.extract_many(
+            self._step, xa, ya, preds_block, [s.classifier for s in states]
+        )
 
     def _select_from_fingerprints(
         self, states: List[ConceptState], fps: np.ndarray
@@ -983,11 +938,11 @@ class Ficsum(AdaptiveSystem):
         is taken only when every stacked fingerprint lies inside the
         normaliser's observed ranges, which makes scoring against the
         final extrema *exactly* the sequential update-then-score loop.
-        Otherwise (a range widened mid-selection, or
-        ``vectorized_selection`` off) the per-state loop runs.
+        Otherwise (a range widened mid-selection) the per-state loop
+        runs.
         """
         cfg = self.config
-        if self._vectorized and self.normalizer.contains(fps):
+        if self.normalizer.contains(fps):
             if self._prefilter is not None and cfg.ann_exact:
                 return self._select_exact_ordered(states, fps)
             sims, accepted = self._score_candidates(states, fps)
@@ -1182,7 +1137,7 @@ class Ficsum(AdaptiveSystem):
             return
         xa, ya, _ = self.window.arrays()
         fps = self._stack_window_fingerprints(xa, ya, others)
-        if self._vectorized and self.normalizer.contains(fps):
+        if self.normalizer.contains(fps):
             other_sims = self._repository_scores_batch(others, fps)
         else:
             other_sims = []
@@ -1329,8 +1284,7 @@ class Ficsum(AdaptiveSystem):
         # uninterrupted run's would at a new step.
         self._gated_cache = {}
         self._gated_cache_step = -1
-        if self._extract_cache is not None:
-            self._extract_cache.invalidate()
+        self._extract_cache.invalidate()
         if self._prefilter is not None:
             # Sketches rebuild on demand from the restored fingerprint
             # versions; stale cross-object entries must not survive.

@@ -26,7 +26,7 @@ two Fisher terms are comparable across dimensions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 
@@ -56,63 +56,15 @@ def sigma_weights(scaled_stds: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.minimum(out, _WEIGHT_CAP)
 
 
-def inter_concept_variation(
-    states: List["ConceptState"], normalizer: OnlineMinMax
+def inter_concept_variation_matrix(
+    matrix: "FingerprintMatrix", normalizer: OnlineMinMax
 ) -> np.ndarray:
     """``v_s``: Fisher score of dimension means across stored concepts.
 
     ``v_s = std_S(mu_S) / max_S(sigma_S)`` per dimension, computed over
-    stored concepts with trained fingerprints.  Needs at least two such
-    concepts; otherwise every dimension gets a neutral 1.
-    """
-    trained = [s for s in states if s.fingerprint.count >= 2]
-    if len(trained) < 2:
-        return np.ones(normalizer.n_dims)
-    means = np.stack([normalizer.scale(s.fingerprint.means) for s in trained])
-    stds = np.stack(
-        [normalizer.scale_std(s.fingerprint.stds) for s in trained]
-    )
-    between = means.std(axis=0)
-    within = np.maximum(stds.max(axis=0), _SIGMA_EPS)
-    return np.minimum(between / within, _WEIGHT_CAP)
-
-
-def intra_classifier_variation(
-    states: List["ConceptState"], normalizer: OnlineMinMax
-) -> np.ndarray:
-    """``v_sc``: self vs non-active behaviour gap per stored classifier.
-
-    For each stored concept ``S`` with both a trained self fingerprint
-    ``F_S`` and a trained non-active fingerprint ``F_SC`` (its
-    classifier's behaviour on other concepts' observations), the
-    dimension-wise deviation between the two means relative to the
-    non-active sigma — averaged over such concepts.  Neutral 1 when no
-    concept qualifies.
-    """
-    ratios = []
-    for state in states:
-        if state.fingerprint.count < 2 or state.nonactive.count < 2:
-            continue
-        mu_self = normalizer.scale(state.fingerprint.means)
-        mu_cross = normalizer.scale(state.nonactive.means)
-        sigma_cross = np.maximum(
-            normalizer.scale_std(state.nonactive.stds), _SIGMA_EPS
-        )
-        # std of the two-point set {mu_self, mu_cross} is |diff| / 2.
-        ratios.append(np.abs(mu_self - mu_cross) / (2.0 * sigma_cross))
-    if not ratios:
-        return np.ones(normalizer.n_dims)
-    return np.minimum(np.mean(ratios, axis=0), _WEIGHT_CAP)
-
-
-def inter_concept_variation_matrix(
-    matrix: "FingerprintMatrix", normalizer: OnlineMinMax
-) -> np.ndarray:
-    """``v_s`` from :class:`FingerprintMatrix` views.
-
-    Bit-for-bit :func:`inter_concept_variation`: the trained mask
-    preserves repository order, and ``scale_many`` applies exactly the
-    per-row arithmetic of ``scale``.
+    the matrix rows with trained fingerprints (repository order).
+    Needs at least two such concepts; otherwise every dimension gets a
+    neutral 1.
     """
     trained = matrix.fp_n_view >= 2
     if int(trained.sum()) < 2:
@@ -127,7 +79,15 @@ def inter_concept_variation_matrix(
 def intra_classifier_variation_matrix(
     matrix: "FingerprintMatrix", normalizer: OnlineMinMax
 ) -> np.ndarray:
-    """``v_sc`` from :class:`FingerprintMatrix` views (bit-for-bit)."""
+    """``v_sc``: self vs non-active behaviour gap per stored classifier.
+
+    For each stored concept ``S`` with both a trained self fingerprint
+    ``F_S`` and a trained non-active fingerprint ``F_SC`` (its
+    classifier's behaviour on other concepts' observations), the
+    dimension-wise deviation between the two means relative to the
+    non-active sigma — averaged over such concepts.  Neutral 1 when no
+    concept qualifies.
+    """
     mask = (matrix.fp_n_view >= 2) & (matrix.na_n_view >= 2)
     if not mask.any():
         return np.ones(normalizer.n_dims)
@@ -136,6 +96,7 @@ def intra_classifier_variation_matrix(
     sigma_cross = np.maximum(
         normalizer.scale_std_many(matrix.na_stds_view[mask]), _SIGMA_EPS
     )
+    # std of the two-point set {mu_self, mu_cross} is |diff| / 2.
     ratios = np.abs(mu_self - mu_cross) / (2.0 * sigma_cross)
     return np.minimum(np.mean(ratios, axis=0), _WEIGHT_CAP)
 
@@ -145,44 +106,31 @@ def make_weights(
     active_state: "ConceptState",
     states: List["ConceptState"],
     normalizer: OnlineMinMax,
-    matrix: Optional["FingerprintMatrix"] = None,
+    matrix: "FingerprintMatrix",
 ) -> np.ndarray:
     """The full dynamic weight vector ``w = w_sigma * max(v_s, v_sc)``.
 
     ``mode`` selects the ablation: "full", "sigma", "fisher" or "none".
     Cosine similarity is invariant to a global rescaling of the weight
-    vector, so no normalisation is applied.  When ``matrix`` is given
-    (a refreshed :class:`FingerprintMatrix` mirroring ``states``), the
-    Fisher terms and the active sigma term read its contiguous views
-    instead of looping the state list — identical values, one batched
-    scale per term.
+    vector, so no normalisation is applied.  Every per-state statistic
+    is read from ``matrix``, the refreshed :class:`FingerprintMatrix`
+    whose rows mirror ``states`` (the repository's stored concepts, in
+    order) — one batched scale per term.
     """
     n_dims = normalizer.n_dims
     if mode == "none":
         return np.ones(n_dims)
-    if matrix is not None:
-        row = matrix.row_of(active_state.state_id)
-        w_sigma = sigma_weights(
-            normalizer.scale_std(matrix.fp_stds_view[row]),
-            matrix.fp_counts_view[row],
-        )
-    else:
-        w_sigma = sigma_weights(
-            normalizer.scale_std(active_state.fingerprint.stds),
-            active_state.fingerprint.counts,
-        )
+    row = matrix.row_of(active_state.state_id)
+    w_sigma = sigma_weights(
+        normalizer.scale_std(matrix.fp_stds_view[row]),
+        matrix.fp_counts_view[row],
+    )
     if mode == "sigma":
         return w_sigma
-    if matrix is not None:
-        w_d = np.maximum(
-            inter_concept_variation_matrix(matrix, normalizer),
-            intra_classifier_variation_matrix(matrix, normalizer),
-        )
-    else:
-        w_d = np.maximum(
-            inter_concept_variation(states, normalizer),
-            intra_classifier_variation(states, normalizer),
-        )
+    w_d = np.maximum(
+        inter_concept_variation_matrix(matrix, normalizer),
+        intra_classifier_variation_matrix(matrix, normalizer),
+    )
     if mode == "fisher":
         return w_d
     return np.minimum(w_sigma * w_d, _WEIGHT_CAP)

@@ -8,7 +8,7 @@ from repro.evaluation.metrics import (
 from repro.evaluation.prequential import RunResult, prequential_run
 from repro.evaluation.discrimination import summarize_discrimination
 from repro.evaluation.stats import average_ranks, friedman_test, nemenyi_cd
-from repro.evaluation.runner import SYSTEM_BUILDERS, build_system, run_on_dataset
+from repro.evaluation.runner import build_system, run_on_dataset
 
 __all__ = [
     "ConfusionMatrix",
@@ -20,7 +20,6 @@ __all__ = [
     "average_ranks",
     "friedman_test",
     "nemenyi_cd",
-    "SYSTEM_BUILDERS",
     "build_system",
     "run_on_dataset",
 ]

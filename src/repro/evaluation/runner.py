@@ -36,11 +36,6 @@ from repro.system import AdaptiveSystem
 
 SystemBuilder = Callable[[StreamMeta, Optional[FicsumConfig], int], AdaptiveSystem]
 
-#: Deprecated alias: the system registry exposes the historical
-#: ``SYSTEM_BUILDERS`` mapping interface (``in``, iteration, and the
-#: entries themselves are callable builders).
-SYSTEM_BUILDERS = SYSTEMS
-
 
 def _ficsum_builder(factory) -> SystemBuilder:
     def build(

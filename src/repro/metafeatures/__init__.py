@@ -30,7 +30,6 @@ from repro.metafeatures.components import MetaFeature, WindowContext
 from repro.metafeatures.pipeline import (
     BEHAVIOUR_SOURCES,
     SOURCE_SETS,
-    FingerprintExtractor,
     FingerprintPipeline,
     FingerprintSchema,
     SourceInfo,
@@ -59,7 +58,6 @@ __all__ = [
     "SOURCE_SETS",
     "SourceInfo",
     "source_info",
-    "FingerprintExtractor",
     "FingerprintPipeline",
     "FingerprintSchema",
     "WindowExtractionCache",

@@ -21,34 +21,33 @@ of hard-coded name lists.
 
 Three extraction paths share one schema:
 
-* :meth:`FingerprintPipeline.extract` — the batch reference: every
-  component recomputed from the full window (also used for candidate
-  classifiers during model selection, whose predictions differ from the
-  stored window).
+* :meth:`FingerprintPipeline.extract` — the batch path: every
+  component recomputed from the full window.
 * :meth:`FingerprintPipeline.push` +
-  :meth:`FingerprintPipeline.extract_incremental` — the hot path:
-  components that admit rolling algebra read their values from O(1)
-  accumulators; only the expensive components (IMF entropies, lagged
-  MI, permutation importance) fall back to batch recomputation.
+  :meth:`FingerprintPipeline.extract_incremental` — the active-window
+  hot path: components that admit rolling algebra read their values
+  from O(1) accumulators; only the expensive components (IMF
+  entropies, lagged MI, permutation importance) fall back to batch
+  recomputation.
 * :meth:`FingerprintPipeline.extract_shared` +
-  :meth:`FingerprintPipeline.extract_partial` — the model-selection
-  hot path: the classifier-independent dimensions (feature- and
+  :meth:`FingerprintPipeline.extract_partial_many` — the candidate
+  path: the classifier-independent dimensions (feature- and
   label-sourced) are identical for every candidate classifier
-  re-labelling the same window, so they are computed once and reused
-  while only the preds/errors/error-distance dimensions (plus
-  classifier-backed components such as the permutation importance) are
-  recomputed per candidate.  :class:`WindowExtractionCache` keys the
-  shared part on window identity so ``R`` candidate extractions cost
-  one shared pass plus ``R`` dependent-dimension passes.  Both halves
-  are computed with the same row kernels over sub-matrices of the same
-  layout, so ``extract_partial`` is bit-for-bit equal to ``extract``.
+  re-labelling the same window, so they are computed once, and only
+  the preds/errors/error-distance dimensions (plus classifier-backed
+  components such as the permutation importance) are computed for the
+  whole ``(R, w)`` prediction block at once.
+  :class:`WindowExtractionCache` keys the shared part on window
+  identity.  Both halves run the same row kernels over sub-matrices of
+  the same row layout, so every candidate row is bit-for-bit equal to
+  :meth:`~FingerprintPipeline.extract`.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,6 +158,16 @@ class FingerprintSchema:
         return self.dims.index((source, function))
 
 
+class _RowSet(NamedTuple):
+    """Matrix-source rows one extraction path builds its matrix from."""
+
+    index: np.ndarray
+    #: Leading rows that are the window's feature columns (all or none).
+    n_features: int
+    #: Source names of the remaining, label-derived rows, in order.
+    sequences: Tuple[str, ...]
+
+
 class FingerprintPipeline:
     """Assembles fingerprint vectors from registered components.
 
@@ -169,8 +178,7 @@ class FingerprintPipeline:
     metafeatures:
         Component (or Table V group) names resolved against
         :data:`repro.registry.METAFEATURES`; defaults to the full
-        13-function set of Table I.  ``functions`` is accepted as a
-        legacy alias.
+        13-function set of Table I.
     source_set:
         ``"all"`` (FiCSUM), ``"supervised"`` (S-MI: labels, predictions,
         errors, error distances), ``"unsupervised"`` (U-MI: features
@@ -195,7 +203,6 @@ class FingerprintPipeline:
         source_set: str = "all",
         shapley_max_eval: int = 12,
         window_size: Optional[int] = None,
-        functions: Optional[Sequence[str]] = None,
         sketch_profile: str = "exact",
     ) -> None:
         if n_features <= 0:
@@ -204,15 +211,6 @@ class FingerprintPipeline:
             raise ValueError(
                 f"source_set must be one of {SOURCE_SETS}, got {source_set!r}"
             )
-        if functions is not None:
-            if metafeatures is not None and tuple(metafeatures) != tuple(
-                functions
-            ):
-                raise ValueError(
-                    "functions is a legacy alias of metafeatures; "
-                    "pass only one of them"
-                )
-            metafeatures = functions
         self.n_features = n_features
         self.source_set = source_set
         self.shapley_max_eval = shapley_max_eval
@@ -270,21 +268,12 @@ class FingerprintPipeline:
         # Shared/partial split: matrix-source rows whose values are the
         # same for every classifier (features, labels) vs the rows that
         # must be recomputed per candidate classifier (preds, errors).
-        self._indep_rows = np.array(
-            [
-                i
-                for i, s in enumerate(self._matrix_sources)
-                if not source_info(s).classifier_dependent
-            ],
-            dtype=np.intp,
+        self._all_rows = self._row_set(lambda source: True)
+        self._indep_rows = self._row_set(
+            lambda source: not source_info(source).classifier_dependent
         )
-        self._dep_rows = np.array(
-            [
-                i
-                for i, s in enumerate(self._matrix_sources)
-                if source_info(s).classifier_dependent
-            ],
-            dtype=np.intp,
+        self._dep_rows = self._row_set(
+            lambda source: source_info(source).classifier_dependent
         )
         # Incremental machinery (created lazily by attach_window or
         # eagerly when window_size is given).
@@ -294,7 +283,6 @@ class FingerprintPipeline:
         if window_size is not None:
             self.attach_window(window_size)
 
-    # -- legacy-compatible aliases --------------------------------------
     @property
     def n_dims(self) -> int:
         return self.schema.n_dims
@@ -490,25 +478,19 @@ class FingerprintPipeline:
         """Classifier-independent dimensions of a window's fingerprint.
 
         Returns a full-length fingerprint vector whose feature- and
-        label-sourced dimensions hold their batch-reference values and
-        whose classifier-dependent dimensions are zero.  The result is
-        valid for *every* classifier re-labelling the same window —
-        :meth:`extract_partial` fills in the rest per candidate.
+        label-sourced dimensions hold their batch values and whose
+        classifier-dependent dimensions are zero.  The result is valid
+        for *every* classifier re-labelling the same window —
+        :meth:`extract_partial_many` fills in the rest per candidate.
         """
-        window_x = np.asarray(window_x, dtype=np.float64)
-        w = len(labels)
-        if window_x.shape != (w, self.n_features):
-            raise ValueError(
-                f"window_x shape {window_x.shape} does not match "
-                f"({w}, {self.n_features})"
-            )
+        window_x = self._checked_window(window_x, len(labels))
         n_sources = len(self.schema.source_names)
         n_functions = len(self.components)
         fingerprint = np.zeros((n_sources, n_functions))
-        rows = self._indep_rows
+        rows = self._indep_rows.index
         if rows.size:
             labels = np.asarray(labels, dtype=np.float64)
-            ctx = WindowContext(self._build_row_matrix(window_x, labels, None, None, rows))
+            ctx = WindowContext(self._row_matrix(self._indep_rows, window_x, labels))
             for j, component in enumerate(self.components):
                 if self._classifier_components[j]:
                     continue  # classifier-backed: recomputed per candidate
@@ -525,59 +507,14 @@ class FingerprintPipeline:
     ) -> np.ndarray:
         """Complete a :meth:`extract_shared` vector for one classifier.
 
-        Recomputes exactly the dimensions flagged by
-        ``schema.classifier_dependent`` — the preds/errors/error-distance
-        sources plus classifier-backed components — and fills everything
-        else from ``shared`` (computed on demand when omitted).  The
-        result is bit-for-bit identical to :meth:`extract` on the same
-        inputs: both paths run the same row kernels over sub-matrices of
-        identical layout.
+        The single-candidate case of :meth:`extract_partial_many`
+        (``shared`` is computed on demand when omitted); bit-for-bit
+        equal to :meth:`extract` on the same inputs.
         """
-        if shared is None:
-            shared = self.extract_shared(window_x, labels)
-        window_x = np.asarray(window_x, dtype=np.float64)
-        w = len(labels)
-        if window_x.shape != (w, self.n_features):
-            raise ValueError(
-                f"window_x shape {window_x.shape} does not match "
-                f"({w}, {self.n_features})"
-            )
-        n_sources = len(self.schema.source_names)
-        n_functions = len(self.components)
-        n_matrix = len(self._matrix_sources)
-        fingerprint = np.array(shared, dtype=np.float64).reshape(
-            n_sources, n_functions
-        )
-        labels = np.asarray(labels, dtype=np.float64)
-        preds = np.asarray(preds, dtype=np.float64)
-        errors = (labels != preds).astype(np.float64)
-
-        rows = self._dep_rows
-        ctx: Optional[WindowContext] = None
-        if rows.size:
-            ctx = WindowContext(
-                self._build_row_matrix(window_x, labels, preds, errors, rows)
-            )
-        dists: Optional[np.ndarray] = None
-        if self._has_error_dists:
-            error_idx = np.flatnonzero(errors)
-            if error_idx.size >= 2:
-                dists = np.diff(error_idx).astype(np.float64)
-            else:
-                dists = np.array([float(w)])
-        ed_cache: dict = {}
-        for j, component in enumerate(self.components):
-            if self._classifier_components[j]:
-                fingerprint[:n_matrix, j] = self._classifier_column(
-                    component, window_x, classifier
-                )
-            elif ctx is not None:
-                fingerprint[rows, j] = component.batch_rows(ctx)
-            if dists is not None:
-                fingerprint[n_matrix, j] = component.batch_scalar_cached(
-                    dists, ed_cache
-                )
-        return fingerprint.reshape(-1)
+        preds_block = np.asarray(preds, dtype=np.float64)[None, :]
+        return self.extract_partial_many(
+            window_x, labels, preds_block, [classifier], shared=shared
+        )[0]
 
     def extract_partial_many(
         self,
@@ -593,8 +530,7 @@ class FingerprintPipeline:
         classifier re-labelling the same window (the
         :class:`~repro.classifiers.bank.ClassifierBank`'s output block).
         Returns the ``(R, D)`` stack whose row ``r`` is **bit-for-bit**
-        ``extract_partial(window_x, labels, preds_block[r],
-        classifiers[r], shared=shared)`` — and therefore ``extract`` —
+        ``extract(window_x, labels, preds_block[r], classifiers[r])``
         with zero per-candidate Python round-trips on the matrix-source
         dimensions:
 
@@ -605,7 +541,7 @@ class FingerprintPipeline:
           per-candidate sub-matrices);
         * classifier-backed components (permutation importance) loop
           candidates in order so the pipeline rng advances exactly as
-          the sequential calls would;
+          sequential per-candidate extractions would;
         * the variable-length error-distance source groups candidates
           by gap count and evaluates each group's ``(G, L)`` stack with
           the components' :meth:`MetaFeature.batch_scalar_rows` kernels
@@ -614,15 +550,10 @@ class FingerprintPipeline:
         """
         if shared is None:
             shared = self.extract_shared(window_x, labels)
-        window_x = np.asarray(window_x, dtype=np.float64)
-        preds_block = np.asarray(preds_block, dtype=np.float64)
         w = len(labels)
+        window_x = self._checked_window(window_x, w)
+        preds_block = np.asarray(preds_block, dtype=np.float64)
         n = preds_block.shape[0]
-        if window_x.shape != (w, self.n_features):
-            raise ValueError(
-                f"window_x shape {window_x.shape} does not match "
-                f"({w}, {self.n_features})"
-            )
         if preds_block.shape != (n, w):
             raise ValueError(
                 f"preds_block shape {preds_block.shape} does not match "
@@ -660,29 +591,23 @@ class FingerprintPipeline:
                     None if classifiers is None else classifiers[r],
                 )
 
-        rows = self._dep_rows
-        ctx: Optional[WindowContext] = None
-        if rows.size and n:
-            blocks = self._dep_row_blocks(preds_block, errors_block)
-            big = np.empty((n * rows.size, w))
-            for k, block in enumerate(blocks):
-                big[k :: rows.size] = block
-            ctx = WindowContext(big)
-
-        for j, component in enumerate(self.components):
-            if ctx is not None and not self._classifier_components[j]:
-                out[:, rows, j] = component.batch_rows(ctx).reshape(
-                    n, rows.size
+        rows = self._dep_rows.index
+        if rows.size:
+            ctx = WindowContext(
+                self._row_matrix(
+                    self._dep_rows, window_x, labels, preds_block, errors_block
                 )
+            )
+            for j, component in enumerate(self.components):
+                if not self._classifier_components[j]:
+                    out[:, rows, j] = component.batch_rows(ctx).reshape(
+                        n, rows.size
+                    )
         if self._has_error_dists:
             by_length: Dict[int, list] = {}
             dists = []
             for r in range(n):
-                error_idx = np.flatnonzero(errors_block[r])
-                if error_idx.size >= 2:
-                    gaps = np.diff(error_idx).astype(np.float64)
-                else:
-                    gaps = np.array([float(w)])
+                gaps = self._error_gaps(errors_block[r])
                 dists.append(gaps)
                 by_length.setdefault(len(gaps), []).append(r)
             for length, members in by_length.items():
@@ -696,52 +621,64 @@ class FingerprintPipeline:
                     )
         return out.reshape(n, -1)
 
-    def _dep_row_blocks(
-        self, preds_block: np.ndarray, errors_block: np.ndarray
-    ) -> list:
-        """The ``(R, w)`` block backing each dependent matrix-source row.
+    def _checked_window(self, window_x: np.ndarray, w: int) -> np.ndarray:
+        window_x = np.asarray(window_x, dtype=np.float64)
+        if window_x.shape != (w, self.n_features):
+            raise ValueError(
+                f"window_x shape {window_x.shape} does not match "
+                f"({w}, {self.n_features})"
+            )
+        return window_x
 
-        Mirrors :meth:`_build_row_matrix`'s index map restricted to the
-        classifier-dependent rows (which are always the preds / errors
-        sources — labels and features are classifier-independent).
-        """
-        d = self.n_features
-        by_index = {d + 1: preds_block, d + 2: errors_block}
-        if self.source_set == "supervised":
-            by_index = {1: preds_block, 2: errors_block}
-        elif self.source_set == "error_rate":
-            by_index = {0: errors_block}
-        return [by_index[int(src_row)] for src_row in self._dep_rows]
+    @staticmethod
+    def _error_gaps(errors: np.ndarray) -> np.ndarray:
+        """Distances between consecutive errors of one window."""
+        error_idx = np.flatnonzero(errors)
+        if error_idx.size >= 2:
+            return np.diff(error_idx).astype(np.float64)
+        # No measurable gap: encode "errors rarer than the window" as a
+        # single window-length gap.
+        return np.array([float(len(errors))])
 
-    def _build_row_matrix(
+    def _row_set(self, keep: Callable[[str], bool]) -> "_RowSet":
+        """The matrix-source rows whose source ``keep`` accepts."""
+        index = [i for i, s in enumerate(self._matrix_sources) if keep(s)]
+        names = [self._matrix_sources[i] for i in index]
+        n_features = sum(1 for name in names if name not in _SOURCE_INFO)
+        return _RowSet(
+            np.array(index, dtype=np.intp), n_features, tuple(names[n_features:])
+        )
+
+    def _row_matrix(
         self,
+        rows: "_RowSet",
         window_x: np.ndarray,
-        labels: Optional[np.ndarray],
-        preds: Optional[np.ndarray],
-        errors: Optional[np.ndarray],
-        rows: np.ndarray,
+        labels: Optional[np.ndarray] = None,
+        preds: Optional[np.ndarray] = None,
+        errors: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """C-contiguous sub-matrix of the selected matrix-source rows.
+        """C-contiguous matrix of one row set's matrix-source rows.
 
-        Row contents match :meth:`_build_matrix` exactly (same dtype,
-        same contiguity), so per-row kernels produce bit-identical
-        values on the sub-matrix and on the full matrix.
+        The one statement of the row layout: the window's feature
+        columns lead (feature sources come first in every row set that
+        has them), then each label-derived sequence its source names.
+        ``preds`` / ``errors`` may be ``(R, w)`` blocks, one row per
+        candidate classifier; the result is then candidate-major (row
+        ``r * len(rows.index) + k`` is row ``k`` under candidate ``r``).
+        C order matters beyond speed: numpy's axis-1 reductions sum
+        F-ordered arrays in a different order, which would perturb
+        fingerprints at the last ulp.
         """
-        d = self.n_features
         w = window_x.shape[0]
-        by_index = {d: labels, d + 1: preds, d + 2: errors}
-        if self.source_set == "supervised":
-            by_index = {0: labels, 1: preds, 2: errors}
-        elif self.source_set == "error_rate":
-            by_index = {0: errors}
-        matrix = np.empty((rows.size, w))
-        for out_row, src_row in enumerate(rows):
-            src_row = int(src_row)
-            if self.source_set in ("all", "unsupervised") and src_row < d:
-                matrix[out_row] = window_x[:, src_row]
-            else:
-                matrix[out_row] = by_index[src_row]
-        return matrix
+        n = 1 if preds is None or preds.ndim == 1 else preds.shape[0]
+        out = np.empty((n, rows.index.size, w))
+        d = rows.n_features
+        if d:
+            out[:, :d] = window_x.T
+        sequences = {"labels": labels, "preds": preds, "errors": errors}
+        for k, name in enumerate(rows.sequences, d):
+            out[:, k] = sequences[name]
+        return out.reshape(-1, w)
 
     def _extract(
         self,
@@ -751,13 +688,7 @@ class FingerprintPipeline:
         classifier: Optional[Classifier],
         rolling: bool,
     ) -> np.ndarray:
-        window_x = np.asarray(window_x, dtype=np.float64)
-        w = len(labels)
-        if window_x.shape != (w, self.n_features):
-            raise ValueError(
-                f"window_x shape {window_x.shape} does not match "
-                f"({w}, {self.n_features})"
-            )
+        window_x = self._checked_window(window_x, len(labels))
         needs_matrix = (
             self._needs_matrix_rolling if rolling else self._needs_matrix_batch
         )
@@ -770,7 +701,9 @@ class FingerprintPipeline:
             preds = np.asarray(preds, dtype=np.float64)
             errors = (labels != preds).astype(np.float64)
         if needs_matrix:
-            ctx = WindowContext(self._build_matrix(window_x, labels, preds, errors))
+            ctx = WindowContext(
+                self._row_matrix(self._all_rows, window_x, labels, preds, errors)
+            )
 
         dists: Optional[np.ndarray] = None
         gap_stats = None
@@ -781,13 +714,7 @@ class FingerprintPipeline:
                 else:
                     dists = self._error_tracker.gaps()
             else:
-                error_idx = np.flatnonzero(errors)
-                if error_idx.size >= 2:
-                    dists = np.diff(error_idx).astype(np.float64)
-                else:
-                    # No measurable gap: encode "errors rarer than the
-                    # window" as a single window-length gap.
-                    dists = np.array([float(w)])
+                dists = self._error_gaps(errors)
 
         # Assembly: the error-distance source is always the last schema
         # source, so the matrix-source block is a contiguous prefix and
@@ -821,34 +748,6 @@ class FingerprintPipeline:
             fingerprint[n_matrix] = ed_values
         return fingerprint.reshape(-1)
 
-    def _build_matrix(
-        self,
-        window_x: np.ndarray,
-        labels: np.ndarray,
-        preds: np.ndarray,
-        errors: np.ndarray,
-    ) -> np.ndarray:
-        """(n_rows, w) source matrix, one C-contiguous allocation.
-
-        C order matters beyond speed: numpy's axis-1 reductions use a
-        different summation order on F-ordered arrays, which would
-        perturb fingerprints at the last ulp relative to the reference.
-        """
-        d = self.n_features
-        w = len(labels)
-        if self.source_set == "all":
-            matrix = np.empty((d + 3, w))
-            matrix[:d] = window_x.T
-            matrix[d] = labels
-            matrix[d + 1] = preds
-            matrix[d + 2] = errors
-            return matrix
-        if self.source_set == "supervised":
-            return np.stack([labels, preds, errors])
-        if self.source_set == "unsupervised":
-            return np.ascontiguousarray(window_x.T)
-        return errors[None]  # error_rate
-
     def _classifier_column(
         self,
         component: MetaFeature,
@@ -870,17 +769,18 @@ class WindowExtractionCache:
     """Shares classifier-independent extraction work across one window.
 
     Model selection, the post-drift re-check and the repository step
-    all fingerprint the *same* active window once per stored concept —
-    only the predicted-label-derived dimensions differ between
-    candidates.  This cache keys the shared (classifier-independent)
-    part on a caller-supplied window identity (FiCSUM uses its
-    observation counter): the first extraction for a key pays one
+    all fingerprint the *same* active window under stored concepts'
+    classifiers — only the predicted-label-derived dimensions differ
+    between candidates.  This cache keys the shared (classifier-
+    independent) part on a caller-supplied window identity (FiCSUM uses
+    its observation counter): the first extraction for a key pays one
     :meth:`FingerprintPipeline.extract_shared` pass, every further
     extraction for the same key pays only the dependent dimensions.
 
-    ``n_shared_computes`` / ``n_partial_extracts`` count the work done,
-    so tests can assert the O(R × full-extract) → O(full-extract +
-    R × dependent-dims) restructuring actually holds.
+    ``n_shared_computes`` / ``n_partial_extracts`` count the work done
+    (shared passes / candidate rows), so tests can assert the
+    O(R × full-extract) → O(full-extract + R × dependent-dims)
+    restructuring actually holds.
     """
 
     def __init__(self, pipeline: FingerprintPipeline) -> None:
@@ -900,28 +800,6 @@ class WindowExtractionCache:
         self._key = None
         self._shared = None
 
-    def extract(
-        self,
-        key: object,
-        window_x: np.ndarray,
-        labels: np.ndarray,
-        preds: np.ndarray,
-        classifier: Optional[Classifier] = None,
-    ) -> np.ndarray:
-        """Fingerprint a window, reusing shared work for repeated keys.
-
-        Bit-for-bit equal to ``pipeline.extract(window_x, labels,
-        preds, classifier)`` for every call, whatever the key history.
-        """
-        if key != self._key:
-            self._shared = self.pipeline.extract_shared(window_x, labels)
-            self._key = key
-            self.n_shared_computes += 1
-        self.n_partial_extracts += 1
-        return self.pipeline.extract_partial(
-            window_x, labels, preds, classifier, shared=self._shared
-        )
-
     def extract_many(
         self,
         key: object,
@@ -932,13 +810,11 @@ class WindowExtractionCache:
     ) -> np.ndarray:
         """Fingerprint one window under many candidates, sharing work.
 
-        The forest-routing counterpart of :meth:`extract`: one shared
-        pass per window identity, one
+        One shared pass per window identity, one
         :meth:`FingerprintPipeline.extract_partial_many` for the whole
-        prediction block.  Counters advance as if every candidate had
-        gone through :meth:`extract` (``n_partial_extracts`` grows by
-        ``R``), so the cache's work-accounting invariants hold on
-        either path.
+        ``(R, w)`` prediction block.  Row ``r`` is bit-for-bit
+        ``pipeline.extract(window_x, labels, preds_block[r],
+        classifiers[r])``, whatever the key history.
         """
         if key != self._key:
             self._shared = self.pipeline.extract_shared(window_x, labels)
@@ -950,11 +826,6 @@ class WindowExtractionCache:
         )
 
 
-#: Backwards-compatible name: the pipeline supersedes the closed
-#: extractor but keeps its constructor and ``extract`` contract.
-FingerprintExtractor = FingerprintPipeline
-
-
 __all__ = [
     "SOURCE_SETS",
     "SourceInfo",
@@ -962,6 +833,5 @@ __all__ = [
     "source_info",
     "FingerprintSchema",
     "FingerprintPipeline",
-    "FingerprintExtractor",
     "WindowExtractionCache",
 ]

@@ -64,8 +64,8 @@ class Registry(Mapping[str, T]):
 
         Without a ``default``, an unknown name raises a ``KeyError``
         listing every registered entry (the lookup used throughout the
-        package); with one, it is returned instead, matching how dict
-        consumers of the old ``SYSTEM_BUILDERS`` table used ``get``.
+        package); with one, it is returned instead, as ``dict.get``
+        would.
         """
         try:
             return self._entries[name]

@@ -1,26 +1,23 @@
 """Shared run-pinning equivalence utilities.
 
-Every execution-restructuring PR in this repository (chunked engine,
-shared-window extraction cache, vectorized selection, forest routing)
-carries the same hard constraint: the optimised path must be
-**bit-for-bit** identical to the path it replaces — same predictions,
-drift points, state-id traces, discrimination samples and dynamic
-weights.  The test modules pinning those constraints all follow one
-pattern — *run two configurations of the same seeded stream, assert the
-traces are identical* — which lives here so a new toggle joins the
-equivalence matrix by writing one test, not one harness.
+The engine has one production path, and every restructuring of it
+(chunked engine, shared-window extraction, batched selection, forest
+routing) carries the same hard constraint: the traces must stay
+**bit-for-bit** those of the plain Algorithm 1 in
+:mod:`reference` — same predictions, drift points, state-id traces,
+discrimination samples and dynamic weights.  The test modules pinning
+that all follow one pattern — *run the same seeded stream twice,
+assert the traces are identical* — which lives here.
 
 Usage::
 
-    trace_on = run_config({"forest_routing": True})
-    trace_off = run_config({"forest_routing": False})
-    assert_identical_traces(trace_on, trace_off)
+    engine = run_config({"max_repository_size": 3}, chunk_size=16)
+    reference = run_reference({"max_repository_size": 3})
+    assert_identical_traces(engine, reference)
 
-or, for the common A/B-toggle case, in one call::
+or, for two configurations that must behave identically, in one call::
 
-    assert_equivalent_configs(
-        {"forest_routing": True}, {"forest_routing": False}
-    )
+    assert_equivalent_configs({}, {"sketch_profile": "exact"})
 
 ``run_config`` starts from :data:`BASE_CONFIG` (a small, fast, oracle-
 drift recurring-concept setup that exercises model selection, the
@@ -35,17 +32,19 @@ any test changing.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
+from reference import ReferenceFicsum
 
 from repro.core import FicsumConfig
-from repro.core.ficsum import Ficsum
 from repro.core.variants import make_error_rate_variant, make_ficsum
 from repro.evaluation.prequential import RunResult, prequential_run
 from repro.streams.datasets import make_dataset
+from repro.system import AdaptiveSystem
 
 #: Additive stream-seed offset (CI equivalence-matrix job).
 SEED_OFFSET = int(os.environ.get("REPRO_SEED", "0"))
@@ -78,12 +77,39 @@ BASE_CONFIG: Dict[str, object] = {
 }
 
 
+#: Named whole-run scenarios the engine is pinned against the reference
+#: on, as ``(config overrides, build_system keywords)``.  Together they
+#: reach everything the engine's restructured machinery touches:
+#: oracle-driven recurrence (selection, re-check, repository step),
+#: ADWIN detection, the univariate ER variant, the full Table I set
+#: (the classifier-backed permutation importance and its rng stream),
+#: eviction pressure, and both benchmark operating points at a small
+#: stream size.
+SCENARIOS: Dict[str, tuple] = {
+    "oracle-recurring": ({}, {}),
+    "adwin": ({"oracle_drift": False}, {"dataset": "STAGGER", "seed": 1}),
+    "er-variant": ({"metafeatures": None}, {"variant": "er"}),
+    "table1-shapley": ({"metafeatures": None}, {"segment_length": 120}),
+    "eviction": (
+        {"max_repository_size": 3},
+        {"seed": 7, "segment_length": 130},
+    ),
+    # The benchmark's two operating points: FicsumConfig() defaults
+    # (ADWIN, exact Table I set) and the fast sketches.
+    "paper-exact": ({}, {"base": {}, "segment_length": 150}),
+    "serve-fast": (
+        {"sketch_profile": "fast"},
+        {"base": {}, "dataset": "HPLANE-U", "segment_length": 150},
+    ),
+}
+
+
 @dataclass
 class RunTrace:
     """One finished run plus the system that produced it."""
 
     result: RunResult
-    system: Ficsum
+    system: AdaptiveSystem
 
 
 def build_system(
@@ -123,14 +149,18 @@ def run_config(
     *,
     chunk_size: Optional[int] = None,
     max_observations: Optional[int] = None,
+    instrument: Optional[Callable[[AdaptiveSystem], None]] = None,
     **build_kwargs,
 ) -> RunTrace:
     """Run one FiCSUM configuration over a seeded recurring stream.
 
     Accepts every :func:`build_system` keyword plus the prequential
-    run options.
+    run options.  ``instrument(system)`` runs between build and run,
+    so spy tests can wrap the engine's methods.
     """
     system, stream = build_system(overrides, **build_kwargs)
+    if instrument is not None:
+        instrument(system)
     result = prequential_run(
         system,
         stream,
@@ -139,6 +169,55 @@ def run_config(
         max_observations=max_observations,
     )
     return RunTrace(result, system)
+
+
+def run_reference(
+    overrides: Optional[Dict[str, object]] = None, **build_kwargs
+) -> RunTrace:
+    """:func:`run_config`'s run, played through the test-only
+    :class:`reference.ReferenceFicsum` instead of the engine.
+
+    The reference is built from the configuration the engine would run
+    under (variants included), one observation at a time.
+    """
+    engine, stream = build_system(overrides, **build_kwargs)
+    meta = stream.meta
+    system = ReferenceFicsum(meta.n_features, meta.n_classes, engine.config)
+    result = prequential_run(system, stream, oracle_drift=system.config.oracle_drift)
+    return RunTrace(result, system)
+
+
+def run_scenario(
+    name: str, *, instrument: Optional[Callable[[AdaptiveSystem], None]] = None
+) -> RunTrace:
+    """:func:`run_config` on one :data:`SCENARIOS` entry."""
+    overrides, build_kwargs = SCENARIOS[name]
+    return run_config(overrides, instrument=instrument, **build_kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def scenario_reference(name: str) -> RunTrace:
+    """The reference run of one :data:`SCENARIOS` entry.
+
+    Computed once per test session and shared by every module that
+    pins a scenario; callers only read it.
+    """
+    overrides, build_kwargs = SCENARIOS[name]
+    return run_reference(overrides, **build_kwargs)
+
+
+def disable_extraction_cache(system: AdaptiveSystem) -> None:
+    """Instrument: every candidate stack recomputes the window's
+    classifier-independent dimensions, as if the engine had no
+    :class:`~repro.metafeatures.pipeline.WindowExtractionCache`."""
+    cache = system._extract_cache
+    cached_extract_many = cache.extract_many
+
+    def uncached_extract_many(*args, **kwargs):
+        cache.invalidate()
+        return cached_extract_many(*args, **kwargs)
+
+    cache.extract_many = uncached_extract_many
 
 
 def run_config_observed(

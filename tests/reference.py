@@ -1,0 +1,468 @@
+"""A plain, deliberately slow FiCSUM: Algorithm 1 one observation at a time.
+
+The engine in :mod:`repro.core.ficsum` reaches its speed through
+restructured machinery: chunked processing, a shared-window extraction
+cache, one-pass forest routing over a classifier bank, batched
+candidate scoring over a fingerprint matrix and a per-step memo of
+re-expressed similarity records.  This module restates the same
+algorithm without any of it, so the engine can be pinned against
+something other than itself:
+
+* per observation: predict, learn, slide the windows;
+* every ``P_C`` observations: fingerprint the active window, re-weight
+  from the stored concepts one state at a time, fold the buffer
+  fingerprint into the active concept, test for drift;
+* on drift: fingerprint the window under every candidate's classifier
+  with one full batch extraction each, score candidates one by one and
+  select one or start a new concept;
+* every ``P_S`` observations: fingerprint the window under every other
+  stored classifier (non-active fingerprints, discrimination samples).
+
+Beyond the paper's text the engine adds a handful of mechanisms; each
+is restated here with a one-line comment naming the paper section it
+implements or marking it as a reproduction choice.
+
+Primitives used: :class:`FingerprintPipeline` (``push`` +
+``extract_incremental`` for the active window, ``extract`` per
+candidate), :class:`Repository` / :class:`ConceptState` storage and
+eviction, :class:`OnlineMinMax` ``update`` / ``scale`` /
+``scale_std``, :func:`sim_fast`, :class:`Adwin` and
+:class:`HoeffdingTree`.  The big-R selection layer (``ann_prefilter``),
+family merging and label-outage mode are outside the paper's algorithm
+and are not restated.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
+
+import numpy as np
+
+from repro.classifiers import HoeffdingTree
+from repro.core.config import FicsumConfig
+from repro.core.repository import ConceptState, Repository
+from repro.core.similarity import sim_fast
+from repro.detectors import Adwin
+from repro.metafeatures import FingerprintPipeline
+from repro.system import AdaptiveSystem
+from repro.utils.stats import OnlineMinMax
+
+
+# ----------------------------------------------------------------------
+# Dynamic weights (Section III-B), one stored concept at a time
+# ----------------------------------------------------------------------
+#: Reproduction choice: a sigma floor and a weight cap (in the scaled
+#: [0, 1] space) keep near-constant dimensions from dominating.
+SIGMA_EPS = 0.05
+WEIGHT_CAP = 1e3
+
+
+def inter_concept_variation(
+    states: List[ConceptState], normalizer: OnlineMinMax
+) -> np.ndarray:
+    """``v_s``: Fisher score of dimension means across stored concepts.
+
+    ``v_s = std_S(mu_S) / max_S(sigma_S)`` per dimension, computed over
+    stored concepts with trained fingerprints.  Needs at least two such
+    concepts; otherwise every dimension gets a neutral 1.
+    """
+    trained = [s for s in states if s.fingerprint.count >= 2]
+    if len(trained) < 2:
+        return np.ones(normalizer.n_dims)
+    means = np.stack([normalizer.scale(s.fingerprint.means) for s in trained])
+    stds = np.stack([normalizer.scale_std(s.fingerprint.stds) for s in trained])
+    between = means.std(axis=0)
+    within = np.maximum(stds.max(axis=0), SIGMA_EPS)
+    return np.minimum(between / within, WEIGHT_CAP)
+
+
+def intra_classifier_variation(
+    states: List[ConceptState], normalizer: OnlineMinMax
+) -> np.ndarray:
+    """``v_sc``: self vs non-active behaviour gap per stored classifier.
+
+    For each stored concept with a trained self fingerprint ``F_S`` and
+    a trained non-active fingerprint ``F_SC``, the dimension-wise
+    deviation between the two means relative to the non-active sigma,
+    averaged over such concepts.  Neutral 1 when no concept qualifies.
+    """
+    ratios = []
+    for state in states:
+        if state.fingerprint.count < 2 or state.nonactive.count < 2:
+            continue
+        mu_self = normalizer.scale(state.fingerprint.means)
+        mu_cross = normalizer.scale(state.nonactive.means)
+        sigma_cross = np.maximum(
+            normalizer.scale_std(state.nonactive.stds), SIGMA_EPS
+        )
+        # std of the two-point set {mu_self, mu_cross} is |diff| / 2.
+        ratios.append(np.abs(mu_self - mu_cross) / (2.0 * sigma_cross))
+    if not ratios:
+        return np.ones(normalizer.n_dims)
+    return np.minimum(np.mean(ratios, axis=0), WEIGHT_CAP)
+
+
+def reference_weights(
+    mode: str,
+    active: ConceptState,
+    states: List[ConceptState],
+    normalizer: OnlineMinMax,
+) -> np.ndarray:
+    """``w = w_sigma * max(v_s, v_sc)`` (or one ablated factor)."""
+    if mode == "none":
+        return np.ones(normalizer.n_dims)
+    # w_sigma = 1 / sigma_c; neutral 1 until a dimension has a deviation.
+    scaled_stds = normalizer.scale_std(active.fingerprint.stds)
+    measured = active.fingerprint.counts >= 2
+    w_sigma = np.ones_like(scaled_stds)
+    w_sigma[measured] = 1.0 / np.maximum(scaled_stds[measured], SIGMA_EPS)
+    w_sigma = np.minimum(w_sigma, WEIGHT_CAP)
+    if mode == "sigma":
+        return w_sigma
+    w_d = np.maximum(
+        inter_concept_variation(states, normalizer),
+        intra_classifier_variation(states, normalizer),
+    )
+    if mode == "fisher":
+        return w_d
+    return np.minimum(w_sigma * w_d, WEIGHT_CAP)
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1
+# ----------------------------------------------------------------------
+class ReferenceFicsum(AdaptiveSystem):
+    """Algorithm 1, per observation and per candidate."""
+
+    def __init__(
+        self, n_features: int, n_classes: int, config: FicsumConfig
+    ) -> None:
+        if config.ann_prefilter or config.family_radius > 0.0:
+            raise NotImplementedError(
+                "the reference restates Algorithm 1 only: no ANN "
+                "prefilter, no family merging"
+            )
+        self.config = cfg = config
+        self.n_features = n_features
+        self.n_classes = n_classes
+        self.pipeline = FingerprintPipeline(
+            n_features,
+            metafeatures=cfg.metafeatures,
+            source_set=cfg.source_set,
+            shapley_max_eval=cfg.shapley_max_eval,
+            window_size=cfg.window_size,
+            sketch_profile=cfg.sketch_profile,
+        )
+        self.n_dims = self.pipeline.n_dims
+        dims = self.pipeline.schema.dims
+        self._error_dim = dims.index(("errors", "mean")) if ("errors", "mean") in dims else -1
+        self.normalizer = OnlineMinMax(self.n_dims)
+        self.repository = Repository(cfg.max_repository_size)
+        self._window: Deque[Tuple[np.ndarray, int, int]] = deque(
+            maxlen=cfg.window_size
+        )
+        self._classifier_seed = cfg.seed
+        self._step = 0
+        self._weights = np.ones(self.n_dims)
+        self.selection_events = 0
+        self.drift_points: List[int] = []
+        self.discrimination_samples: List[float] = []
+        self._active = self._new_state()
+        self._change_marker = self._active.classifier.change_marker()
+        self._detector = self._new_detector()
+        self._pending_recheck: Optional[int] = None
+        self._created_at_drift: Optional[int] = None
+        period = cfg.fingerprint_period
+        # Reproduction choice: the buffer delay b is rounded up to a
+        # multiple of P_C, so F_B(t) is exactly F_A(t - b).
+        self._buffer_delay = max(
+            period, int(np.ceil(cfg.buffer_delay / period)) * period
+        )
+        self._recent_fa: Dict[int, np.ndarray] = {}
+        self._switch_step = 0
+        # Reproduction choice (motivated by Section IV): no drift is
+        # signalled while a freshly (re)activated classifier warms up.
+        self._warmup = int(cfg.drift_warmup_windows * cfg.window_size)
+        # Reproduction choice: a window's worth of consecutive abnormal
+        # similarities triggers drift (ADWIN only cuts on transitions),
+        # and the record freezes for at most twice that long.
+        self._streak_trigger = max(4, cfg.window_size // period)
+        self._freeze_limit = 2 * self._streak_trigger
+        self._abnormal_streak = 0
+        self._freeze_streak = 0
+
+    # -- construction helpers ---------------------------------------------
+    def _new_detector(self) -> Adwin:
+        return Adwin(self.config.adwin_delta, min_clock=1)
+
+    def _new_state(self, protect: Tuple[int, ...] = ()) -> ConceptState:
+        cfg = self.config
+        self._classifier_seed += 1
+        classifier = HoeffdingTree(
+            self.n_classes,
+            self.n_features,
+            grace_period=cfg.grace_period,
+            split_confidence=cfg.split_confidence,
+            tie_threshold=cfg.tie_threshold,
+            seed=self._classifier_seed,
+        )
+        return self.repository.new_state(
+            self.n_dims,
+            classifier,
+            step=self._step,
+            sim_record_samples=cfg.sim_record_samples,
+            sim_record_decay=cfg.sim_record_decay,
+            protect=protect,
+        )
+
+    # -- AdaptiveSystem ---------------------------------------------------
+    @property
+    def active_state_id(self) -> int:
+        return self._active.state_id
+
+    @property
+    def n_drifts_detected(self) -> int:
+        return len(self.drift_points)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._weights.copy()
+
+    def signal_drift(self) -> None:
+        if self.config.oracle_drift:
+            self._on_drift()
+
+    def process(self, x: np.ndarray, y: int) -> int:
+        cfg = self.config
+        x = np.asarray(x, dtype=np.float64)
+        classifier = self._active.classifier
+        prediction = int(classifier.predict(x))
+        classifier.learn(x, y)
+        self._window.append((x, int(y), prediction))
+        self.pipeline.push(x, int(y), prediction)
+        self._step += 1
+        self._active.last_active_step = self._step
+        # Section IV (plasticity): a new branch resets the
+        # classifier-dependent fingerprint statistics; meaningless for
+        # a univariate fingerprint.
+        if cfg.plasticity and self.n_dims > 1:
+            marker = classifier.change_marker()
+            if marker != self._change_marker:
+                self._change_marker = marker
+                self._active.fingerprint.reset_dims(
+                    self.pipeline.schema.classifier_dependent
+                )
+        full = len(self._window) == cfg.window_size
+        if full and self._step % cfg.fingerprint_period == 0:
+            self._fingerprint_step()
+        if full and self._step % cfg.repository_period == 0:
+            self._repository_step()
+        if self._pending_recheck is not None and self._step >= self._pending_recheck:
+            self._pending_recheck = None
+            if cfg.second_selection:
+                self._second_selection()
+        return prediction
+
+    # -- primitives -------------------------------------------------------
+    def _arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        xs = np.array([x for x, _, _ in self._window], dtype=np.float64)
+        ys = np.array([y for _, y, _ in self._window], dtype=np.int64)
+        ps = np.array([p for _, _, p in self._window], dtype=np.int64)
+        return xs, ys, ps
+
+    def _sim(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Weighted similarity in the normalised fingerprint space."""
+        return sim_fast(self.normalizer.scale(a), self.normalizer.scale(b), self._weights)
+
+    def _record(self, state: ConceptState) -> Tuple[float, float]:
+        """(mu_s, sigma_s) re-expressed under the current weights."""
+        mu, sigma = state.rescaled_similarity_record(self._sim)
+        # Reproduction choice: a floor on sigma keeps acceptance
+        # possible for ultra-stable concepts.
+        floor = self.config.min_similarity_std * max(1.0, abs(mu))
+        return mu, max(sigma, floor)
+
+    def _fingerprint_under(self, state: ConceptState) -> np.ndarray:
+        """F_A re-labelled by ``state``'s classifier: one full extraction."""
+        xs, ys, _ = self._arrays()
+        preds = state.classifier.predict_batch(xs)
+        return self.pipeline.extract(xs, ys, preds, state.classifier)
+
+    def _error_gate(self, state: ConceptState, fp: np.ndarray) -> bool:
+        """Reproduction choice: a candidate whose classifier errs far
+        more than its record says cannot be accepted."""
+        if self._error_dim < 0 or state.error_stats.count < 5:
+            return True
+        sigma = max(state.error_stats.std, 0.03)
+        bound = state.error_stats.mean + self.config.similarity_gate * sigma
+        return float(fp[self._error_dim]) <= bound
+
+    def _accepts(self, state: ConceptState, fp: np.ndarray) -> Tuple[bool, float]:
+        """Section III-A gate: |Sim - mu_s| <= 2 sigma_s, plus the error gate."""
+        sim = self._sim(state.fingerprint.means, fp)
+        mu, sigma = self._record(state)
+        inside = abs(sim - mu) <= self.config.similarity_gate * sigma
+        return inside and self._error_gate(state, fp), sim
+
+    @property
+    def _in_warmup(self) -> bool:
+        return self._step - self._switch_step < self._warmup
+
+    # -- Step III-A: fingerprints, incorporation, drift detection ----------
+    def _fingerprint_step(self) -> None:
+        cfg = self.config
+        active = self._active
+        xs, ys, ps = self._arrays()
+        fp_active = self.pipeline.extract_incremental(xs, ys, ps, active.classifier)
+        self.normalizer.update(fp_active)
+        # Algorithm 1's buffer: only windows drawn entirely after the
+        # last concept switch may later be incorporated.
+        if self._step - cfg.window_size >= self._switch_step:
+            self._recent_fa[self._step] = fp_active
+        stale = self._step - 2 * self._buffer_delay
+        self._recent_fa = {t: fp for t, fp in self._recent_fa.items() if t > stale}
+        fp_buffer = self._recent_fa.get(self._step - self._buffer_delay)
+
+        # Section III-B: dynamic weights.
+        self._weights = reference_weights(
+            cfg.weighting, active, self.repository.states(), self.normalizer
+        )
+        if fp_buffer is not None:
+            self._incorporate(fp_buffer)
+
+        if (
+            active.fingerprint.count < 2
+            or active.sim_stats.count < 3
+            or self._in_warmup
+        ):
+            return
+        sim = self._sim(active.fingerprint.means, fp_active)
+        mu, sigma = self._record(active)
+        z = abs(sim - mu) / (cfg.similarity_gate * sigma)
+        if self.n_dims == 1:
+            # Reproduction choice: ER feeds ADWIN the bounded |M - P|.
+            gap = self.normalizer.scale(active.fingerprint.means) - self.normalizer.scale(
+                fp_active
+            )
+            alert = self._detector.update(min(1.0, float(abs(gap[0]))))
+        else:
+            # Section III-A: ADWIN monitors how abnormal Sim(F_c, F_A) is.
+            alert = self._detector.update(z / (1.0 + z))
+        if z > 1.0 and active.sim_stats.count >= 10:
+            self._abnormal_streak += 1
+        else:
+            self._abnormal_streak = 0
+        if self._abnormal_streak >= self._streak_trigger:
+            alert = True
+        if alert and not cfg.oracle_drift:
+            self._on_drift()
+
+    def _incorporate(self, fp_buffer: np.ndarray) -> None:
+        """Fold F_B into F_c and record Sim(F_c, F_B) (Section III-A)."""
+        active = self._active
+        if active.fingerprint.count >= 1:
+            sim = self._sim(active.fingerprint.means, fp_buffer)
+            if active.sim_stats.count >= 10 and not self._in_warmup:
+                mu, sigma = self._record(active)
+                if abs(sim - mu) / (self.config.similarity_gate * sigma) > 1.0:
+                    # Reproduction choice: abnormal buffers are held out
+                    # until the freeze limit, then the record restarts.
+                    if self._freeze_streak < self._freeze_limit:
+                        self._freeze_streak += 1
+                        return
+                    active.reset_similarity_record()
+            self._freeze_streak = 0
+            active.record_similarity(active.fingerprint.means, fp_buffer, sim)
+        if self._error_dim >= 0:
+            active.error_stats.update(float(fp_buffer[self._error_dim]))
+        active.fingerprint.incorporate(fp_buffer)
+
+    # -- Step III-A: model selection ----------------------------------------
+    def _model_select(self) -> Optional[ConceptState]:
+        """The accepted candidate with the highest similarity, if any."""
+        if len(self._window) < self.config.window_size:
+            return None
+        self.selection_events += 1
+        best: Optional[Tuple[float, ConceptState]] = None
+        for state in self.repository.states():
+            if state.fingerprint.count < 2 or state.sim_stats.count < 2:
+                continue
+            fp = self._fingerprint_under(state)
+            self.normalizer.update(fp)
+            accepted, sim = self._accepts(state, fp)
+            if accepted and (best is None or sim > best[0]):
+                best = (sim, state)
+        return None if best is None else best[1]
+
+    def _set_active(self, state: ConceptState) -> None:
+        self._active = state
+        state.last_active_step = self._step
+        self._change_marker = state.classifier.change_marker()
+        self._switch_step = self._step
+        self._recent_fa = {}
+        self._abnormal_streak = 0
+        self._freeze_streak = 0
+        self._detector = self._new_detector()
+
+    def _new_concept(self) -> ConceptState:
+        # Eviction never takes the active concept unless it must.
+        protect = (self._active.state_id,) if self.config.max_repository_size > 1 else ()
+        return self._new_state(protect)
+
+    def _on_drift(self) -> None:
+        self.drift_points.append(self._step)
+        selected = self._model_select()
+        if selected is None:
+            state = self._new_concept()
+            self._created_at_drift = state.state_id
+            self._set_active(state)
+        else:
+            self._created_at_drift = None
+            self._set_active(selected)
+        # Reproduction choice: re-check once A is fully post-drift.
+        self._pending_recheck = self._step + self.config.window_size
+
+    def _second_selection(self) -> None:
+        """The re-check: switch, keep, or start over; a state created at
+        drift time is removed as spurious when a recurrence wins."""
+        selected = self._model_select()
+        created, self._created_at_drift = self._created_at_drift, None
+        if selected is None:
+            active = self._active
+            if active.fingerprint.count >= 2 and active.sim_stats.count >= 2:
+                accepted, _ = self._accepts(active, self._fingerprint_under(active))
+                if not accepted:
+                    self._set_active(self._new_concept())
+            return
+        if selected.state_id == self._active.state_id:
+            return
+        spurious = created is not None and self._active.state_id == created
+        self._set_active(selected)
+        if spurious and created in self.repository:
+            self.repository.remove(created)
+
+    # -- Step III-B support: non-active fingerprints -------------------------
+    def _repository_step(self) -> None:
+        track = self.config.track_discrimination
+        z_others: List[float] = []
+        for state in self.repository.states():
+            if state.state_id == self._active.state_id or state.fingerprint.count < 1:
+                continue
+            fp = self._fingerprint_under(state)
+            self.normalizer.update(fp)
+            state.nonactive.incorporate(fp)
+            if track and state.sim_stats.count >= 2:
+                # Tables III / V: z-score of the window under this concept.
+                mu, sigma = self._record(state)
+                z_others.append((self._sim(state.fingerprint.means, fp) - mu) / sigma)
+        active = self._active
+        if (
+            z_others
+            and active.fingerprint.count >= 2
+            and active.sim_stats.count >= 2
+        ):
+            fp = self._fingerprint_under(active)
+            mu, sigma = self._record(active)
+            z_active = (self._sim(active.fingerprint.means, fp) - mu) / sigma
+            self.discrimination_samples.append(float(z_active - np.mean(z_others)))

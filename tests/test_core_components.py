@@ -18,8 +18,8 @@ from repro.core.similarity import (
     weighted_cosine_similarity,
 )
 from repro.core.weighting import (
-    inter_concept_variation,
-    intra_classifier_variation,
+    inter_concept_variation_matrix,
+    intra_classifier_variation_matrix,
     make_weights,
     sigma_weights,
 )
@@ -120,11 +120,14 @@ class TestConceptFingerprint:
         assert fp.count == 1 and clone.count == 2
 
 
-def _state_with_fp(state_id, vectors, n_dims):
-    state = ConceptState(state_id, n_dims, MajorityClass(2))
-    for v in vectors:
-        state.fingerprint.incorporate(np.asarray(v, dtype=float))
-    return state
+def _repository(*fingerprints, n_dims=2):
+    """A repository with one stored concept per fingerprint history."""
+    repo = Repository(max_size=8)
+    for step, vectors in enumerate(fingerprints):
+        state = repo.new_state(n_dims, MajorityClass(2), step=step)
+        for v in vectors:
+            state.fingerprint.incorporate(np.asarray(v, dtype=float))
+    return repo
 
 
 class TestWeighting:
@@ -145,41 +148,43 @@ class TestWeighting:
         norm.update(np.array([0.0, 0.0]))
         norm.update(np.array([1.0, 1.0]))
         # dim 0 separates the concepts; dim 1 identical
-        state_a = _state_with_fp(0, [[0.1, 0.5], [0.12, 0.52]], 2)
-        state_b = _state_with_fp(1, [[0.9, 0.5], [0.88, 0.52]], 2)
-        v_s = inter_concept_variation([state_a, state_b], norm)
+        repo = _repository([[0.1, 0.5], [0.12, 0.52]], [[0.9, 0.5], [0.88, 0.52]])
+        v_s = inter_concept_variation_matrix(repo.matrix(), norm)
         assert v_s[0] > 3 * v_s[1]
 
     def test_inter_concept_neutral_with_one_state(self):
         norm = OnlineMinMax(2)
         norm.update(np.zeros(2))
         norm.update(np.ones(2))
-        state = _state_with_fp(0, [[0.1, 0.5], [0.2, 0.5]], 2)
-        np.testing.assert_allclose(inter_concept_variation([state], norm), 1.0)
+        repo = _repository([[0.1, 0.5], [0.2, 0.5]])
+        np.testing.assert_allclose(
+            inter_concept_variation_matrix(repo.matrix(), norm), 1.0
+        )
 
     def test_intra_classifier_boosts_moving_dim(self):
         norm = OnlineMinMax(2)
         norm.update(np.zeros(2))
         norm.update(np.ones(2))
-        state = _state_with_fp(0, [[0.1, 0.5], [0.12, 0.5]], 2)
+        repo = _repository([[0.1, 0.5], [0.12, 0.5]])
+        state = repo.states()[0]
         # non-active behaviour differs strongly on dim 0 only
         state.nonactive.incorporate(np.array([0.9, 0.5]))
         state.nonactive.incorporate(np.array([0.92, 0.52]))
-        v_sc = intra_classifier_variation([state], norm)
+        v_sc = intra_classifier_variation_matrix(repo.matrix(), norm)
         assert v_sc[0] > 3 * v_sc[1]
 
     def test_make_weights_modes(self):
         norm = OnlineMinMax(2)
         norm.update(np.zeros(2))
         norm.update(np.ones(2))
-        state_a = _state_with_fp(0, [[0.1, 0.5], [0.2, 0.6]], 2)
-        state_b = _state_with_fp(1, [[0.9, 0.5], [0.8, 0.6]], 2)
-        states = [state_a, state_b]
-        none = make_weights("none", state_a, states, norm)
+        repo = _repository([[0.1, 0.5], [0.2, 0.6]], [[0.9, 0.5], [0.8, 0.6]])
+        states = repo.states()
+        args = (states[0], states, norm, repo.matrix())
+        none = make_weights("none", *args)
         np.testing.assert_allclose(none, 1.0)
-        sigma = make_weights("sigma", state_a, states, norm)
-        fisher = make_weights("fisher", state_a, states, norm)
-        full = make_weights("full", state_a, states, norm)
+        sigma = make_weights("sigma", *args)
+        fisher = make_weights("fisher", *args)
+        full = make_weights("full", *args)
         assert np.all(full <= sigma * fisher + 1e-9)
         assert np.all(full > 0)
 

@@ -52,6 +52,16 @@ class TestConfigOverrides:
         with pytest.raises(ValueError, match="unknown FicsumConfig fields"):
             FicsumConfig.from_overrides({"no_such_field": 1})
 
+    @pytest.mark.parametrize(
+        "field",
+        ["incremental", "extraction_cache", "vectorized_selection", "forest_routing"],
+    )
+    def test_removed_toggle_rejected(self, field):
+        # Specs and artifacts naming a removed execution toggle fail
+        # loudly rather than run a different config.
+        with pytest.raises(ValueError, match="unknown FicsumConfig fields"):
+            FicsumConfig.from_overrides({field: False})
+
 
 class TestSpec:
     def test_expand_shape_and_order(self):
@@ -377,16 +387,6 @@ class TestMetafeatureSelector:
                 datasets=["STAGGER"],
                 metafeatures=["vibes"],
             )
-
-    def test_legacy_functions_alias_normalises(self):
-        cfg = FicsumConfig(functions=["mean", "std"])
-        assert cfg.metafeatures == ("mean", "std")
-        assert cfg.functions is None
-        assert cfg.overrides() == {"metafeatures": ["mean", "std"]}
-
-    def test_conflicting_alias_rejected(self):
-        with pytest.raises(ValueError, match="legacy alias"):
-            FicsumConfig(functions=["mean"], metafeatures=["std"])
 
     def test_baseline_cells_still_drop_selection(self):
         spec = ExperimentSpec(

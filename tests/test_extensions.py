@@ -131,9 +131,9 @@ class TestCpf:
             Cpf(3, 2, similarity_margin=0.3)
 
     def test_registered_in_runner(self):
-        from repro.evaluation import SYSTEM_BUILDERS
+        from repro.registry import SYSTEMS
 
-        assert "cpf" in SYSTEM_BUILDERS
+        assert "cpf" in SYSTEMS
 
 
 class TestDelayedLabels:

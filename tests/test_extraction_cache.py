@@ -8,7 +8,7 @@ The model-selection hot path relies on three facts pinned here:
   candidate classifiers (the shared part really is shared);
 * FiCSUM's model selection / re-check / repository step compute the
   classifier-independent dimensions exactly once per window (spy test)
-  and behave identically with the cache disabled.
+  and behave identically with the cache's reuse defeated.
 """
 
 from __future__ import annotations
@@ -17,7 +17,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from equivalence import assert_equivalent_configs, build_system
+from equivalence import (
+    assert_identical_traces,
+    build_system,
+    disable_extraction_cache,
+    run_config,
+)
 
 from repro.classifiers import HoeffdingTree
 from repro.evaluation.prequential import prequential_run
@@ -138,20 +143,21 @@ def test_window_extraction_cache_counters(window):
     cache = WindowExtractionCache(pipe)
     reference = FingerprintPipeline(D)
 
-    fp1 = cache.extract(10, X, ys, preds, tree)
-    fp2 = cache.extract(10, X, ys, preds, tree)
+    fp1 = cache.extract_many(10, X, ys, preds[None], [tree])
+    fp2 = cache.extract_many(10, X, ys, np.stack([preds, preds]), [tree, tree])
     assert cache.n_shared_computes == 1
-    assert cache.n_partial_extracts == 2
-    # The cache replays the exact sequence two full extractions would
-    # produce (the permutation-importance rng advances per call, so the
-    # reference must advance in lockstep).
-    assert np.array_equal(fp1, reference.extract(X, ys, preds, tree))
-    assert np.array_equal(fp2, reference.extract(X, ys, preds, tree))
+    assert cache.n_partial_extracts == 3
+    # The cache replays the exact sequence three full extractions would
+    # produce (the permutation-importance rng advances per candidate,
+    # so the reference must advance in lockstep).
+    assert np.array_equal(fp1[0], reference.extract(X, ys, preds, tree))
+    for row in fp2:
+        assert np.array_equal(row, reference.extract(X, ys, preds, tree))
 
-    cache.extract(11, X, ys, preds, tree)
+    cache.extract_many(11, X, ys, preds[None], [tree])
     assert cache.n_shared_computes == 2
     cache.invalidate()
-    cache.extract(11, X, ys, preds, tree)
+    cache.extract_many(11, X, ys, preds[None], [tree])
     assert cache.n_shared_computes == 3
 
 
@@ -163,7 +169,6 @@ def _spy_on_extraction(system):
 
     original_extract = pipe.extract
     original_shared = pipe.extract_shared
-    original_cache_extract = cache.extract
     original_cache_many = cache.extract_many
 
     def spy_extract(*args, **kwargs):
@@ -174,11 +179,6 @@ def _spy_on_extraction(system):
         calls["shared"] += 1
         return original_shared(*args, **kwargs)
 
-    def spy_cache_extract(key, *args, **kwargs):
-        calls["keys"].append(key)
-        calls["block_rows"] += 1
-        return original_cache_extract(key, *args, **kwargs)
-
     def spy_cache_many(key, window_x, labels, preds_block, *args, **kwargs):
         calls["keys"].append(key)
         calls["block_rows"] += len(preds_block)
@@ -188,18 +188,17 @@ def _spy_on_extraction(system):
 
     pipe.extract = spy_extract
     pipe.extract_shared = spy_shared
-    cache.extract = spy_cache_extract
     cache.extract_many = spy_cache_many
     return calls
 
 
 def test_ficsum_computes_shared_dims_once_per_window():
-    """Spy test for the acceptance criterion: model selection and the
-    repository step never run full extraction, and the classifier-
-    independent dimensions are computed exactly once per window even
-    when many candidate states fingerprint it (the per-candidate cache
-    path — ``forest_routing`` off)."""
-    system, stream = build_system({"forest_routing": False})
+    """Spy test: model selection and the repository step never run
+    full extraction, and the classifier-independent dimensions are
+    computed exactly once per window even when one window is
+    fingerprinted by several calls (the repository step's candidate
+    block plus the discrimination sample's active state)."""
+    system, stream = build_system()
     cache = system._extract_cache
     calls = _spy_on_extraction(system)
 
@@ -213,17 +212,16 @@ def test_ficsum_computes_shared_dims_once_per_window():
     per_window = Counter(calls["keys"])
     assert calls["shared"] == len(per_window)
     assert cache.n_shared_computes == len(per_window)
-    # At least one window was fingerprinted by several states, which is
+    # At least one window was fingerprinted by several calls, which is
     # precisely the redundancy the cache removes.
     assert max(per_window.values()) >= 2
-    assert cache.n_partial_extracts == len(calls["keys"])
 
 
 def test_ficsum_forest_routing_shares_the_same_cache():
-    """On the forest-routing path the whole candidate block goes
-    through one ``extract_many`` per window, the shared part is still
-    computed exactly once per window, and the work counters account
-    for every candidate in the block."""
+    """The whole candidate block goes through one ``extract_many``
+    per stack, the shared part is still computed exactly once per
+    window, and the work counters account for every candidate in the
+    block."""
     system, stream = build_system()
     cache = system._extract_cache
     calls = _spy_on_extraction(system)
@@ -243,8 +241,11 @@ def test_ficsum_forest_routing_shares_the_same_cache():
 
 
 def test_ficsum_cache_disabled_is_equivalent():
-    """The cache is an execution detail: identical run either way."""
-    _, off = assert_equivalent_configs(
-        {"extraction_cache": True}, {"extraction_cache": False}
-    )
-    assert off.system._extract_cache is None
+    """The cache is an execution detail: a run that recomputes the
+    shared dimensions for every stack is the cached run."""
+    cached = run_config()
+    uncached = run_config(instrument=disable_extraction_cache)
+    assert_identical_traces(cached, uncached)
+    on, off = cached.system._extract_cache, uncached.system._extract_cache
+    assert off.n_partial_extracts == on.n_partial_extracts
+    assert off.n_shared_computes > on.n_shared_computes

@@ -190,7 +190,7 @@ class TestFicsumBehaviour:
             tie_threshold=0.3,
         )
         system = Ficsum(stream.meta.n_features, stream.meta.n_classes, cfg)
-        mask = system.extractor.schema.classifier_dependent
+        mask = system.pipeline.schema.classifier_dependent
         observed_reset = False
         prev_marker = 0
         for i, (x, y, _) in enumerate(stream):
@@ -238,7 +238,6 @@ class TestIncrementalPipeline:
         batch recomputation over the final window (shared tolerance)."""
         stream = small_stream(segment_length=250, n_repeats=2)
         system = Ficsum(stream.meta.n_features, stream.meta.n_classes, FAST)
-        assert system.config.incremental
         for x, y, _ in stream:
             system.process(x, y)
         xa, ya, la = system.window.arrays()
@@ -251,30 +250,3 @@ class TestIncrementalPipeline:
         reference = system.pipeline.extract_incremental(xa, ya, la, None)
         np.testing.assert_allclose(reference, batch, rtol=1e-7, atol=1e-8)
         assert incremental.shape == batch.shape
-
-    def test_incremental_off_still_works(self):
-        stream = small_stream(segment_length=200, n_repeats=1)
-        cfg = FicsumConfig(
-            fingerprint_period=5, repository_period=50, incremental=False
-        )
-        system = Ficsum(stream.meta.n_features, stream.meta.n_classes, cfg)
-        result = prequential_run(system, stream)
-        assert result.n_observations == stream.meta.length
-
-    def test_incremental_and_batch_runs_agree_closely(self):
-        """The two paths may diverge only within float tolerance, so
-        whole-run metrics should be essentially identical."""
-        results = {}
-        for incremental in (True, False):
-            stream = small_stream(seed=2, segment_length=250, n_repeats=2)
-            cfg = FicsumConfig(
-                fingerprint_period=5,
-                repository_period=50,
-                window_size=50,
-                incremental=incremental,
-            )
-            system = Ficsum(stream.meta.n_features, stream.meta.n_classes, cfg)
-            results[incremental] = prequential_run(system, stream)
-        assert results[True].accuracy == pytest.approx(
-            results[False].accuracy, abs=0.02
-        )

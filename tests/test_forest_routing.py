@@ -1,7 +1,8 @@
-"""One-pass forest routing: bank exactness, pipeline block extraction,
-FiCSUM wiring and whole-run equivalence of ``forest_routing`` on vs off.
+"""One-pass forest routing: bank exactness, pipeline block extraction
+and FiCSUM wiring.
 
-Three layers, each pinned bit-for-bit against the path it replaces:
+Three layers, each pinned bit-for-bit against a plain per-candidate
+computation:
 
 * :class:`ClassifierBank` — property tests over random grown trees
   (fresh/empty leaves, single-class leaves, post-split trees with
@@ -12,12 +13,13 @@ Three layers, each pinned bit-for-bit against the path it replaces:
   dependent-dims extraction equals sequential ``extract_partial`` (and
   the batch-reference ``extract``) including the permutation-importance
   rng stream, for every source set;
-* the framework — full recurring-stream runs with the toggle on vs off
-  are identical observation for observation (via the shared
-  :mod:`equivalence` harness), including the ADWIN detection path, the
-  univariate ER variant, the full Table I component set and chunked
-  execution; a repository holding a non-tree classifier transparently
-  falls back to the per-state loop.
+* the framework — on every whole-run scenario the bank serves the
+  candidate stacks and the run is the plain Algorithm 1 of
+  ``tests/reference.py`` observation for observation (ADWIN detection,
+  the univariate ER variant, the full Table I component set, eviction
+  pressure, the extraction cache's reuse defeated); a repository
+  holding a non-tree classifier transparently stacks per-state
+  ``predict_batch`` rows instead.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from equivalence import (
-    assert_equivalent_configs,
     assert_identical_traces,
     build_system,
+    disable_extraction_cache,
     run_config,
+    run_scenario,
+    scenario_reference,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -308,56 +312,59 @@ class TestExtractPartialMany:
 
 
 # ----------------------------------------------------------------------
-# Whole-run equivalence: forest_routing on vs off
+# FiCSUM wiring: the bank path is taken, runs match the reference, the
+# non-tree fallback matches
 # ----------------------------------------------------------------------
+def _assert_routed_run_matches_reference(monkeypatch, scenario, instrument=None):
+    """Run a scenario with the bank spied: it routed the candidate
+    stacks, and the run is the reference's.  Returns the engine's
+    trace and the bank's call count.  (Whether a scenario's stacks
+    fan out to several candidates depends on the stream seed; the
+    default run's fan-outs are pinned by
+    ``test_forest_path_actually_taken``.)"""
+    reference = scenario_reference(scenario)
+    calls = {"n": 0}
+    original_many = ClassifierBank.predict_batch_many
+
+    def spy_many(self, keys, X):
+        calls["n"] += 1
+        return original_many(self, keys, X)
+
+    monkeypatch.setattr(ClassifierBank, "predict_batch_many", spy_many)
+    engine = run_scenario(scenario, instrument=instrument)
+    assert calls["n"] > 0
+    assert_identical_traces(engine, reference)
+    return engine, calls["n"]
+
+
 class TestForestRoutingEquivalence:
-    def test_multi_concept_recurring_stream(self):
-        """The acceptance pin: identical predictions, drift points,
-        state traces and float discrimination samples on a recurring
-        multi-concept stream."""
-        assert_equivalent_configs(
-            {"forest_routing": True}, {"forest_routing": False}
-        )
+    def test_multi_concept_recurring_stream(self, monkeypatch):
+        _assert_routed_run_matches_reference(monkeypatch, "oracle-recurring")
 
-    def test_adwin_detection_path(self):
-        assert_equivalent_configs(
-            {"forest_routing": True, "oracle_drift": False},
-            {"forest_routing": False, "oracle_drift": False},
-            dataset="STAGGER",
-            seed=1,
-        )
+    def test_adwin_detection_path(self, monkeypatch):
+        _assert_routed_run_matches_reference(monkeypatch, "adwin")
 
-    def test_univariate_er_variant(self):
-        assert_equivalent_configs(
-            {"forest_routing": True, "metafeatures": None},
-            {"forest_routing": False, "metafeatures": None},
-            variant="er",
-        )
+    def test_univariate_er_variant(self, monkeypatch):
+        _assert_routed_run_matches_reference(monkeypatch, "er-variant")
 
-    def test_full_component_set_including_shapley(self):
+    def test_full_component_set_including_shapley(self, monkeypatch):
         """The full Table I set exercises the classifier-backed
         permutation importance, whose rng stream must interleave
-        exactly as the per-candidate loop's."""
-        assert_equivalent_configs(
-            {"forest_routing": True, "metafeatures": None},
-            {"forest_routing": False, "metafeatures": None},
-            segment_length=120,
-        )
+        exactly as the reference's per-candidate extraction."""
+        _assert_routed_run_matches_reference(monkeypatch, "table1-shapley")
 
-    def test_without_extraction_cache(self):
-        assert_equivalent_configs(
-            {"forest_routing": True, "extraction_cache": False},
-            {"forest_routing": False, "extraction_cache": False},
+    def test_without_extraction_cache(self, monkeypatch):
+        """Routing does not lean on the cache's reuse: with the shared
+        dimensions recomputed for every stack the run is unchanged."""
+        engine, n_stacks = _assert_routed_run_matches_reference(
+            monkeypatch, "oracle-recurring", instrument=disable_extraction_cache
         )
+        # One shared pass per banked stack: nothing was reused.
+        assert engine.system._extract_cache.n_shared_computes == n_stacks
 
-    def test_under_eviction_pressure(self):
-        on, _ = assert_equivalent_configs(
-            {"forest_routing": True, "max_repository_size": 3},
-            {"forest_routing": False, "max_repository_size": 3},
-            seed=7,
-            segment_length=130,
-        )
-        repo = on.system.repository
+    def test_under_eviction_pressure(self, monkeypatch):
+        engine, _ = _assert_routed_run_matches_reference(monkeypatch, "eviction")
+        repo = engine.system.repository
         assert len(repo) <= 3
         bank = repo.bank()
         assert bank is not None
@@ -365,13 +372,13 @@ class TestForestRoutingEquivalence:
         assert sorted(bank._plans) == sorted(s.state_id for s in repo.states())
 
     def test_chunked_engine_composes_with_forest_routing(self):
-        a = run_config({"forest_routing": True})
-        b = run_config({"forest_routing": True}, chunk_size=64)
+        a = run_config()
+        b = run_config(chunk_size=64)
         assert_identical_traces(a, b)
 
     def test_forest_path_actually_taken(self):
-        """Guard against the toggle silently falling back: the bank
-        serves every multi-candidate stack of a default run."""
+        """Guard against the bank silently going unused: it serves
+        the multi-candidate stacks of a default run."""
         system, stream = build_system()
         bank_calls = {"n": 0, "rows": 0}
 
@@ -393,28 +400,23 @@ class TestForestRoutingEquivalence:
 
         assert bank_calls["n"] > 0
         assert bank_calls["rows"] > bank_calls["n"]  # real fan-outs batched
-        # The per-state path only serves the single-state calls
-        # (active-window match + discrimination), never the stacks.
         assert system.selection_events > 0
 
     def test_non_tree_repository_falls_back_to_loop(self):
         """A repository holding any non-tree classifier has no bank;
-        the stack transparently uses the per-state loop."""
-        trace = run_config({"forest_routing": True}, max_observations=400)
+        the stack transparently uses per-state ``predict_batch`` rows
+        and equals the banked stack."""
+        trace = run_config(max_observations=400)
         system = trace.system
         repo = system.repository
         assert repo.bank() is not None
+        xa, ya, _ = system.window.arrays()
+        states = list(repo.states())
+        banked = system._stack_window_fingerprints(xa, ya, states)
         intruder = repo.new_state(system.n_dims, MajorityClass(2), step=0)
         assert repo.bank() is None
-        xa, ya, _ = system.window.arrays()
-        states = [
-            s for s in repo.states() if s.state_id != intruder.state_id
-        ]
-        fps = system._stack_window_fingerprints(xa, ya, states)
-        loop = np.stack(
-            [system._window_fingerprint(xa, ya, s) for s in states]
-        )
-        np.testing.assert_array_equal(fps, loop)
+        fallback = system._stack_window_fingerprints(xa, ya, states)
+        np.testing.assert_array_equal(fallback, banked)
         # Removing the intruder restores the bank.
         repo.remove(intruder.state_id)
         assert repo.bank() is not None

@@ -327,7 +327,7 @@ def test_rpr003_silent_on_clean_kernels_and_wrappers(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# RPR004 — toggle-equivalence coverage
+# RPR004 — no fast-path toggles
 # ----------------------------------------------------------------------
 _CONFIG_WITH_TOGGLES = """
     from dataclasses import dataclass
@@ -335,8 +335,8 @@ _CONFIG_WITH_TOGGLES = """
     @dataclass
     class FicsumConfig:
         window_size: int = 75
-        covered_path: bool = True
-        uncovered_path: bool = True
+        pinned_path: bool = True
+        unmarked_path: bool = True
         ablation: bool = True  # repro-lint: disable=RPR004
         off_by_default: bool = False
 """
@@ -350,38 +350,32 @@ _EQUIVALENCE_STUB = """
 
 
 def test_rpr004_fires_on_uncovered_toggle(tmp_path):
+    # Every unmarked True-default boolean is a toggle, whatever the
+    # tests do with it; marked semantic switches and False defaults
+    # pass.
     report = lint_tree(
         tmp_path,
-        {
-            "repro/core/config.py": _CONFIG_WITH_TOGGLES,
-            "tests/equivalence.py": _EQUIVALENCE_STUB,
-            "tests/test_toggle.py": """
-                from equivalence import run_config
-
-                def test_covered():
-                    assert run_config({"covered_path": False}) is not None
-            """,
-        },
+        {"repro/core/config.py": _CONFIG_WITH_TOGGLES},
         rules=["RPR004"],
     )
-    assert rule_ids(report) == ["RPR004"]
-    finding = report.findings[0]
-    assert "uncovered_path" in finding.message
-    assert finding.path.endswith("repro/core/config.py")
+    assert rule_ids(report) == ["RPR004", "RPR004"]
+    messages = " ".join(f.message for f in report.findings)
+    assert "pinned_path" in messages and "unmarked_path" in messages
+    assert "ablation" not in messages and "off_by_default" not in messages
+    assert report.findings[0].path.endswith("repro/core/config.py")
 
 
 def test_rpr004_silent_when_all_toggles_covered(tmp_path):
     report = lint_tree(
         tmp_path,
         {
-            "repro/core/config.py": _CONFIG_WITH_TOGGLES,
-            "tests/equivalence.py": _EQUIVALENCE_STUB,
-            "tests/test_toggle.py": """
-                from equivalence import run_config
+            "repro/core/config.py": """
+                from dataclasses import dataclass
 
-                def test_both():
-                    run_config({"covered_path": False})
-                    run_config({"uncovered_path": False})
+                @dataclass
+                class FicsumConfig:
+                    plasticity: bool = True  # repro-lint: disable=RPR004
+                    oracle_drift: bool = False
             """,
         },
         rules=["RPR004"],
@@ -389,40 +383,25 @@ def test_rpr004_silent_when_all_toggles_covered(tmp_path):
     assert rule_ids(report) == []
 
 
-def test_rpr004_skips_without_tests_corpus(tmp_path):
-    # `repro lint src` alone cannot judge coverage; the rule must not
-    # mass-flag every toggle just because the tests tree is absent.
-    report = lint_tree(
-        tmp_path,
-        {"repro/core/config.py": _CONFIG_WITH_TOGGLES},
-        rules=["RPR004"],
-    )
-    assert rule_ids(report) == []
-
-
-def test_rpr004_reference_must_be_in_equivalence_importer(tmp_path):
-    # A reference in a test module that does NOT import the harness
-    # does not count as equivalence coverage.
+def test_rpr004_equivalence_reference_does_not_excuse(tmp_path):
+    # Pinning a toggle's two paths against each other does not make it
+    # acceptable: the fast path must replace the old one.
     report = lint_tree(
         tmp_path,
         {
             "repro/core/config.py": _CONFIG_WITH_TOGGLES,
             "tests/equivalence.py": _EQUIVALENCE_STUB,
-            "tests/test_other.py": """
-                def test_unrelated():
-                    assert {"covered_path": 1, "uncovered_path": 2}
-            """,
             "tests/test_pinned.py": """
                 from equivalence import run_config
 
                 def test_pinned():
-                    run_config({"covered_path": False})
+                    run_config({"pinned_path": False})
+                    run_config({"unmarked_path": False})
             """,
         },
         rules=["RPR004"],
     )
-    assert rule_ids(report) == ["RPR004"]
-    assert "uncovered_path" in report.findings[0].message
+    assert rule_ids(report) == ["RPR004", "RPR004"]
 
 
 # ----------------------------------------------------------------------

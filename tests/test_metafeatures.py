@@ -1,4 +1,4 @@
-"""Tests for the 13 meta-information functions and the extractor."""
+"""Tests for the 13 meta-information functions and the fingerprint pipeline."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.classifiers import HoeffdingTree
 from repro.metafeatures import (
     FUNCTION_GROUPS,
     FUNCTION_NAMES,
-    FingerprintExtractor,
+    FingerprintPipeline,
     compute_scalar_function,
     empirical_mode_decomposition,
     imf_energy_entropy,
@@ -254,41 +254,41 @@ class TestFingerprintExtractor:
         return xs, ys, preds
 
     def test_dims_all_sources(self):
-        ex = FingerprintExtractor(n_features=5)
+        ex = FingerprintPipeline(n_features=5)
         assert ex.n_dims == 13 * (5 + 4)
 
     def test_dims_supervised(self):
-        ex = FingerprintExtractor(n_features=5, source_set="supervised")
+        ex = FingerprintPipeline(n_features=5, source_set="supervised")
         assert ex.n_dims == 13 * 4
 
     def test_dims_unsupervised(self):
-        ex = FingerprintExtractor(n_features=5, source_set="unsupervised")
+        ex = FingerprintPipeline(n_features=5, source_set="unsupervised")
         assert ex.n_dims == 13 * 5
 
     def test_dims_error_rate(self):
-        ex = FingerprintExtractor(n_features=5, source_set="error_rate")
+        ex = FingerprintPipeline(n_features=5, source_set="error_rate")
         assert ex.n_dims == 1
 
     def test_single_group(self):
-        ex = FingerprintExtractor(n_features=4, functions=["autocorrelation"])
+        ex = FingerprintPipeline(n_features=4, metafeatures=["autocorrelation"])
         assert ex.n_dims == 2 * (4 + 4)
 
     def test_fingerprint_finite(self, trained_tree, rng):
-        ex = FingerprintExtractor(n_features=3)
+        ex = FingerprintPipeline(n_features=3)
         xs, ys, preds = self._window(rng, trained_tree)
         fp = ex.extract(xs, ys, preds, trained_tree)
         assert fp.shape == (ex.n_dims,)
         assert np.all(np.isfinite(fp))
 
     def test_error_rate_value(self, trained_tree, rng):
-        ex = FingerprintExtractor(n_features=3, source_set="error_rate")
+        ex = FingerprintPipeline(n_features=3, source_set="error_rate")
         xs, ys, preds = self._window(rng, trained_tree)
         fp = ex.extract(xs, ys, preds, trained_tree)
         assert fp[0] == pytest.approx(np.mean(ys != preds))
 
     def test_no_errors_fallback(self, trained_tree, rng):
         """A perfect window must still yield a finite fingerprint."""
-        ex = FingerprintExtractor(n_features=3)
+        ex = FingerprintPipeline(n_features=3)
         xs = rng.random((75, 3))
         preds = trained_tree.predict_batch(xs)
         fp = ex.extract(xs, preds.copy(), preds, trained_tree)
@@ -298,14 +298,14 @@ class TestFingerprintExtractor:
         assert fp[idx] == 75.0
 
     def test_mean_dimension_matches_numpy(self, trained_tree, rng):
-        ex = FingerprintExtractor(n_features=3)
+        ex = FingerprintPipeline(n_features=3)
         xs, ys, preds = self._window(rng, trained_tree)
         fp = ex.extract(xs, ys, preds, trained_tree)
         idx = ex.schema.index_of("f1", "mean")
         assert fp[idx] == pytest.approx(xs[:, 1].mean())
 
     def test_classifier_dependent_mask(self):
-        ex = FingerprintExtractor(n_features=2)
+        ex = FingerprintPipeline(n_features=2)
         mask = ex.schema.classifier_dependent
         # predicted labels, errors, error distances: all functions
         assert mask[ex.schema.index_of("preds", "mean")]
@@ -318,31 +318,31 @@ class TestFingerprintExtractor:
         assert not mask[ex.schema.index_of("labels", "mean")]
 
     def test_supervised_mask(self):
-        ex = FingerprintExtractor(n_features=2)
+        ex = FingerprintPipeline(n_features=2)
         mask = ex.schema.supervised_dims
         assert mask[ex.schema.index_of("labels", "mean")]
         assert not mask[ex.schema.index_of("f1", "mean")]
 
     def test_shapley_requires_classifier_gracefully(self, rng):
-        ex = FingerprintExtractor(n_features=2)
+        ex = FingerprintPipeline(n_features=2)
         xs = rng.random((30, 2))
         ys = rng.integers(0, 2, 30)
         fp = ex.extract(xs, ys, ys, classifier=None)
         assert fp[ex.schema.index_of("f0", "shapley")] == 0.0
 
     def test_shape_validation(self, rng):
-        ex = FingerprintExtractor(n_features=3)
+        ex = FingerprintPipeline(n_features=3)
         with pytest.raises(ValueError):
             ex.extract(rng.random((10, 2)), np.zeros(10), np.zeros(10))
 
     def test_invalid_source_set(self):
         with pytest.raises(ValueError):
-            FingerprintExtractor(n_features=2, source_set="mystery")
+            FingerprintPipeline(n_features=2, source_set="mystery")
 
     def test_fingerprint_sensitive_to_distribution_change(
         self, trained_tree, rng
     ):
-        ex = FingerprintExtractor(n_features=3, source_set="unsupervised")
+        ex = FingerprintPipeline(n_features=3, source_set="unsupervised")
         xs_a = rng.random((75, 3))
         xs_b = rng.random((75, 3)) + 2.0
         ys = rng.integers(0, 2, 75)

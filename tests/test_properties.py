@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.classifiers import HoeffdingTree
 from repro.core.similarity import weighted_cosine_similarity
 from repro.evaluation.metrics import co_occurrence_f1
-from repro.metafeatures import FingerprintExtractor
+from repro.metafeatures import FingerprintPipeline
 from repro.streams.recurrence import build_schedule
 
 
@@ -113,8 +113,8 @@ class TestDeterminism:
         assert train() == train()
 
     def test_extractor_deterministic(self, trained_tree, rng):
-        ex_a = FingerprintExtractor(3)
-        ex_b = FingerprintExtractor(3)
+        ex_a = FingerprintPipeline(3)
+        ex_b = FingerprintPipeline(3)
         xs = rng.random((75, 3)) * 2
         ys = rng.integers(0, 2, 75)
         preds = trained_tree.predict_batch(xs)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FicsumConfig
-from repro.evaluation import SYSTEM_BUILDERS, build_system, run_on_dataset
+from repro.evaluation import build_system, run_on_dataset
+from repro.registry import SYSTEMS
 from repro.streams import make_dataset
 from repro.system import AdaptiveSystem
 
@@ -19,7 +20,7 @@ CORE_SYSTEMS = ["ficsum", "er", "smi", "umi", "htcd", "rcd", "dwm", "arf"]
 class TestBuilders:
     def test_all_core_systems_registered(self):
         for name in CORE_SYSTEMS:
-            assert name in SYSTEM_BUILDERS
+            assert name in SYSTEMS
 
     def test_table5_function_variants_registered(self):
         for group in (
@@ -34,7 +35,7 @@ class TestBuilders:
             "imf_entropy",
             "shapley",
         ):
-            assert f"fn:{group}" in SYSTEM_BUILDERS
+            assert f"fn:{group}" in SYSTEMS
 
     @pytest.mark.parametrize("name", CORE_SYSTEMS)
     def test_build_system(self, name):

@@ -246,26 +246,12 @@ class TestSketchBounds:
 
 
 # ----------------------------------------------------------------------
-# Exact-profile pinning across the equivalence matrix
+# Exact-profile pinning
 # ----------------------------------------------------------------------
-TOGGLES = [
-    {},
-    {"extraction_cache": False},
-    {"vectorized_selection": False},
-    {"forest_routing": False},
-    {"incremental": False},
-]
-
-
 class TestExactProfilePinned:
-    @pytest.mark.parametrize(
-        "overrides", TOGGLES, ids=lambda o: next(iter(o), "base")
-    )
-    def test_exact_profile_is_current_path(self, overrides):
+    def test_exact_profile_is_current_path(self):
         """Explicit sketch_profile="exact" never perturbs a run."""
-        assert_equivalent_configs(
-            overrides, {**overrides, "sketch_profile": "exact"}
-        )
+        assert_equivalent_configs({}, {"sketch_profile": "exact"})
 
     @pytest.mark.parametrize("profile", SKETCH_PROFILE_NAMES)
     def test_chunked_equals_per_observation(self, profile):

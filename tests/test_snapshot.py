@@ -39,20 +39,11 @@ from repro.serving.snapshot import (
     load_system,
     read_state,
     save_system,
+    system_from_payload,
+    system_payload,
     write_state,
 )
 from repro.system import AdaptiveSystem
-
-#: The execution-restructuring toggles whose resumed runs must all be
-#: bit-identical to their uninterrupted selves.
-TOGGLES = [
-    {},
-    {"extraction_cache": False},
-    {"vectorized_selection": False},
-    {"forest_routing": False},
-    {"incremental": False},
-]
-
 
 def _interrupted_run(
     overrides,
@@ -79,14 +70,34 @@ def _interrupted_run(
     return RunTrace(result, restored.system)
 
 
+#: Resume scenarios: the default run, and one under LRU eviction
+#: pressure (the restored repository rebuilds its matrix and bank
+#: mirrors from fewer, churned states).
+RESUME_SCENARIOS = {
+    "base": ({}, {}),
+    "eviction": ({"max_repository_size": 3}, {"seed": 7, "segment_length": 130}),
+}
+
+
 @pytest.mark.parametrize("chunk_size", [None, 16])
-@pytest.mark.parametrize(
-    "overrides", TOGGLES, ids=lambda o: next(iter(o), "base")
-)
-def test_interrupt_restore_identical(overrides, chunk_size, tmp_path):
-    reference = run_config(overrides, chunk_size=chunk_size)
-    resumed = _interrupted_run(overrides, tmp_path, chunk_size=chunk_size)
+@pytest.mark.parametrize("scenario", list(RESUME_SCENARIOS))
+def test_interrupt_restore_identical(scenario, chunk_size, tmp_path):
+    overrides, build_kwargs = RESUME_SCENARIOS[scenario]
+    reference = run_config(overrides, chunk_size=chunk_size, **build_kwargs)
+    resumed = _interrupted_run(
+        overrides, tmp_path, chunk_size=chunk_size, **build_kwargs
+    )
     assert_identical_traces(resumed, reference)
+
+
+def test_payload_naming_removed_field_is_rejected():
+    """A snapshot whose config names a field the config does not have
+    fails to load, instead of building a silently different config."""
+    system, _ = build_system()
+    payload = system_payload(system)
+    payload["config_overrides"]["forest_routing"] = False
+    with pytest.raises(SnapshotError, match="forest_routing"):
+        system_from_payload(payload)
 
 
 def test_interrupt_restore_adwin_path(tmp_path):

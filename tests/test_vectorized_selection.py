@@ -1,6 +1,7 @@
 """Vectorized repository / selection engine: kernels, matrix store,
-array-backed similarity records, eviction protection and whole-run
-equivalence of ``vectorized_selection`` on vs off.
+array-backed similarity records, eviction protection, the gated-record
+memo, and whole runs in which the batched scoring path selects and the
+trace is the plain Algorithm 1 of ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -9,7 +10,13 @@ from collections import deque
 
 import numpy as np
 import pytest
-from equivalence import assert_equivalent_configs, run_config
+from equivalence import (
+    assert_identical_traces,
+    run_config,
+    run_scenario,
+    scenario_reference,
+)
+from reference import reference_weights
 
 from repro.classifiers import MajorityClass
 from repro.core.repository import (
@@ -314,54 +321,58 @@ class TestFingerprintMatrix:
             repo.matrix()
 
     def test_make_weights_matrix_path_identical(self):
+        """Matrix-view weights equal the reference's per-state loop."""
         repo, states = self._repo_with_states(5)
         norm = OnlineMinMax(3)
         norm.update(np.zeros(3))
         norm.update(np.full(3, 8.0))
         for mode in ("full", "sigma", "fisher", "none"):
-            legacy = make_weights(mode, states[0], repo.states(), norm)
+            loop = reference_weights(mode, states[0], repo.states(), norm)
             matrix = make_weights(
-                mode, states[0], repo.states(), norm, matrix=repo.matrix()
+                mode, states[0], repo.states(), norm, repo.matrix()
             )
-            assert np.array_equal(legacy, matrix), mode
+            assert np.array_equal(loop, matrix), mode
 
 
 # ----------------------------------------------------------------------
-# Whole-run equivalence: vectorized_selection on vs off
-# (run-and-compare cases ride the shared equivalence harness)
+# Whole runs: the matrix path scores, the trace is the reference's; the
+# per-step gated-record memo returns what recomputation would
 # ----------------------------------------------------------------------
+def _assert_matrix_scored_run_matches_reference(scenario):
+    """Run a scenario with batched scoring spied: the matrix path
+    scored real selections, and the run is the reference's."""
+    calls = {"n": 0}
+
+    def spy_scoring(system):
+        batched = system._score_candidates
+
+        def score_candidates(states, fps):
+            calls["n"] += 1
+            return batched(states, fps)
+
+        system._score_candidates = score_candidates
+
+    engine = run_scenario(scenario, instrument=spy_scoring)
+    assert calls["n"] > 0
+    assert_identical_traces(engine, scenario_reference(scenario))
+    return engine
+
+
 class TestVectorizedEquivalence:
     def test_multi_concept_recurring_stream(self):
         """The acceptance pin: identical predictions, drift points and
         state-id traces (and even the float discrimination samples) on
         a multi-concept recurring stream."""
-        assert_equivalent_configs(
-            {"vectorized_selection": True}, {"vectorized_selection": False}
-        )
+        _assert_matrix_scored_run_matches_reference("oracle-recurring")
 
     def test_adwin_detection_path(self):
-        assert_equivalent_configs(
-            {"vectorized_selection": True, "oracle_drift": False},
-            {"vectorized_selection": False, "oracle_drift": False},
-            dataset="STAGGER",
-            seed=1,
-        )
+        _assert_matrix_scored_run_matches_reference("adwin")
 
     def test_univariate_er_variant(self):
-        assert_equivalent_configs(
-            {"vectorized_selection": True, "metafeatures": None},
-            {"vectorized_selection": False, "metafeatures": None},
-            variant="er",
-        )
+        _assert_matrix_scored_run_matches_reference("er-variant")
 
     def test_equivalence_under_eviction_pressure(self):
-        on, _ = assert_equivalent_configs(
-            {"vectorized_selection": True, "max_repository_size": 3},
-            {"vectorized_selection": False, "max_repository_size": 3},
-            seed=7,
-            segment_length=130,
-        )
-        system = on.system
+        system = _assert_matrix_scored_run_matches_reference("eviction").system
         assert len(system.repository) <= 3
         # Matrix rows stayed aligned through LRU eviction in a real run.
         m = system.repository.matrix()
@@ -372,7 +383,7 @@ class TestVectorizedEquivalence:
             )
 
     def test_gated_record_memo_invalidates_on_record_update(self):
-        system = run_config({"vectorized_selection": True}).system
+        system = run_config().system
         states = [
             s for s in system.repository.states() if s.sim_stats.count >= 2
         ]
