@@ -31,8 +31,11 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.metafeatures import autocorr, moments, turning_points
-from repro.metafeatures.emd import imf_entropies
-from repro.metafeatures.mutual_info import lagged_mutual_information
+from repro.metafeatures.emd import imf_entropies, row_imf_entropies
+from repro.metafeatures.mutual_info import (
+    lagged_mutual_information,
+    row_lagged_mutual_information,
+)
 from repro.metafeatures.shapley import window_permutation_importance
 from repro.registry import register_metafeature
 
@@ -53,32 +56,26 @@ class WindowContext:  # repro-lint: disable=RPR002
     def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = matrix
         self._acf: Dict[int, np.ndarray] = {}
-        self._imf: Dict[Tuple[int, str, int], np.ndarray] = {}
+        self._imf: Dict[Tuple[int, int], np.ndarray] = {}
 
     def acf(self, lag: int) -> np.ndarray:
         if lag not in self._acf:
             self._acf[lag] = autocorr.row_acf(self.matrix, lag)
         return self._acf[lag]
 
-    def imf_table(
-        self, n_imfs: int = 2, spline: str = "linear", stride: int = 1
-    ) -> np.ndarray:
-        """``(n_rows, n_imfs)`` IMF energy entropies, one EMD per row.
+    def imf_table(self, n_imfs: int = 2, stride: int = 1) -> np.ndarray:
+        """``(n_rows, n_imfs)`` IMF energy entropies from one row kernel.
 
-        Honours the EMD spline choice and depth instead of hard-coding
-        the defaults, and memoises per ``(n_imfs, spline, stride)`` key
-        so exact and subsampled components sharing a decomposition
-        (``stride > 1`` decimates each row before sifting — the sketch
-        subsample) pay it once per extraction.
+        Memoised per ``(n_imfs, stride)`` key so exact and subsampled
+        components sharing a decomposition (``stride > 1`` decimates
+        each row before sifting — the sketch subsample) pay it once per
+        extraction.
         """
-        key = (n_imfs, spline, stride)
+        key = (n_imfs, stride)
         table = self._imf.get(key)
         if table is None:
             data = self.matrix[:, ::stride] if stride > 1 else self.matrix
-            table = np.stack(
-                [imf_entropies(row, n_imfs, spline=spline) for row in data]
-            )
-            self._imf[key] = table
+            table = self._imf[key] = row_imf_entropies(data, n_imfs)
         return table
 
 
@@ -351,6 +348,12 @@ class MutualInformation(MetaFeature):
     def batch_scalar(self, seq: np.ndarray) -> float:
         return lagged_mutual_information(seq)
 
+    def batch_rows(self, ctx: WindowContext) -> np.ndarray:
+        return row_lagged_mutual_information(ctx.matrix)
+
+    # The row kernel replicates the short-length and constant early-outs.
+    batch_scalar_rows = batch_rows
+
 
 class TurningRate(MetaFeature):
     name = "turning_rate"
@@ -378,23 +381,21 @@ class ImfEntropy(MetaFeature):
     group = "imf_entropy"
     cost = "O(w·siftings)"
 
-    def __init__(self, mode: int, spline: str = "linear") -> None:
+    def __init__(self, mode: int) -> None:
         self.mode = mode
-        self.spline = spline
         self.name = f"imf{mode}_entropy"
 
     def batch_scalar(self, seq: np.ndarray) -> float:
-        return float(imf_entropies(seq, 2, spline=self.spline)[self.mode - 1])
+        return float(imf_entropies(seq, 2)[self.mode - 1])
 
     def batch_scalar_cached(self, seq: np.ndarray, cache: Dict) -> float:
-        key = ("imf", self.spline)
-        table = cache.get(key)
+        table = cache.get("imf")
         if table is None:
-            table = cache[key] = imf_entropies(seq, 2, spline=self.spline)
+            table = cache["imf"] = imf_entropies(seq, 2)
         return float(table[self.mode - 1])
 
     def batch_rows(self, ctx: WindowContext) -> np.ndarray:
-        return ctx.imf_table(2, self.spline)[:, self.mode - 1]
+        return ctx.imf_table(2)[:, self.mode - 1]
 
     # One decomposition per row, shared between both entropy modes
     # through the context memo (the row analogue of the scalar cache).

@@ -58,25 +58,22 @@ def window_permutation_importance(
     base_pred = classifier.predict_batch(base_x)
     n_eval = len(eval_idx)
     importances = np.zeros(d)
-    # All single-feature perturbations ride one stacked predict_batch
-    # call: per-row predictions are independent, so the results are
-    # identical to d separate calls while the classifier routes the
-    # whole probe set once.
-    perturbed = np.empty((d, n_eval, base_x.shape[1]))
-    active = np.zeros(d, dtype=bool)
+    # One within-window shuffle per feature, drawn in feature order.
+    # Features whose shuffle matches the evaluated rows (np.allclose)
+    # cannot change a prediction and are skipped; the rest ride one
+    # stacked predict_batch call — per-row predictions are independent,
+    # so the results are identical to d separate calls while the
+    # classifier routes the whole probe set once.
+    shuffled = np.empty((d, n_eval))
     for j in range(d):
-        shuffled = window_x[rng.permutation(w)[:n_eval], j]
-        if np.allclose(shuffled, base_x[:, j]):
-            continue
-        active[j] = True
-        perturbed[j] = base_x
-        perturbed[j, :, j] = shuffled
-    if active.any():
-        stacked = perturbed[active].reshape(-1, base_x.shape[1])
-        changed = classifier.predict_batch(stacked) != np.tile(
-            base_pred, int(active.sum())
+        shuffled[j] = window_x[rng.permutation(w)[:n_eval], j]
+    features = np.flatnonzero(~np.isclose(shuffled, base_x.T).all(axis=1))
+    k = features.size
+    if k:
+        perturbed = np.repeat(base_x[None], k, axis=0)
+        perturbed[np.arange(k), :, features] = shuffled[features]
+        changed = classifier.predict_batch(perturbed.reshape(-1, d)) != np.tile(
+            base_pred, k
         )
-        importances[active] = changed.reshape(int(active.sum()), n_eval).mean(
-            axis=1
-        )
+        importances[features] = changed.reshape(k, n_eval).mean(axis=1)
     return importances

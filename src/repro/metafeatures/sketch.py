@@ -1,8 +1,9 @@
 """Sketch-mode meta-features: declared accuracy-vs-speed trades.
 
 The expensive Table I components — lagged MI, the IMF entropies and the
-permutation importance — dominate full-set extraction cost (~95% of the
-budget per ``BENCH_fingerprint_throughput``).  This module registers a
+permutation importance — dominate full-set extraction cost even with
+their exact row kernels (~90% of the budget per
+``BENCH_fingerprint_throughput``).  This module registers a
 *sketch* counterpart beside each of them in the ``METAFEATURES``
 registry:
 
@@ -37,7 +38,10 @@ import numpy as np
 
 from repro.metafeatures.components import MetaFeature, WindowContext
 from repro.metafeatures.emd import imf_energy_entropy, imf_entropies
-from repro.metafeatures.mutual_info import lagged_mutual_information
+from repro.metafeatures.mutual_info import (
+    lagged_mutual_information,
+    row_lagged_mutual_information,
+)
 from repro.metafeatures.shapley import window_permutation_importance
 from repro.registry import register_metafeature
 
@@ -68,6 +72,11 @@ class HistogramMi(MetaFeature):
         # Fixed bin count, per-window edges: equals the exact estimator
         # whenever its adaptive choice lands on the same count.
         return lagged_mutual_information(seq, bins=self.bins)
+
+    def batch_rows(self, ctx: WindowContext) -> np.ndarray:
+        return row_lagged_mutual_information(ctx.matrix, bins=self.bins)
+
+    batch_scalar_rows = batch_rows
 
     def rolling_rows(self, stats) -> np.ndarray:
         return stats.histogram_mi()
@@ -112,7 +121,7 @@ class SubsampledImfEntropy(MetaFeature):
     def batch_rows(self, ctx: WindowContext) -> np.ndarray:
         # Memoised under the subsample key: both modes (and any other
         # component using the same stride) share one decomposition.
-        return ctx.imf_table(2, "linear", stride=self.stride)[:, self.mode - 1]
+        return ctx.imf_table(2, stride=self.stride)[:, self.mode - 1]
 
     batch_scalar_rows = batch_rows
 

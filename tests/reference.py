@@ -30,6 +30,11 @@ eviction, :class:`OnlineMinMax` ``update`` / ``scale`` /
 :class:`HoeffdingTree`.  The big-R selection layer (``ann_prefilter``),
 family merging and label-outage mode are outside the paper's algorithm
 and are not restated.
+
+The module also restates one kernel plainly:
+:func:`reference_permutation_importance` is the per-feature loop that
+:func:`~repro.metafeatures.shapley.window_permutation_importance`
+vectorises.
 """
 
 from __future__ import annotations
@@ -127,6 +132,43 @@ def reference_weights(
     if mode == "fisher":
         return w_d
     return np.minimum(w_sigma * w_d, WEIGHT_CAP)
+
+
+# ----------------------------------------------------------------------
+# Permutation importance (the supervised Table I function), per feature
+# ----------------------------------------------------------------------
+def reference_permutation_importance(
+    classifier,
+    window_x: np.ndarray,
+    max_eval: int = 12,
+    rng: Optional[np.random.Generator] = None,
+) -> np.ndarray:
+    """One shuffle, one ``np.allclose`` and one prediction per feature.
+
+    Same draws in the same order as the production kernel: the
+    evaluation subsample, then one ``rng.permutation(w)`` per feature.
+    """
+    window_x = np.asarray(window_x, dtype=np.float64)
+    w, d = window_x.shape
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if w == 0:
+        return np.zeros(d)
+    if w <= max_eval:
+        eval_idx = np.arange(w)
+    else:
+        eval_idx = rng.choice(w, size=max_eval, replace=False)
+    base_x = window_x[eval_idx]
+    base_pred = classifier.predict_batch(base_x)
+    importances = np.zeros(d)
+    for j in range(d):
+        shuffled = window_x[rng.permutation(w)[: len(eval_idx)], j]
+        if np.allclose(shuffled, base_x[:, j]):
+            continue
+        perturbed = base_x.copy()
+        perturbed[:, j] = shuffled
+        importances[j] = np.mean(classifier.predict_batch(perturbed) != base_pred)
+    return importances
 
 
 # ----------------------------------------------------------------------
