@@ -9,10 +9,13 @@ FiCSUM instance whose repository holds R trained concepts:
   :class:`~repro.classifiers.bank.ClassifierBank` mask descent over all
   R trees, one shared-window pass, one ``extract_partial_many`` over
   the ``(R, W)`` prediction block);
-* **selection** — the dynamic-weight refresh plus the gates and argmax
-  over the stacked candidate fingerprints (one scale + one similarity
-  kernel over the repository's fingerprint matrix, batched record
-  re-expression).
+* **selection** — the dynamic-weight refresh plus the lazily gated
+  walk over the stacked candidate fingerprints
+  (``Ficsum._select_from_fingerprints``: the stack folded into the
+  normaliser row by row, one per-row scale + one similarity kernel over
+  the repository's fingerprint matrix, then the gates evaluated down
+  the descending-similarity order in doubling blocks, one batched
+  record re-expression per block).
 
 Sweeps R in {5, 10, 20, 40} and reports the median milliseconds per
 event of each phase — the absolute per-layer cost that later changes
@@ -226,8 +229,8 @@ def build_table(results: dict) -> str:
         notes=(
             "Stacking = bank routing of the active window through every "
             "stored tree + shared and block extraction of the candidate "
-            "fingerprints; selection = dynamic-weight refresh + gates/"
-            "argmax over the stack.  Recurring stream end to end: "
+            "fingerprints; selection = dynamic-weight refresh + the "
+            "lazily gated walk over the stack.  Recurring stream end to end: "
             f"{stream['obs_per_sec']:.0f} obs/s over "
             f"{stream['observations']} observations."
         ),

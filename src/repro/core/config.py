@@ -70,14 +70,15 @@ class FicsumConfig:
         Stored concepts beyond this evict the least recently used.
     ann_prefilter:
         Enable the big-R selection layer
-        (:class:`~repro.core.store.ProjectionPrefilter`).  With the
-        default ``ann_exact=True`` this is the *provable-exactness*
-        mode: every candidate is scored by the exact batched kernel as
-        usual, but the acceptance gates are evaluated lazily in
-        descending-similarity order — a candidate below an accepted one
-        cannot be the argmax of accepted similarities, so the walk
-        provably returns the full scan's winner bit-for-bit while
-        skipping most of the gate work.
+        (:class:`~repro.core.store.ProjectionPrefilter`) in front of the
+        exact selection every run uses (each candidate scored, the
+        acceptance gates walked lazily in descending-similarity order).
+        It adds candidate staging: concepts archived in an attached
+        :class:`~repro.core.store.TieredConceptStore` whose sketch makes
+        the shortlist are rehydrated to compete, and with
+        ``ann_exact=False`` the candidate list is cut to a shortlist.
+        With the default ``ann_exact=True`` selection stays bit-for-bit
+        the full scan's (the *provable-exactness* mode).
     ann_exact:
         When ``False`` (requires ``ann_prefilter``), candidates are
         first shortlisted to ``ann_shortlist_k`` by seed-deterministic

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import pickle
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.metafeatures import FingerprintPipeline, WindowExtractionCache
 from repro.serving.audit import NULL_AUDIT, AuditLog
 from repro.serving.metrics import NULL_COLLECTOR, StatsCollector
 from repro.system import AdaptiveSystem
-from repro.utils.stats import OnlineMinMax
+from repro.utils.stats import OnlineMinMax, minmax_scale
 from repro.utils.windows import ObservationWindow
 
 
@@ -104,9 +104,8 @@ class Ficsum(AdaptiveSystem):
         self._step = 0
         self._weights = np.ones(self.n_dims)
         self._weights_version = 0
-        # Big-R selection layer: random-projection shortlist (approx
-        # mode) / lazily-gated exact walk (provable-exactness mode),
-        # plus an optionally attached warm/cold tier for evictions.
+        # Big-R selection layer: cold-tier rehydration staging and,
+        # with ann_exact=False, the random-projection shortlist.
         self._prefilter: Optional[ProjectionPrefilter] = (
             ProjectionPrefilter(
                 self.n_dims, cfg.ann_projections, seed=cfg.seed
@@ -685,31 +684,15 @@ class Ficsum(AdaptiveSystem):
     # ------------------------------------------------------------------
     # Step III-A (model selection) and Section IV mechanisms
     # ------------------------------------------------------------------
-    def _gated_key(self, state: ConceptState) -> Tuple[int, int, int]:
-        """Everything a record re-expression reads, as a memo key."""
-        return (
-            state.record_version,
-            self.normalizer.version,
-            self._weights_version,
-        )
-
     def _gated_record(self, state: ConceptState) -> Tuple[float, float]:
-        """Re-scaled (mu, sigma) with the numerical floor applied.
-
-        Memoised per (state, step): the key carries the record /
-        normaliser-range / weights versions, so a hit returns exactly
-        what recomputation would.
-        """
-        cache = self._gated_cache_for_step()
-        key = self._gated_key(state)
-        hit = cache.get(state.state_id)
-        if hit is not None and hit[0] == key:
-            return hit[1], hit[2]
-        mu, sigma = state.rescaled_similarity_record(self._sim)
-        floor = self.config.min_similarity_std * max(1.0, abs(mu))
-        sigma = max(sigma, floor)
-        cache[state.state_id] = (key, mu, sigma)
-        return mu, sigma
+        """Re-scaled (mu, sigma) with the numerical floor applied, in the
+        normaliser's current range: the one-row
+        :meth:`_gated_records_many`."""
+        norm = self.normalizer
+        mus, sigmas = self._gated_records_many(
+            [state], norm.mins[None], norm.maxs[None], [norm.version]
+        )
+        return float(mus[0]), float(sigmas[0])
 
     def _gated_cache_for_step(self) -> dict:
         """The gated-record memo, cleared at step boundaries."""
@@ -719,14 +702,22 @@ class Ficsum(AdaptiveSystem):
         return self._gated_cache
 
     def _gated_records_many(
-        self, states: List[ConceptState]
+        self,
+        states: List[ConceptState],
+        mins: np.ndarray,
+        maxs: np.ndarray,
+        versions: Sequence[int],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gated (mu, sigma) arrays for many states in one batched call.
+        """Gated (mu, sigma) of each state, state ``i`` in range ``i``.
 
-        All retained sim-pairs of all memo-miss states are re-expressed
-        under the current weighting with a single scale + similarity
-        kernel; the per-state reductions then replay
-        :meth:`ConceptState.rescaled_similarity_record` exactly.
+        Row ``i`` of ``mins``/``maxs`` is the normaliser range state
+        ``i`` is judged in and ``versions[i]`` its range version.  All
+        retained sim-pairs of all memo-miss states are re-expressed
+        under the current weighting with one scale + similarity kernel,
+        each pair in its state's range; the per-state reductions then
+        replay :meth:`ConceptState.rescaled_similarity_record` exactly.
+        Memoised per (state, step) on the record, range and weights
+        versions, so a hit returns exactly what recomputation would.
         """
         n = len(states)
         mus = np.empty(n)
@@ -734,22 +725,24 @@ class Ficsum(AdaptiveSystem):
         cache = self._gated_cache_for_step()
         misses = []
         for i, state in enumerate(states):
-            key = self._gated_key(state)
+            key = (state.record_version, int(versions[i]), self._weights_version)
             hit = cache.get(state.state_id)
             if hit is not None and hit[0] == key:
                 mus[i], sigmas[i] = hit[1], hit[2]
             else:
-                pairs = state.sim_pairs.views()
-                misses.append((i, state, key, pairs))
+                misses.append((i, state, key, state.sim_pairs.views()))
         if not misses:
             return mus, sigmas
-        stacked_a = [p[0] for _, _, _, p in misses if len(p[2])]
-        stacked_b = [p[1] for _, _, _, p in misses if len(p[2])]
+        pairs = [p for *_, p in misses]
+        rows = np.repeat([i for i, *_ in misses], [len(p[2]) for p in pairs])
         sims_all = np.empty(0)
-        if stacked_a:
-            scaled_a = self.normalizer.scale_many(np.concatenate(stacked_a))
-            scaled_b = self.normalizer.scale_many(np.concatenate(stacked_b))
-            sims_all = sim_pairs_many(scaled_a, scaled_b, self._weights)
+        if len(rows):
+            sims_all = self._pair_similarities(
+                np.concatenate([p[0] for p in pairs]),
+                np.concatenate([p[1] for p in pairs]),
+                mins[rows],
+                maxs[rows],
+            )
         univariate = self.n_dims == 1
         min_std = self.config.min_similarity_std
         offset = 0
@@ -823,10 +816,10 @@ class Ficsum(AdaptiveSystem):
 
         With a tiered store attached, cold concepts whose warm sketch
         would make the shortlist are first rehydrated into the
-        repository (so they compete in this very selection).  In
-        provable-exactness mode (``ann_exact``) the candidate list then
-        passes through unchanged — exactness lives in the ordered gate
-        walk of :meth:`_select_exact_ordered`.  In approximate mode the
+        repository (so they compete in this very selection).  With
+        ``ann_exact`` (the default) the candidate list then passes
+        through unchanged to the exact gated walk every selection runs
+        (:meth:`_select_from_fingerprints`).  In approximate mode the
         list is cut to the ``ann_shortlist_k`` sketch-nearest
         candidates *before* any per-candidate window fingerprinting —
         skipping that extraction is where the large-R speedup comes
@@ -928,101 +921,65 @@ class Ficsum(AdaptiveSystem):
             self._step, xa, ya, preds_block, [s.classifier for s in states]
         )
 
+    def _pair_similarities(
+        self, a: np.ndarray, b: np.ndarray, mins: np.ndarray, maxs: np.ndarray
+    ) -> np.ndarray:
+        """``Sim(a[i], b[i])``, both rows scaled in ``(mins[i], maxs[i])``.
+
+        One scale over both sides as a ``(2, n, D)`` block and one
+        paired similarity kernel; each value is bit-for-bit :meth:`_sim`
+        with the normaliser holding that row's range.
+        """
+        both = minmax_scale(np.stack([a, b]), mins, maxs)
+        return sim_pairs_many(both[0], both[1], self._weights)
+
+    def _score_stack(
+        self,
+        states: List[ConceptState],
+        fps: np.ndarray,
+        mins: np.ndarray,
+        maxs: np.ndarray,
+    ) -> np.ndarray:
+        """``Sim(F_c, fps[i])`` of every stacked candidate, row ``i``
+        scaled in the range ``(mins[i], maxs[i])``: the repository
+        matrix's fingerprint-mean rows against the stack."""
+        matrix = self.repository.matrix()
+        rows = [matrix.row_of(s.state_id) for s in states]
+        return self._pair_similarities(matrix.fp_means_view[rows], fps, mins, maxs)
+
     def _select_from_fingerprints(
         self, states: List[ConceptState], fps: np.ndarray
     ) -> Optional[ConceptState]:
-        """Gates + argmax over stacked candidate fingerprints.
+        """Gates + argmax over stacked candidate fingerprints, exactly.
 
-        The batched path — one scale and one similarity kernel over
-        the repository matrix rows, gates applied as boolean masks —
-        is taken only when every stacked fingerprint lies inside the
-        normaliser's observed ranges, which makes scoring against the
-        final extrema *exactly* the sequential update-then-score loop.
-        Otherwise (a range widened mid-selection) the per-state loop
-        runs.
+        Algorithm 1 folds each candidate's fingerprint into the
+        normaliser and then scores it; the stack is folded the same way
+        (:meth:`OnlineMinMax.update_rows`), so row ``i`` is scored and
+        gated in the range the sequential loop holds at row ``i``.  The
+        loop keeps the accepted candidate with the strictly greatest
+        similarity, the lowest index on ties — the first acceptor in a
+        stable descending-similarity order, since no candidate later in
+        that order can beat it.  Gates (record re-expression, then the
+        error gate) are walked down the order in blocks doubling from
+        one row, one batched record call per block: the top of the
+        ranking usually decides, and a stack without an acceptor pays
+        O(log R) batched calls rather than R single ones.
         """
-        cfg = self.config
-        if self.normalizer.contains(fps):
-            if self._prefilter is not None and cfg.ann_exact:
-                return self._select_exact_ordered(states, fps)
-            sims, accepted = self._score_candidates(states, fps)
-            if not accepted.any():
-                return None
-            return states[int(np.argmax(np.where(accepted, sims, -np.inf)))]
-        best: Optional[Tuple[float, ConceptState]] = None
-        for state, fp in zip(states, fps):
-            self.normalizer.update(fp)
-            sim = self._sim(state.fingerprint.means, fp)
-            mu, sigma = self._gated_record(state)
-            if abs(sim - mu) <= cfg.similarity_gate * sigma and self._error_gate(
-                state, fp
-            ):
-                if best is None or sim > best[0]:
-                    best = (sim, state)
-        return best[1] if best else None
-
-    def _select_exact_ordered(
-        self, states: List[ConceptState], fps: np.ndarray
-    ) -> Optional[ConceptState]:
-        """Provable-exactness selection: lazy gates, exact argmax.
-
-        The winner of the full scan is the argmax of exact similarity
-        over *accepted* candidates (``np.argmax`` first-index
-        tie-break).  Walking candidates in a stable descending-
-        similarity order (ties fall back to ascending index — the same
-        order ``argmax`` prefers) and returning the first acceptor is
-        therefore bit-for-bit identical: no candidate visited later can
-        beat an already-accepted similarity.  The shortlist score bound
-        of the provable mode is exactly this — similarities are
-        computed for everyone with the same batched kernel as the full
-        scan, but the expensive acceptance gates (record re-expression
-        and the error gate) are evaluated lazily, usually only for the
-        top of the ranking.
-        """
-        cfg = self.config
-        matrix = self.repository.matrix()
-        rows = [matrix.row_of(s.state_id) for s in states]
-        scaled_means = self.normalizer.scale_many(matrix.fp_means_view[rows])
-        scaled_fps = self.normalizer.scale_many(fps)
-        sims = sim_pairs_many(scaled_means, scaled_fps, self._weights)
-        for i in np.argsort(-sims, kind="stable"):
-            state = states[i]
-            mu, sigma = self._gated_record(state)
-            if abs(float(sims[i]) - mu) <= cfg.similarity_gate * sigma and (
-                self._error_gate(state, fps[i])
-            ):
-                return state
+        gate = self.config.similarity_gate
+        mins, maxs, versions = self.normalizer.update_rows(fps)
+        sims = self._score_stack(states, fps, mins, maxs)
+        order = np.argsort(-sims, kind="stable")
+        start = 0
+        while start < len(order):
+            block = order[start : 2 * start + 1]
+            mus, sigmas = self._gated_records_many(
+                [states[i] for i in block], mins[block], maxs[block], versions[block]
+            )
+            for i in block[np.abs(sims[block] - mus) <= gate * sigmas]:
+                if self._error_gate(states[i], fps[i]):
+                    return states[i]
+            start = 2 * start + 1
         return None
-
-    def _score_candidates(
-        self, states: List[ConceptState], fps: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched similarities + acceptance mask for candidate states.
-
-        One ``scale_many`` over the matrix rows and the fingerprint
-        stack, one paired similarity kernel, one batched record
-        re-expression — no per-state Python round-trips.
-        """
-        matrix = self.repository.matrix()
-        rows = [matrix.row_of(s.state_id) for s in states]
-        scaled_means = self.normalizer.scale_many(matrix.fp_means_view[rows])
-        scaled_fps = self.normalizer.scale_many(fps)
-        sims = sim_pairs_many(scaled_means, scaled_fps, self._weights)
-        mus, sigmas = self._gated_records_many(states)
-        accepted = np.abs(sims - mus) <= self.config.similarity_gate * sigmas
-        if accepted.any():
-            accepted &= self._error_gate_mask(states, fps)
-        return sims, accepted
-
-    def _error_gate_mask(
-        self, states: List[ConceptState], fps: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`_error_gate` as a boolean mask over the stack."""
-        return np.fromiter(
-            (self._error_gate(state, fp) for state, fp in zip(states, fps)),
-            dtype=bool,
-            count=len(states),
-        )
 
     def _set_active(self, state: ConceptState) -> None:
         previous_id = self._active.state_id
@@ -1127,69 +1084,44 @@ class Ficsum(AdaptiveSystem):
     # Step III-B support: non-active fingerprints + discrimination
     # ------------------------------------------------------------------
     def _repository_step(self) -> None:
-        states = self.repository.states()
+        """Non-active fingerprints and, when tracked, a discrimination
+        sample (z-scores of the window under every stored concept).
+
+        The stack folds into the normaliser row by row
+        (:meth:`OnlineMinMax.update_rows`), and each tracked row is
+        scored in its own prefix range, as the per-state loop of
+        Algorithm 1 would.
+        """
+        active = self._active
         others = [
             s
-            for s in states
-            if s.state_id != self._active.state_id and s.fingerprint.count >= 1
+            for s in self.repository.states()
+            if s.state_id != active.state_id and s.fingerprint.count >= 1
         ]
         if not others:
             return
         xa, ya, _ = self.window.arrays()
         fps = self._stack_window_fingerprints(xa, ya, others)
-        if self.normalizer.contains(fps):
-            other_sims = self._repository_scores_batch(others, fps)
-        else:
-            other_sims = []
-            for state, fp in zip(others, fps):
-                self.normalizer.update(fp)
-                state.nonactive.incorporate(fp)
-                if self.config.track_discrimination and state.sim_stats.count >= 2:
-                    mu, sigma = self._gated_record(state)
-                    sim = self._sim(state.fingerprint.means, fp)
-                    other_sims.append((sim - mu) / sigma)
-        if (
-            self.config.track_discrimination
-            and len(other_sims)
-            and self._active.fingerprint.count >= 2
-            and self._active.sim_stats.count >= 2
-        ):
-            fp = self._window_fingerprint(xa, ya, self._active)
-            sim = self._sim(self._active.fingerprint.means, fp)
-            mu, sigma = self._gated_record(self._active)
-            z_active = (sim - mu) / sigma
-            self.discrimination_samples.append(
-                float(z_active - np.mean(other_sims))
-            )
-
-    def _repository_scores_batch(
-        self, others: List[ConceptState], fps: np.ndarray
-    ) -> np.ndarray:
-        """Batched non-active incorporation + discrimination z-scores.
-
-        Taken only when the stacked fingerprints lie inside the
-        normaliser's observed ranges (see
-        :meth:`_select_from_fingerprints`), where scoring against the
-        final extrema equals the sequential loop.
-        """
-        self.normalizer.update_many(fps)
+        mins, maxs, versions = self.normalizer.update_rows(fps)
         for state, fp in zip(others, fps):
             state.nonactive.incorporate(fp)
         if not self.config.track_discrimination:
-            return np.empty(0)
-        recorded = np.array(
-            [s.sim_stats.count >= 2 for s in others], dtype=bool
+            return
+        tracked = [i for i, s in enumerate(others) if s.sim_stats.count >= 2]
+        if not tracked or active.fingerprint.count < 2 or active.sim_stats.count < 2:
+            return
+        states = [others[i] for i in tracked]
+        sims = self._score_stack(states, fps[tracked], mins[tracked], maxs[tracked])
+        mus, sigmas = self._gated_records_many(
+            states, mins[tracked], maxs[tracked], versions[tracked]
         )
-        if not recorded.any():
-            return np.empty(0)
-        tracked = [s for s, r in zip(others, recorded) if r]
-        matrix = self.repository.matrix()
-        rows = [matrix.row_of(s.state_id) for s in tracked]
-        scaled_means = self.normalizer.scale_many(matrix.fp_means_view[rows])
-        scaled_fps = self.normalizer.scale_many(fps[recorded])
-        sims = sim_pairs_many(scaled_means, scaled_fps, self._weights)
-        mus, sigmas = self._gated_records_many(tracked)
-        return (sims - mus) / sigmas
+        fp = self._window_fingerprint(xa, ya, active)
+        sim = self._sim(active.fingerprint.means, fp)
+        mu, sigma = self._gated_record(active)
+        z_active = (sim - mu) / sigma
+        self.discrimination_samples.append(
+            float(z_active - np.mean((sims - mus) / sigmas))
+        )
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -1,18 +1,22 @@
 """Big-R repository scaling: ANN prefilter and warm/cold concept tiering.
 
-One-matmul selection (PR 4) is exact O(R·D) per selection event — fine
-at the paper's R≈40, hopeless at a million stored concepts.  This
-module provides the two scaling layers that sit around the exact
-machinery without ever replacing it:
+Exact selection stacks the window's fingerprint under every stored
+concept and walks the acceptance gates lazily down the descending-
+similarity order (:meth:`repro.core.ficsum.Ficsum._select_from_fingerprints`)
+— fine at the paper's R≈40, hopeless at a million stored concepts,
+because the per-candidate stacking grows with R.  This module provides
+the two scaling layers that sit around that exact machinery without
+ever replacing it:
 
 * :class:`ProjectionPrefilter` — a seed-deterministic random-projection
   sketch over raw fingerprint means that shortlists top-k candidates
-  for the existing exact rerank.  Approximate by construction, so it
-  declares its measured recall bound and the exact path it stands in
-  for (lint rule RPR008), and it is only ever consulted when
-  ``FicsumConfig.ann_prefilter`` is on with ``ann_exact=False``; the
-  default ``ann_exact=True`` mode keeps selection bit-for-bit exact
-  (see :meth:`repro.core.ficsum.Ficsum._select_exact_ordered`).
+  for the exact rerank.  Approximate by construction, so it declares
+  its measured recall bound and the exact path it stands in for (lint
+  rule RPR008).  It cuts the candidate list only when
+  ``FicsumConfig.ann_prefilter`` is on with ``ann_exact=False``; with
+  the default ``ann_exact=True`` every candidate reaches the same walk
+  as without the prefilter, so selection stays bit-for-bit exact and
+  the sketches serve only to pick cold concepts to rehydrate.
 * :class:`TieredConceptStore` — hot/warm/cold tiering for evicted
   concepts: the repository's ``on_evict`` payload hook serializes each
   victim into an on-disk, sha256-manifest-verified artifact directory
@@ -71,8 +75,9 @@ class ProjectionPrefilter:  # repro-lint: disable=RPR002
         "tests/test_repository_scale.py and bench_repository_scale)"
     )
     exact_reference = (
-        "ann_prefilter=False full scan; ann_exact=True keeps selection "
-        "bit-for-bit exact while this shortlist is bypassed"
+        "ann_prefilter=False full scan (every candidate stacked, gates "
+        "walked in descending-similarity order); ann_exact=True runs "
+        "that same walk with this shortlist bypassed"
     )
 
     def __init__(

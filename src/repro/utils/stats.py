@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, Generic, List, Optional, TypeVar
+from typing import Any, Dict, Generic, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -321,6 +321,25 @@ class OnlineVectorStats:
         self.version = int(state["version"])
 
 
+def minmax_scale(
+    values: np.ndarray, mins: np.ndarray, maxs: np.ndarray
+) -> np.ndarray:
+    """Map ``values`` into [0, 1] by the range ``[mins, maxs]``, clipping.
+
+    ``mins``/``maxs`` are one shared ``(n_dims,)`` range or one range
+    per row of a ``(r, n_dims)`` batch (e.g. the prefixes of
+    :meth:`OnlineMinMax.update_rows`).  Dimensions with no finite
+    spread map to 0.5 (an uninformative midpoint), so constant
+    dimensions never dominate cosine similarity.  Every operation is
+    elementwise, so each output row is bit-for-bit that row scaled
+    alone.
+    """
+    span = maxs - mins
+    ok = (span > 0) & np.isfinite(span)
+    out = np.where(ok, (values - mins) / np.where(ok, span, 1.0), 0.5)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 class OnlineMinMax:
     """Running per-dimension minimum / maximum with ``[0, 1]`` scaling.
 
@@ -368,29 +387,58 @@ class OnlineMinMax:
         np.minimum(self.mins, lo, out=self.mins)
         np.maximum(self.maxs, hi, out=self.maxs)
 
+    def update_rows(
+        self, values: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fold a ``(r, n_dims)`` stack in row order, keeping every prefix.
+
+        Returns ``(mins, maxs, versions)``: row ``i`` holds the extrema
+        after rows ``0..i`` and the range version after row ``i`` — what
+        :meth:`update` called row by row holds at that row, so scoring
+        row ``i`` against ``(mins[i], maxs[i])`` is the sequential
+        update-then-score loop.  Min and max are exact, so the
+        accumulated extrema are bit-equal to the loop's, and so are the
+        final ``mins``, ``maxs`` and ``version``.  An empty stack is a
+        no-op.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if not len(values):
+            empty = np.empty((0, self.n_dims))
+            return empty, empty, np.empty(0, dtype=np.int64)
+        extended = np.concatenate([self.mins[None], values])
+        mins = np.minimum.accumulate(extended, axis=0)
+        extended[0] = self.maxs
+        maxs = np.maximum.accumulate(extended, axis=0)
+        widened = np.any(values < mins[:-1], axis=1) | np.any(
+            values > maxs[:-1], axis=1
+        )
+        versions = self.version + np.cumsum(widened)
+        self.mins[:] = mins[-1]
+        self.maxs[:] = maxs[-1]
+        self.version = int(versions[-1])
+        return mins[1:], maxs[1:], versions
+
+    # Unused by the engine; kept because perfbench/tracing.py wraps it.
     def contains(self, values: np.ndarray) -> bool:
         """True when every value lies inside the observed ranges.
 
         Exactly the condition under which :meth:`update` /
-        :meth:`update_many` with ``values`` would be a no-op — batched
-        consumers use it to decide whether scoring against the *final*
-        extrema is equivalent to the sequential update-then-score loop.
+        :meth:`update_many` with ``values`` would be a no-op.
         """
         return bool(np.all(values >= self.mins) and np.all(values <= self.maxs))
 
     def scale(self, values: np.ndarray) -> np.ndarray:
         """Map ``values`` into [0, 1] by the observed range, clipping.
 
-        Dimensions with no observed spread map to 0.5 (an uninformative
-        midpoint), so constant dimensions never dominate cosine
-        similarity.
+        Rows of a batch scale independently (see :func:`minmax_scale`),
+        so a ``(r, n_dims)`` batch is bit-for-bit its rows scaled one
+        by one.
         """
-        values = np.asarray(values, dtype=np.float64)
-        span = self.maxs - self.mins
-        out = np.full_like(values, 0.5)
-        ok = (span > 0) & np.isfinite(span)
-        out[ok] = (values[ok] - self.mins[ok]) / span[ok]
-        return np.clip(out, 0.0, 1.0)
+        return minmax_scale(
+            np.asarray(values, dtype=np.float64), self.mins, self.maxs
+        )
+
+    scale_many = scale
 
     def scale_std(self, stds: np.ndarray) -> np.ndarray:
         """Express raw standard deviations in the scaled [0, 1] space."""
@@ -400,19 +448,6 @@ class OnlineMinMax:
         ok = (span > 0) & np.isfinite(span)
         out[ok] = stds[ok] / span[ok]
         return out
-
-    def scale_many(self, values: np.ndarray) -> np.ndarray:
-        """:meth:`scale` applied to every row of a ``(r, n_dims)`` batch.
-
-        All operations are elementwise, so each output row is
-        bit-for-bit what :meth:`scale` returns for that row.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        span = self.maxs - self.mins
-        out = np.full(values.shape, 0.5)
-        ok = (span > 0) & np.isfinite(span)
-        out[:, ok] = (values[:, ok] - self.mins[ok]) / span[ok]
-        return np.clip(out, 0.0, 1.0)
 
     def scale_std_many(self, stds: np.ndarray) -> np.ndarray:
         """:meth:`scale_std` applied to every row of a batch (bit-equal)."""

@@ -3,10 +3,11 @@
 Two contracts pin the ANN prefilter (`FicsumConfig.ann_prefilter`):
 
 * **Provable-exactness mode** (``ann_exact=True``, the default): the
-  lazily-gated descending-similarity walk is *bit-for-bit* the full
-  scan — pinned by the equivalence harness across oracle, ADWIN, ER
-  and eviction-pressure scenarios (CI re-runs this module at three
-  ``REPRO_SEED`` values).
+  prefilter's staging leaves the candidate list to the same lazily
+  gated walk the full scan runs, so selection is *bit-for-bit* the
+  full scan's — pinned by the equivalence harness across oracle,
+  ADWIN, ER and eviction-pressure scenarios (CI re-runs this module at
+  three ``REPRO_SEED`` values).
 * **Approximate mode** (``ann_exact=False``): shortlist recall on
   random clustered fingerprint populations must meet the bound the
   :class:`~repro.core.store.ProjectionPrefilter` declares (>= 0.9;

@@ -1,11 +1,13 @@
-"""Vectorized repository / selection engine: kernels, matrix store,
-array-backed similarity records, eviction protection, the gated-record
-memo, and whole runs in which the batched scoring path selects and the
-trace is the plain Algorithm 1 of ``tests/reference.py``.
+"""Vectorized repository / selection engine: kernels, the normaliser's
+prefix-range fold, matrix store, array-backed similarity records,
+eviction protection, the gated walk against a plain selection loop,
+the gated-record memo, and whole runs in which the stack scorer scores
+and the trace is the plain Algorithm 1 of ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 
 import numpy as np
@@ -16,9 +18,12 @@ from equivalence import (
     run_scenario,
     scenario_reference,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import reference_weights
 
 from repro.classifiers import MajorityClass
+from repro.core import Ficsum, FicsumConfig
 from repro.core.repository import (
     ConceptState,
     FingerprintMatrix,
@@ -37,7 +42,7 @@ from repro.core.similarity import (
     weighted_cosine_similarity,
 )
 from repro.core.weighting import make_weights
-from repro.utils.stats import OnlineMinMax
+from repro.utils.stats import EwmaStats, OnlineMinMax, minmax_scale
 
 RNG = np.random.default_rng(42)
 
@@ -94,6 +99,63 @@ class TestBatchedKernels:
         assert np.array_equal(batch, np.array(scalar))
 
 
+def _bits(values: np.ndarray) -> bytes:
+    """Exact bit pattern (signed zeros and NaN payloads included)."""
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+#: Finite values with exact repeats, signed zeros and wide magnitudes:
+#: repeats make constant dimensions and non-widening rows likely.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def _stack_case(draw):
+    """(warm-up rows, stack, probe rows) for one normaliser width."""
+    d = draw(st.integers(1, 5))
+
+    def rows(n: int) -> np.ndarray:
+        row = st.lists(_VALUES, min_size=d, max_size=d)
+        drawn = draw(st.lists(row, min_size=n, max_size=n))
+        return np.array(drawn, dtype=np.float64).reshape(-1, d)
+
+    warm = rows(draw(st.integers(0, 3)))
+    r = draw(st.integers(0, 8))
+    return warm, rows(r), rows(r)
+
+
+def _assert_fold_matches_loop(warm, stack, probe):
+    """Fold ``stack`` with :meth:`OnlineMinMax.update_rows` and with a
+    row-by-row ``update`` + ``scale`` loop; assert bit-equality."""
+    d = stack.shape[1]
+    folded, looped = OnlineMinMax(d), OnlineMinMax(d)
+    for row in warm:
+        folded.update(row)
+        looped.update(row)
+    mins, maxs, versions = folded.update_rows(stack)
+    loop_mins, loop_maxs, loop_versions, loop_stack, loop_probe = [], [], [], [], []
+    for row, extra in zip(stack, probe):
+        looped.update(row)
+        loop_mins.append(looped.mins.copy())
+        loop_maxs.append(looped.maxs.copy())
+        loop_versions.append(looped.version)
+        loop_stack.append(looped.scale(row))
+        loop_probe.append(looped.scale(extra))
+    assert _bits(mins) == _bits(loop_mins)
+    assert _bits(maxs) == _bits(loop_maxs)
+    assert versions.tolist() == loop_versions
+    if len(stack):
+        assert _bits(minmax_scale(stack, mins, maxs)) == _bits(loop_stack)
+        assert _bits(minmax_scale(probe, mins, maxs)) == _bits(loop_probe)
+    assert _bits(folded.mins) == _bits(looped.mins)
+    assert _bits(folded.maxs) == _bits(looped.maxs)
+    assert folded.version == looped.version
+    return mins, maxs, versions
+
+
 class TestScaleMany:
     def _normalizer(self, d=7):
         norm = OnlineMinMax(d)
@@ -145,6 +207,64 @@ class TestScaleMany:
         assert not norm.contains(outside)
         norm.update_many(outside)
         assert norm.version == v + 1
+
+    @given(_stack_case())
+    @settings(max_examples=150, deadline=None)
+    def test_update_rows_matches_update_loop(self, case):
+        """Prefix extrema, versions, per-row scaling and the final
+        normaliser are bit-for-bit the row-by-row update + scale loop."""
+        warm, stack, probe = case
+        # Spans down to 5e-324 overflow the division to inf, which both
+        # sides clip to 1.0; the warning says nothing about equality.
+        with np.errstate(over="ignore"):
+            _assert_fold_matches_loop(warm, stack, probe)
+
+    def test_update_rows_empty_stack_is_noop(self):
+        norm = OnlineMinMax(3)
+        norm.update(np.array([0.0, 1.0, 2.0]))
+        before = norm.state_dict()
+        mins, maxs, versions = norm.update_rows(np.empty((0, 3)))
+        assert mins.shape == maxs.shape == (0, 3)
+        assert versions.shape == (0,)
+        after = norm.state_dict()
+        assert _bits(after["mins"]) == _bits(before["mins"])
+        assert _bits(after["maxs"]) == _bits(before["maxs"])
+        assert after["version"] == before["version"]
+
+    def test_update_rows_first_fold_into_uninitialised(self):
+        stack = np.array([[1.0, 5.0], [2.0, 5.0], [0.0, 5.0]])
+        mins, maxs, versions = _assert_fold_matches_loop(
+            np.empty((0, 2)), stack, stack
+        )
+        assert np.array_equal(versions, [1, 2, 3])
+        # The first row's range is a point: every dimension is constant.
+        assert np.array_equal(minmax_scale(stack[:1], mins[:1], maxs[:1]), [[0.5, 0.5]])
+
+    def test_per_row_scale_constant_dims_and_clipping(self):
+        mins = np.array([[0.0, 1.0], [0.0, 1.0], [-2.0, 1.0]])
+        maxs = np.array([[2.0, 1.0], [4.0, 1.0], [4.0, 1.0]])
+        values = np.array([[3.0, 7.0], [1.0, -7.0], [-5.0, 1.0]])
+        out = minmax_scale(values, mins, maxs)
+        assert np.array_equal(out[:, 1], [0.5, 0.5, 0.5])  # no spread
+        assert np.array_equal(out[:, 0], [1.0, 0.25, 0.0])  # clipped
+        _assert_fold_matches_loop(np.zeros((1, 2)), values, values * 3.0)
+
+    def test_update_rows_widens_at_interior_rows(self):
+        warm = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        stack = np.array(
+            [
+                [0.5, 0.5, 0.5],
+                [2.0, 0.5, 0.5],  # widens dim 0 upwards
+                [0.5, 0.5, 0.5],
+                [0.5, -1.0, 3.0],  # widens dims 1 and 2
+                [1.5, 0.0, 2.0],
+            ]
+        )
+        mins, maxs, versions = _assert_fold_matches_loop(warm, stack, stack)
+        # Two warm-up widenings, then one per widening stack row.
+        assert np.array_equal(versions, [2, 3, 3, 4, 4])
+        assert np.array_equal(maxs[:, 0], [1.0, 2.0, 2.0, 2.0, 2.0])
+        assert np.array_equal(mins[:, 1], [0.0, 0.0, 0.0, -1.0, -1.0])
 
 
 # ----------------------------------------------------------------------
@@ -335,27 +455,257 @@ class TestFingerprintMatrix:
 
 
 # ----------------------------------------------------------------------
+# The lazily gated walk against a plain update-then-score loop
+# ----------------------------------------------------------------------
+WALK_FEATURES = 4
+
+
+def _walk_population(R: int, **overrides):
+    """A system holding R synthetic concepts and a candidate stack.
+
+    Built like ``bench_repository_scale.build_system``: clustered
+    fingerprint histories, similarity and error records, majority-class
+    classifiers.  In the stack, rows ``R // 3`` and ``R // 2`` widen the
+    normaliser's range mid-stack, and state ``R // 2 + 1`` duplicates
+    state ``R // 2`` (history and stack row), so the two tie exactly.
+    """
+    cfg = FicsumConfig(
+        window_size=40,
+        fingerprint_period=50,
+        repository_period=10**6,
+        oracle_drift=True,
+        metafeatures=["mean", "std"],
+        max_repository_size=R + 2,
+        seed=1,
+        **overrides,
+    )
+    system = Ficsum(WALK_FEATURES, 2, cfg)
+    rng = np.random.default_rng(R)
+    tie = R // 2
+    centers = rng.normal(scale=2.0, size=(R, system.n_dims))
+    centers[tie + 1] = centers[tie]
+    states = [system._active]
+    for r in range(1, R):
+        clf = MajorityClass(2)
+        clf.learn(np.zeros(WALK_FEATURES), r % 2)
+        states.append(
+            system.repository.new_state(
+                system.n_dims,
+                clf,
+                step=r,
+                sim_record_samples=cfg.sim_record_samples,
+                sim_record_decay=cfg.sim_record_decay,
+            )
+        )
+    noise = 0.05 * rng.normal(size=(R, 3, system.n_dims))
+    noise[tie + 1] = noise[tie]
+    for r, state in enumerate(states):
+        for k in range(3):
+            fp = centers[r] + noise[r, k]
+            system.normalizer.update(fp)
+            state.fingerprint.incorporate(fp)
+            if k:
+                sim = system._sim(state.fingerprint.means, fp)
+                state.record_similarity(state.fingerprint.means, fp, sim)
+            state.error_stats.update(float(fp[system._error_dim]))
+    system._step = 10_000
+    system._refresh_weights()
+    fps = centers + 0.05 * rng.normal(size=centers.shape)
+    for k, row in enumerate(sorted({R // 3, tie})):
+        fps[row, ::2] = system.normalizer.maxs[::2] + 10.0 * (k + 1)
+    fps[tie + 1] = fps[tie]
+    return system, fps
+
+
+def _loop_sims(system, fps) -> np.ndarray:
+    """Each row's similarity as the sequential loop computes it."""
+    probe = copy.deepcopy(system)
+    sims = []
+    for state, fp in zip(probe.repository.states(), fps):
+        probe.normalizer.update(fp)
+        sims.append(probe._sim(state.fingerprint.means, fp))
+    return np.array(sims)
+
+
+def _set_role(system, state, fp, role: str) -> None:
+    """Force a candidate's gate outcome without touching similarities.
+
+    ``accept``: a record so wide that any similarity passes, no error
+    record.  ``reject``: a record centred far above any cosine.
+    ``error``: the accepting record, but an error record the row's
+    window error exceeds.  ``natural``: the population's own records.
+    """
+    if role == "natural":
+        return
+    state.reset_similarity_record()
+    if role == "reject":
+        for _ in range(4):
+            state.record_similarity(state.fingerprint.means, fp, 100.0)
+        return
+    for k in range(60):
+        state.record_similarity(state.fingerprint.means, fp, (-2.0, 3.0)[k % 2])
+    state.error_stats = EwmaStats(state.sim_record_decay)
+    if role == "error":
+        for _ in range(5):
+            state.error_stats.update(float(fp[system._error_dim]) - 1.0)
+
+
+def _plain_select(system, states, fps):
+    """Algorithm 1's selection loop: update, score, both gates, keep
+    the strictly best accepted similarity."""
+    cfg = system.config
+    best = None
+    for state, fp in zip(states, fps):
+        system.normalizer.update(fp)
+        sim = system._sim(state.fingerprint.means, fp)
+        mu, sigma = state.rescaled_similarity_record(system._sim)
+        sigma = max(sigma, cfg.min_similarity_std * max(1.0, abs(mu)))
+        accepted = abs(sim - mu) <= cfg.similarity_gate * sigma
+        if accepted and system._error_gate(state, fp):
+            if best is None or sim > best[0]:
+                best = (sim, state)
+    return None if best is None else best[1]
+
+
+def _assert_walk_matches_loop(system, fps):
+    """The walk on one deep copy picks what the loop picks on another,
+    and both leave the normaliser in the same state; returns the
+    picked state id (``None`` when nothing is accepted)."""
+    walk, loop = copy.deepcopy(system), copy.deepcopy(system)
+    picked = walk._select_from_fingerprints(walk.repository.states(), fps)
+    expected = _plain_select(loop, loop.repository.states(), fps)
+    assert (picked is None) == (expected is None)
+    assert _bits(walk.normalizer.mins) == _bits(loop.normalizer.mins)
+    assert _bits(walk.normalizer.maxs) == _bits(loop.normalizer.maxs)
+    assert walk.normalizer.version == loop.normalizer.version
+    if expected is None:
+        return None
+    assert picked.state_id == expected.state_id
+    return picked.state_id
+
+
+def _boundary_positions(R: int):
+    """Ranks around every block boundary of the doubling walk."""
+    positions = {0}
+    k = 1
+    while 2**k - 2 < R:
+        positions.update(p for p in (2**k - 2, 2**k - 1, 2**k) if p < R)
+        k += 1
+    return sorted(positions)
+
+
+class TestGatedWalk:
+    """``_select_from_fingerprints`` against a plain eager loop."""
+
+    @pytest.mark.parametrize("R", [3, 17, 200])
+    def test_population_widens_mid_stack(self, R):
+        system, fps = _walk_population(R)
+        mins, maxs, versions = copy.deepcopy(system.normalizer).update_rows(fps)
+        # Some row before the last is scored in a narrower range than
+        # the final one, and the widening happens at interior rows.
+        assert np.any(mins[:-1] > mins[-1]) or np.any(maxs[:-1] < maxs[-1])
+        assert versions[R // 3] > versions[R // 3 - 1]
+        sims = _loop_sims(system, fps)
+        assert sims[R // 2] == sims[R // 2 + 1]
+
+    @pytest.mark.parametrize("R", [3, 17, 200])
+    def test_first_acceptor_past_each_doubling_boundary(self, R):
+        system, fps = _walk_population(R)
+        order = np.argsort(-_loop_sims(system, fps), kind="stable")
+        fallback = ("accept", "reject", "natural", "error")
+        for position in _boundary_positions(R):
+            trial = copy.deepcopy(system)
+            states = trial.repository.states()
+            for rank, i in enumerate(order):
+                if rank < position:
+                    role = ("reject", "error")[rank % 2]
+                elif rank == position:
+                    role = "accept"
+                else:
+                    role = fallback[rank % 4]
+                _set_role(trial, states[i], fps[i], role)
+            picked = _assert_walk_matches_loop(trial, fps)
+            assert picked == states[order[position]].state_id, position
+
+    @pytest.mark.parametrize("R", [3, 17, 200])
+    def test_gate_judged_in_row_range(self, R):
+        """The last row before the first widening is accepted only if
+        its record is re-expressed in that row's range, not the final
+        one: its retained pairs are the row itself, so in the row's
+        range the record centres on the row's similarity exactly, and
+        the gate is ~1e-9 wide."""
+        system, fps = _walk_population(R, min_similarity_std=1e-9)
+        sims = _loop_sims(system, fps)
+        c = R // 3 - 1
+        final = copy.deepcopy(system)
+        final.normalizer.update_rows(fps)
+        means = final.repository.states()[c].fingerprint.means
+        assert abs(final._sim(means, fps[c]) - sims[c]) > 1e-8
+        states = system.repository.states()
+        for i, state in enumerate(states):
+            _set_role(system, state, fps[i], "reject")
+        state = states[c]
+        state.reset_similarity_record()
+        for _ in range(4):
+            state.record_similarity(state.fingerprint.means, fps[c], sims[c])
+        assert _assert_walk_matches_loop(system, fps) == state.state_id
+
+    @pytest.mark.parametrize("R", [3, 17, 200])
+    def test_natural_records(self, R):
+        system, fps = _walk_population(R)
+        _assert_walk_matches_loop(system, fps)
+
+    @pytest.mark.parametrize("R", [3, 17, 200])
+    def test_stack_without_acceptor(self, R):
+        system, fps = _walk_population(R)
+        for i, state in enumerate(system.repository.states()):
+            _set_role(system, state, fps[i], ("reject", "error")[i % 2])
+        assert _assert_walk_matches_loop(system, fps) is None
+
+    @pytest.mark.parametrize("R", [3, 17, 200])
+    def test_tied_similarities_pick_lower_index(self, R):
+        system, fps = _walk_population(R)
+        sims = _loop_sims(system, fps)
+        tie = R // 2
+        states = system.repository.states()
+        for i, state in enumerate(states):
+            above = sims[i] > sims[tie]
+            role = "accept" if i in (tie, tie + 1) else "reject"
+            _set_role(system, state, fps[i], "reject" if above else role)
+        assert _assert_walk_matches_loop(system, fps) == states[tie].state_id
+
+
+# ----------------------------------------------------------------------
 # Whole runs: the matrix path scores, the trace is the reference's; the
 # per-step gated-record memo returns what recomputation would
 # ----------------------------------------------------------------------
 def _assert_matrix_scored_run_matches_reference(scenario):
-    """Run a scenario with batched scoring spied: the matrix path
-    scored real selections, and the run is the reference's."""
-    calls = {"n": 0}
+    """Run a scenario with the stack scorer spied: the matrix path
+    scored real stacks, and the run is the reference's.
+
+    Returns the run and the number of stacks that scored a row in a
+    range narrower than the normaliser's range after the stack's fold —
+    the rows a final-range scorer would have got wrong.
+    """
+    calls = {"n": 0, "narrowed": 0}
 
     def spy_scoring(system):
-        batched = system._score_candidates
+        scorer = system._score_stack
+        normalizer = system.normalizer
 
-        def score_candidates(states, fps):
+        def score_stack(states, fps, mins, maxs):
             calls["n"] += 1
-            return batched(states, fps)
+            calls["narrowed"] += bool(
+                np.any(mins > normalizer.mins) or np.any(maxs < normalizer.maxs)
+            )
+            return scorer(states, fps, mins, maxs)
 
-        system._score_candidates = score_candidates
+        system._score_stack = score_stack
 
     engine = run_scenario(scenario, instrument=spy_scoring)
     assert calls["n"] > 0
     assert_identical_traces(engine, scenario_reference(scenario))
-    return engine
+    return engine, calls["narrowed"]
 
 
 class TestVectorizedEquivalence:
@@ -363,16 +713,24 @@ class TestVectorizedEquivalence:
         """The acceptance pin: identical predictions, drift points and
         state-id traces (and even the float discrimination samples) on
         a multi-concept recurring stream."""
-        _assert_matrix_scored_run_matches_reference("oracle-recurring")
+        _, narrowed = _assert_matrix_scored_run_matches_reference(
+            "oracle-recurring"
+        )
+        assert narrowed > 0
 
     def test_adwin_detection_path(self):
-        _assert_matrix_scored_run_matches_reference("adwin")
+        _, narrowed = _assert_matrix_scored_run_matches_reference("adwin")
+        assert narrowed > 0
 
     def test_univariate_er_variant(self):
         _assert_matrix_scored_run_matches_reference("er-variant")
 
     def test_equivalence_under_eviction_pressure(self):
-        system = _assert_matrix_scored_run_matches_reference("eviction").system
+        engine, narrowed = _assert_matrix_scored_run_matches_reference(
+            "eviction"
+        )
+        assert narrowed > 0
+        system = engine.system
         assert len(system.repository) <= 3
         # Matrix rows stayed aligned through LRU eviction in a real run.
         m = system.repository.matrix()
