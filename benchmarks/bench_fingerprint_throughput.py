@@ -30,10 +30,13 @@ EMD/MI/Shapley batch work with streaming-histogram and projection
 sketches, and the per-profile Table I accuracy delta (FiCSUM accuracy
 vs the exact profile on a small drift stream, percentage points) is
 reported beside the throughput so the accuracy-vs-speed trade is one
-committed artifact.  Emits ``BENCH_fingerprint_throughput.json`` and
+committed artifact.  The delta runs use a fixed stream length and
+paired seeds (every profile on each seed's stream), whatever
+``REPRO_SCALE`` is, and the JSON records the per-seed deltas with their
+mean and spread.  Emits ``BENCH_fingerprint_throughput.json`` and
 asserts the incremental path clears 3x the pre-refactor throughput,
 the ``fast`` profile stays ahead of the exact full-set path on the same
-stream, and the ``balanced`` accuracy delta stays within 1 pp.
+stream, and the mean ``balanced`` accuracy delta stays within 1 pp.
 """
 
 from __future__ import annotations
@@ -52,11 +55,14 @@ from repro.utils.windows import ObservationWindow
 WINDOW = 75
 N_FEATURES = 8  # mid-range for Table II streams (CMC 9, Wine 12, AQ* 24)
 N_OBS = int(2000 * max(SCALE, 1.0))
-#: Stream scale and seeds of the per-profile FiCSUM accuracy-delta
-#: runs.  Averaging over seeds keeps the delta a property of the
-#: sketch, not of one run's drift-decision cascade.
-DELTA_SEGMENT = int(250 * max(SCALE, 0.5))
-DELTA_SEEDS = (0, 1, 2, 3)
+#: Segment length and seeds of the per-profile FiCSUM accuracy-delta
+#: runs.  The length is a constant, not a REPRO_SCALE multiple, so every
+#: run measures the sketches on the same streams; each seed's stream
+#: runs under every profile (paired deltas), and the mean over seeds
+#: keeps the delta a property of the sketch, not of one run's
+#: drift-decision cascade.
+DELTA_SEGMENT = 250
+DELTA_SEEDS = tuple(range(8))
 
 #: Every component in this set admits O(1) rolling updates.
 ROLLING_SET = [
@@ -177,11 +183,13 @@ def measure_accuracy_deltas() -> dict:
     """Per-profile FiCSUM accuracy delta vs exact, percentage points.
 
     Small STAGGER runs per profile — same seeds, same streams, only
-    the sketch profile differs — so the delta isolates what sketching
-    the Table I components costs in end-to-end accuracy, averaged over
-    :data:`DELTA_SEEDS` to wash out single-run drift-decision noise.
+    the sketch profile differs — so each seed's delta isolates what
+    sketching the Table I components costs in end-to-end accuracy.
+    Returns, per profile, the paired per-seed deltas over
+    :data:`DELTA_SEEDS` with their mean, sample standard deviation and
+    range.
     """
-    sums = {profile: 0.0 for profile in SKETCH_PROFILE_NAMES}
+    accuracy = {profile: [] for profile in SKETCH_PROFILE_NAMES}
     for seed in DELTA_SEEDS:
         for profile in SKETCH_PROFILE_NAMES:
             result = run_on_dataset(
@@ -192,13 +200,21 @@ def measure_accuracy_deltas() -> dict:
                 n_repeats=1,
                 config=FicsumConfig(sketch_profile=profile),
             )
-            sums[profile] += result.accuracy
-    n = len(DELTA_SEEDS)
-    return {
-        profile: round(100.0 * (sums[profile] - sums["exact"]) / n, 3)
-        for profile in SKETCH_PROFILE_NAMES
-        if profile != "exact"
-    }
+            accuracy[profile].append(result.accuracy)
+    exact = np.array(accuracy["exact"])
+    deltas = {}
+    for profile in SKETCH_PROFILE_NAMES:
+        if profile == "exact":
+            continue
+        per_seed = 100.0 * (np.array(accuracy[profile]) - exact)
+        deltas[profile] = {
+            "mean": round(float(per_seed.mean()), 3),
+            "std": round(float(per_seed.std(ddof=1)), 3),
+            "min": round(float(per_seed.min()), 3),
+            "max": round(float(per_seed.max()), 3),
+            "per_seed": [round(float(d), 3) for d in per_seed],
+        }
+    return deltas
 
 
 def build_table(results: dict, profiles: dict, deltas: dict) -> str:
@@ -218,7 +234,12 @@ def build_table(results: dict, profiles: dict, deltas: dict) -> str:
         )
     for profile in SKETCH_PROFILE_NAMES:
         mode = f"incremental/{profile}"
-        delta = "" if profile == "exact" else f"Δacc {deltas[profile]:+.2f}pp"
+        delta = (
+            ""
+            if profile == "exact"
+            else f"Δacc {deltas[profile]['mean']:+.2f}"
+            f"±{deltas[profile]['std']:.2f}pp"
+        )
         rows.append(
             [
                 "full-set",
@@ -237,7 +258,9 @@ def build_table(results: dict, profiles: dict, deltas: dict) -> str:
             "(deque rebuild + full-window recompute); incremental is "
             "the rolling-accumulator hot path; incremental/<profile> is "
             "the full set under a sketch_profile, with the FiCSUM "
-            "accuracy delta vs exact on a small STAGGER stream."
+            "accuracy delta vs exact on small STAGGER streams "
+            f"(segments of {DELTA_SEGMENT}, mean ± sample std over "
+            f"{len(DELTA_SEEDS)} paired seeds)."
         ),
     )
 
@@ -270,6 +293,8 @@ def test_fingerprint_throughput(benchmark):
             "modes": results,
             "sketch_profiles": profiles,
             "accuracy_delta_pp": deltas,
+            "accuracy_delta_segment_length": DELTA_SEGMENT,
+            "accuracy_delta_seeds": list(DELTA_SEEDS),
         },
     )
     # The refactor's acceptance bar: >= 3x over the pre-refactor
@@ -281,4 +306,4 @@ def test_fingerprint_throughput(benchmark):
     # ratio's level is left to check_regression's gate), and the
     # balanced profile costs at most 1 pp of end-to-end accuracy.
     assert profiles["speedup_fast_vs_exact"] > 1.0, profiles
-    assert abs(deltas["balanced"]) <= 1.0, deltas
+    assert abs(deltas["balanced"]["mean"]) <= 1.0, deltas

@@ -93,13 +93,28 @@ class _LeafNode:
         self.nb_correct = 0.0
 
     # -- learning ------------------------------------------------------
-    def learn(self, x: np.ndarray, y: int, use_nb_adaptive: bool) -> None:
+    def learn(
+        self,
+        x: np.ndarray,
+        y: int,
+        use_nb_adaptive: bool,
+        nb_scores: Optional[np.ndarray] = None,
+    ) -> None:
+        """Absorb one observation.
+
+        ``nb_scores`` are this leaf's :meth:`_nb_log_scores` of ``x``
+        when the caller already computed them on the current statistics
+        (the test step of test-then-train); they are computed here
+        otherwise.
+        """
         if use_nb_adaptive and self.total_weight > 0:
             # Evaluate both leaf predictors on the incoming example
             # *before* learning from it (test-then-train at leaf level).
             if int(np.argmax(self.class_counts)) == y:
                 self.mc_correct += 1.0
-            if self._nb_predict(x) == y:
+            if nb_scores is None:
+                nb_scores = self._nb_log_scores(x)
+            if int(np.argmax(nb_scores)) == y:
                 self.nb_correct += 1.0
         self.class_counts[y] += 1.0
         count = self.class_counts[y]
@@ -126,9 +141,6 @@ class _LeafNode:
         )
         return log_prior + log_pdf.sum(axis=1)
 
-    def _nb_predict(self, x: np.ndarray) -> int:
-        return int(np.argmax(self._nb_log_scores(x)))
-
     def _nb_log_scores_batch(self, X: np.ndarray) -> np.ndarray:
         """``(n, n_classes)`` naive-Bayes scores, one row per input row.
 
@@ -149,13 +161,16 @@ class _LeafNode:
         )
         return log_prior[None, :] + log_pdf.sum(axis=2)
 
-    def predict_proba(self, x: np.ndarray, mode: str) -> np.ndarray:
+    def predict_proba(
+        self, x: np.ndarray, mode: str, nb_scores: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Class probabilities of ``x`` (``nb_scores`` as in :meth:`learn`)."""
         n_classes = len(self.class_counts)
         if self.total_weight == 0:
             return np.full(n_classes, 1.0 / n_classes)
         use_nb = mode == "nb" or (mode == "nba" and self.nb_correct >= self.mc_correct)
         if use_nb:
-            scores = self._nb_log_scores(x)
+            scores = self._nb_log_scores(x) if nb_scores is None else nb_scores
             scores = scores - scores.max()
             probs = np.exp(scores)
         else:
@@ -483,16 +498,20 @@ class HoeffdingTree(Classifier):
         if self.max_features is not None:
             return super().predict_learn_batch(X, y)
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        n = len(y)
+        labels = np.asarray(y, dtype=np.int64).tolist()
+        n = len(labels)
         out = np.empty(n, dtype=np.int64)
         if n == 0:
             return out
-        if y.min() < 0 or y.max() >= self.n_classes:
-            bad = y[(y < 0) | (y >= self.n_classes)][0]
+        if min(labels) < 0 or max(labels) >= self.n_classes:
+            bad = next(v for v in labels if not 0 <= v < self.n_classes)
             raise ValueError(f"label {bad} out of range [0, {self.n_classes})")
         use_nba = self.leaf_prediction == "nba"
         mode = self.leaf_prediction
+        # Every leaf predictor but majority class reads the leaf's
+        # naive-Bayes scores of a row, and the adaptive bookkeeping in
+        # learn() reads them again: score once, before learning.
+        scored = mode != "mc"
         grace = self.grace_period
         # Every row below reaches some leaf's learn(); count them up
         # front (the leaf-grouped loop bypasses self.learn).
@@ -501,6 +520,13 @@ class HoeffdingTree(Classifier):
         while stack:
             node, parent, went_left, idx = stack.pop()
             while isinstance(node, _SplitNode):
+                if idx.size == 1:
+                    # A lone row (every row of Ficsum.process) descends
+                    # by plain comparisons, without mask arrays.
+                    parent = node
+                    went_left = X[idx[0], node.feature] <= node.threshold
+                    node = node.left if went_left else node.right
+                    continue
                 mask = X[idx, node.feature] <= node.threshold
                 right_idx = idx[~mask]
                 if right_idx.size:
@@ -511,13 +537,16 @@ class HoeffdingTree(Classifier):
                 continue
             leaf: _LeafNode = node
             may_split = leaf.depth < self.max_depth
-            pos = 0
-            while pos < idx.size:
-                i = idx[pos]
+            rows = idx.tolist()
+            for pos, i in enumerate(rows, 1):
                 x = X[i]
-                out[i] = int(np.argmax(leaf.predict_proba(x, mode)))
-                leaf.learn(x, y[i], use_nb_adaptive=use_nba)
-                pos += 1
+                scores = (
+                    leaf._nb_log_scores(x)
+                    if scored and leaf.total_weight > 0
+                    else None
+                )
+                out[i] = leaf.predict_proba(x, mode, scores).argmax()
+                leaf.learn(x, labels[i], use_nba, scores)
                 if (
                     may_split
                     and self.n_leaves < self.max_leaves
@@ -528,7 +557,7 @@ class HoeffdingTree(Classifier):
                     if self.n_splits != splits_before:
                         # The leaf became a split node: re-route the
                         # rest of this group through the new subtree.
-                        if pos < idx.size:
+                        if pos < len(rows):
                             grown = (
                                 self._root
                                 if parent is None

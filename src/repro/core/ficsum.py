@@ -273,10 +273,13 @@ class Ficsum(AdaptiveSystem):
     # ------------------------------------------------------------------
     def process(self, x: np.ndarray, y: int) -> int:
         x = np.asarray(x, dtype=np.float64)
-        prediction = self._active.classifier.predict(x)
-        self._active.classifier.learn(x, y)
-        self.window.append(x, int(y), int(prediction))
-        self.pipeline.push(x, int(y), int(prediction))
+        # Test-then-train through the chunked loop's entry point, on a
+        # one-row view.
+        prediction = int(
+            self._active.classifier.predict_learn_batch(x[None], (y,))[0]
+        )
+        self.window.append(x, int(y), prediction)
+        self.pipeline.push(x, int(y), prediction)
         self._step += 1
         self._active.last_active_step = self._step
         self.metrics.inc("observations")

@@ -26,9 +26,13 @@ Three extraction paths share one schema:
 * :meth:`FingerprintPipeline.push` +
   :meth:`FingerprintPipeline.extract_incremental` — the active-window
   hot path: components that admit rolling algebra read their values
-  from O(1) accumulators; only the expensive components (IMF
+  from sliding-window accumulators; only the expensive components (IMF
   entropies, lagged MI, permutation importance) fall back to batch
-  recomputation.
+  recomputation.  A push only copies its row into a ``(w, n_rows)``
+  queue; the accumulators slide over the queued rows in one block when
+  they are next read (an extraction, a snapshot, ``n_observed``, or a
+  push into a full queue), so observations between fingerprints cost a
+  row copy each.
 * :meth:`FingerprintPipeline.extract_shared` +
   :meth:`FingerprintPipeline.extract_partial_many` — the candidate
   path: the classifier-independent dimensions (feature- and
@@ -275,11 +279,19 @@ class FingerprintPipeline:
         self._dep_rows = self._row_set(
             lambda source: source_info(source).classifier_dependent
         )
+        # Label-derived columns closing each matrix row: labels, preds
+        # and errors (all/supervised), errors alone (error_rate), none
+        # (unsupervised).  The errors column, when present, is last.
+        self._sequence_cols = len(self._matrix_sources) - (
+            n_features if self._wants_features else 0
+        )
         # Incremental machinery (created lazily by attach_window or
         # eagerly when window_size is given).
         self._rolling: Optional[RollingWindowStats] = None
         self._error_tracker: Optional[ErrorDistanceTracker] = None
         self._window_size: Optional[int] = None
+        self._queue = np.empty((0, len(self._matrix_sources)))
+        self._queued = 0
         if window_size is not None:
             self.attach_window(window_size)
 
@@ -310,83 +322,105 @@ class FingerprintPipeline:
         self._error_tracker = (
             ErrorDistanceTracker(window_size) if self._has_error_dists else None
         )
+        self._queue = np.empty((window_size, len(self._matrix_sources)))
+        self._queued = 0
 
     def reset_stream(self) -> None:
         """Forget accumulated observations (stream restart)."""
+        self._queued = 0
         if self._rolling is not None:
             self._rolling.reset()
         if self._error_tracker is not None:
             self._error_tracker.reset()
 
-    def push(self, x: np.ndarray, y: int, prediction: int) -> None:
-        """Slide the accumulators forward by one labelled observation."""
+    def _require_window(self) -> None:
         if self._rolling is None:
             raise RuntimeError(
                 "incremental path not initialised; call attach_window() "
                 "or construct the pipeline with window_size="
             )
-        error = float(y != prediction)
-        if self.source_set == "all":
-            row = np.empty(self.n_features + 3)
-            row[: self.n_features] = x
-            row[self.n_features] = y
-            row[self.n_features + 1] = prediction
-            row[self.n_features + 2] = error
-        elif self.source_set == "supervised":
-            row = np.array([float(y), float(prediction), error])
-        elif self.source_set == "unsupervised":
-            row = np.asarray(x, dtype=np.float64)
-        else:  # error_rate
-            row = np.array([error])
-        self._rolling.push(row)
+
+    def _fold_queue(self) -> None:
+        """Slide the accumulators over every queued row; runs before
+        every read of the accumulators.
+
+        Several rows go through the accumulators' block updates
+        (:meth:`RollingWindowStats.push_many` /
+        :meth:`ErrorDistanceTracker.push_many`), which are pinned bit
+        for bit to their scalar loops, and a single row through the
+        scalar updates themselves (no block set-up), so a read sees
+        exactly the state an eager per-observation slide would have
+        built.
+        """
+        q = self._queued
+        if not q:
+            return
+        self._queued = 0
+        if q == 1:
+            row = self._queue[0]
+            self._rolling.push(row)
+            if self._error_tracker is not None:
+                self._error_tracker.push(bool(row[-1]))
+            return
+        block = self._queue[:q]
+        self._rolling.push_many(block)
         if self._error_tracker is not None:
-            self._error_tracker.push(bool(error))
+            self._error_tracker.push_many(block[:, -1] != 0.0)
+
+    def push(self, x: np.ndarray, y: int, prediction: int) -> None:
+        """Queue one labelled observation for the accumulators.
+
+        Copies the observation's source row into the queue; the
+        accumulators slide over it at the next read.
+        """
+        self._require_window()
+        if self._queued == self._window_size:
+            self._fold_queue()
+        row = self._queue[self._queued]
+        if self._wants_features:
+            row[: self.n_features] = x
+        if self._sequence_cols == 3:
+            row[-3] = y
+            row[-2] = prediction
+        if self._sequence_cols:
+            row[-1] = y != prediction
+        self._queued += 1
 
     def push_many(
         self, xs: np.ndarray, ys: np.ndarray, predictions: np.ndarray
     ) -> None:
-        """Slide the accumulators forward by a chunk of observations.
+        """Queue a chunk of labelled observations for the accumulators.
 
-        Builds the ``(m, n_rows)`` source block for the chunk in one
-        shot and hands it to the accumulators' block updates
-        (:meth:`RollingWindowStats.push_many` /
-        :meth:`ErrorDistanceTracker.push_many`), which are pinned
-        bit-for-bit against the scalar :meth:`push` loop.
+        Equivalent to :meth:`push` per row: the rows are written into
+        the queue in slices, folding it whenever it fills.
         """
-        if self._rolling is None:
-            raise RuntimeError(
-                "incremental path not initialised; call attach_window() "
-                "or construct the pipeline with window_size="
-            )
+        self._require_window()
         xs = np.asarray(xs, dtype=np.float64)
         # int() truncates toward zero, exactly like astype on the
         # integer side of the scalar path.
         ys_i = np.asarray(ys).astype(np.int64)
         preds_i = np.asarray(predictions).astype(np.int64)
         m = len(ys_i)
-        errors = (ys_i != preds_i).astype(np.float64)
-        if self.source_set == "all":
-            block = np.empty((m, self.n_features + 3))
-            block[:, : self.n_features] = xs
-            block[:, self.n_features] = ys_i
-            block[:, self.n_features + 1] = preds_i
-            block[:, self.n_features + 2] = errors
-        elif self.source_set == "supervised":
-            block = np.empty((m, 3))
-            block[:, 0] = ys_i
-            block[:, 1] = preds_i
-            block[:, 2] = errors
-        elif self.source_set == "unsupervised":
-            block = xs
-        else:  # error_rate
-            block = errors[:, None]
-        self._rolling.push_many(block)
-        if self._error_tracker is not None:
-            self._error_tracker.push_many(errors != 0.0)
+        i = 0
+        while i < m:
+            if self._queued == self._window_size:
+                self._fold_queue()
+            take = min(m - i, self._window_size - self._queued)
+            block = self._queue[self._queued : self._queued + take]
+            if self._wants_features:
+                block[:, : self.n_features] = xs[i : i + take]
+            if self._sequence_cols == 3:
+                block[:, -3] = ys_i[i : i + take]
+                block[:, -2] = preds_i[i : i + take]
+            if self._sequence_cols:
+                block[:, -1] = ys_i[i : i + take] != preds_i[i : i + take]
+            self._queued += take
+            i += take
 
     @property
     def n_observed(self) -> int:
         """Observations currently held by the rolling accumulators."""
+        self._fold_queue()
         return 0 if self._rolling is None else self._rolling.count
 
     # ------------------------------------------------------------------
@@ -402,6 +436,7 @@ class FingerprintPipeline:
         state: Dict[str, Any] = {
             "rng": pickle.dumps(self._rng.bit_generator.state),
         }
+        self._fold_queue()
         if self._rolling is not None:
             state["rolling"] = self._rolling.state_dict()
         if self._error_tracker is not None:
@@ -410,6 +445,9 @@ class FingerprintPipeline:
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         self._rng.bit_generator.state = pickle.loads(state["rng"])
+        # Snapshots hold folded accumulators only: queued rows of the
+        # replaced stream position are dropped.
+        self._queued = 0
         if "rolling" in state:
             if self._rolling is None:
                 raise ValueError(
@@ -456,6 +494,7 @@ class FingerprintPipeline:
         still needed by the non-incremental components (and by shape
         validation).  Requires a full window of pushes.
         """
+        self._fold_queue()
         if self._rolling is None or not self._rolling.full:
             raise RuntimeError(
                 "incremental extraction needs a full window of push() "

@@ -1,11 +1,12 @@
-"""O(1)-per-observation rolling accumulators for window statistics.
+"""Rolling accumulators for window statistics.
 
 The fingerprint hot path recomputes every meta-information function
 from the full window each fingerprint period — O(w) per source per
 period.  For the functions that admit rolling algebra (the four
 distribution moments, ACF/PACF at lags 1-2 and the turning-point rate)
-this module maintains the sufficient statistics under a sliding window
-with O(1) updates per observation:
+this module maintains the sufficient statistics under a sliding window,
+so sliding it by one observation costs a constant amount of work,
+however long the window:
 
 * **Shifted power sums** ``M_p = sum((x - K)^p)`` for p = 1..4, from
   which the central moments follow by binomial expansion.  The shift
@@ -19,15 +20,19 @@ with O(1) updates per observation:
   ring so the count slides exactly with the window.
 
 Floating-point drift from add/subtract updates is bounded by a full
-vectorised recomputation every ``window_size`` pushes (amortised O(1)),
-so rolling values track the batch reference to ~1e-12 relative error —
-the equivalence the property tests assert.
+vectorised recomputation every ``window_size`` observations (amortised
+constant work per observation), so rolling values track the batch
+reference to ~1e-12 relative error — the equivalence the property tests
+assert.
 
 :class:`RollingWindowStats` vectorises all statistics across source
-rows: one instance tracks the whole ``(n_rows, w)`` window matrix and
-each ``push`` is a handful of numpy operations on ``n_rows``-length
-vectors.  Derived values are memoised per push generation, so e.g. the
-four moment readers share one central-moment computation per window
+rows: one instance tracks the whole ``(n_rows, w)`` window matrix.
+:meth:`~RollingWindowStats.push` slides it by one observation with a
+handful of numpy operations on ``n_rows``-length vectors;
+:meth:`~RollingWindowStats.push_many` slides it by a block with a fixed
+number of numpy operations per block, bit for bit the same as the
+scalar loop.  Derived values are memoised per push generation, so e.g.
+the four moment readers share one central-moment computation per window
 position.  :class:`GapStats` is the scalar sibling for the
 variable-length distance-between-errors source (plain-float algebra —
 cheaper than numpy for a single row), fed by
@@ -66,6 +71,18 @@ class RollingWindowStats:
             )
         self.n_rows = n_rows
         self.window_size = window_size
+        # Block-slide gather plan over the timeline (window, then block):
+        # step t evicts C[t], whose lag partners are C[t+1], C[t+2], and
+        # enters C[w+t], whose partners are C[w+t-1], C[w+t-2].  Columns
+        # interleave (evict_t, enter_t) in the scalar fold's order, each
+        # with the sign it is folded in with; a block of m steps reads
+        # the first 2m columns.
+        steps = np.arange(window_size)[None, :, None]
+        offsets = np.array(
+            [[0, window_size], [1, window_size - 1], [2, window_size - 2]]
+        )
+        self._fold_rows = (steps + offsets[:, None, :]).reshape(3, -1)
+        self._fold_signs = np.tile([-1.0, 1.0], window_size)[:, None]
         self._ring = ArrayRing(window_size, n_rows)
         self._turn = ArrayRing(window_size - 2, n_rows, dtype=np.int64)
         # Streaming joint-histogram accumulator (sketch-mode MI): off
@@ -78,12 +95,11 @@ class RollingWindowStats:
         self._ring.clear()
         self._turn.clear()
         self._k = np.zeros(self.n_rows)
-        self._s1 = np.zeros(self.n_rows)
-        self._s2 = np.zeros(self.n_rows)
-        self._s3 = np.zeros(self.n_rows)
-        self._s4 = np.zeros(self.n_rows)
-        self._p1 = np.zeros(self.n_rows)
-        self._p2 = np.zeros(self.n_rows)
+        # The six running sums (M_1..M_4, P_1, P_2) are the rows of one
+        # array, so a block slide folds them with one cumsum; the named
+        # attributes are views of those rows, updated in place.
+        self._sums = np.zeros((6, self.n_rows))
+        self._s1, self._s2, self._s3, self._s4, self._p1, self._p2 = self._sums
         self._turn_count = np.zeros(self.n_rows, dtype=np.int64)
         self._since_refresh = 0
         self._gen = 0
@@ -115,6 +131,7 @@ class RollingWindowStats:
                 f"histogram already enabled with {self._hist_bins} bins"
             )
         self._hist_bins = bins
+        self._hist_offsets = np.arange(self.n_rows) * (bins * bins)
 
     @property
     def histogram_enabled(self) -> bool:
@@ -123,46 +140,57 @@ class RollingWindowStats:
     def _hist_index(self, values: np.ndarray) -> np.ndarray:
         """Frozen-edge bin index per row (boundary bins absorb outliers).
 
-        ``values`` is ``(n_rows,)`` or ``(n_rows, m)`` — the edges
-        broadcast along the trailing block axis.
+        ``values`` is ``(n_rows,)`` or time-major ``(L, n_rows)`` — the
+        per-row edges broadcast along the trailing axis.
         """
-        lo, scale = self._hist_lo, self._hist_scale
-        if values.ndim == 2:
-            lo, scale = lo[:, None], scale[:, None]
-        idx = np.floor((values - lo) * scale)
+        idx = np.floor((values - self._hist_lo) * self._hist_scale)
         return np.clip(idx, 0, self._hist_bins - 1).astype(np.int64)
+
+    def _hist_pair_cells(self, values: np.ndarray) -> np.ndarray:
+        """Flat count-table cell of every lag-1 pair of ``values``.
+
+        ``values`` is time-major ``(L, n_rows)``; row ``j`` of the
+        ``(L - 1, n_rows)`` result holds, per source row, the cell of
+        the pair ``(values[j], values[j + 1])`` in the C-order
+        flattened ``(n_rows, bins, bins)`` table.
+        """
+        idx = self._hist_index(values)
+        return idx[:-1] * self._hist_bins + idx[1:] + self._hist_offsets
+
+    def _hist_pair_counts(self, cells: np.ndarray) -> np.ndarray:
+        """``(n_rows, bins, bins)`` counts of the given pair cells."""
+        bins = self._hist_bins
+        counts = np.bincount(cells.ravel(), minlength=self.n_rows * bins * bins)
+        return counts.reshape(self.n_rows, bins, bins)
 
     def _hist_freeze(self) -> None:
         """Freeze edges on the first full window and count its pairs."""
-        window = self._ring.view().T  # (n_rows, w)
+        window = self._ring.view()  # (w, n_rows)
         bins = self._hist_bins
-        lo = window.min(axis=1)
-        hi = window.max(axis=1)
+        lo = window.min(axis=0)
+        hi = window.max(axis=0)
         span = hi - lo
         # Degenerate (constant) rows get a unit span: every value lands
         # in bin 0 and the MI reader reports 0, like the exact guard.
         span[span < _EPS] = 1.0
         self._hist_lo = lo
         self._hist_scale = bins / span
-        idx = self._hist_index(window)  # (n_rows, w)
-        counts = np.zeros((self.n_rows, bins, bins), dtype=np.int64)
-        rows = np.arange(self.n_rows)[:, None]
-        np.add.at(counts, (rows, idx[:, :-1], idx[:, 1:]), 1)
-        self._hist_counts = counts
+        self._hist_counts = self._hist_pair_counts(self._hist_pair_cells(window))
 
     def _hist_slide(self, window: np.ndarray, values: np.ndarray) -> None:
         """Slide the pair counts by one push over a full window.
 
         ``window`` is the pre-append ``(n_rows, w)`` view: the pair
-        ``(window[:, -1], values)`` enters, ``(window[:, 0],
-        window[:, 1])`` leaves.  One integer increment and decrement per
-        row — the block path applies the same contributions with
-        ``np.add.at``, so the two agree exactly.
+        ``(window[:, 0], window[:, 1])`` leaves and ``(window[:, -1],
+        values)`` enters.  Integer counts, so the block path's bincount
+        deltas agree exactly.
         """
-        rows = np.arange(self.n_rows)
-        counts = self._hist_counts
-        counts[rows, self._hist_index(window[:, -1]), self._hist_index(values)] += 1
-        counts[rows, self._hist_index(window[:, 0]), self._hist_index(window[:, 1])] -= 1
+        cells = self._hist_pair_cells(
+            np.stack((window[:, 0], window[:, 1], window[:, -1], values))
+        )
+        flat = self._hist_counts.reshape(-1)
+        flat[cells[0]] -= 1
+        flat[cells[2]] += 1
 
     def histogram_mi(self) -> np.ndarray:
         """Per-row lagged MI (nats) read from the streaming counts.
@@ -274,10 +302,11 @@ class RollingWindowStats:
         sum through an alternating (evict, enter) sequence of IEEE
         additions — ``a -= b`` is exactly ``a + (-b)`` — so the block
         path materialises the same signed contributions in the same
-        order and folds them with one ``np.cumsum`` per sum along the
+        order and folds all six sums with one ``np.cumsum`` along the
         time axis (ufunc accumulation *is* the sequential fold).  The
         block is cut at refresh boundaries so :meth:`_refresh`
-        re-anchors after exactly the same push as the scalar loop.
+        re-anchors after exactly the same push as the scalar loop, and
+        a one-row segment goes through :meth:`push` itself.
         """
         block = np.asarray(block, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] != self.n_rows:
@@ -293,79 +322,62 @@ class RollingWindowStats:
             i += 1
         while i < m:
             seg = min(m - i, self.window_size - self._since_refresh)
-            self._push_block_full(block[i : i + seg])
-            self._since_refresh += seg
-            if self._since_refresh >= self.window_size:
-                self._refresh()
+            if seg == 1:
+                # One row: the scalar update is cheaper than the block
+                # kernel's fixed cost and lands on the same state.
+                self.push(block[i])
+            else:
+                self._push_block_full(block[i : i + seg])
+                self._since_refresh += seg
+                if self._since_refresh >= self.window_size:
+                    self._refresh()
             i += seg
 
     def _push_block_full(self, block: np.ndarray) -> None:
         """Steady-state block slide (full window, no refresh inside)."""
         m = block.shape[0]
         w = self.window_size
-        k = self._k
         self._gen += m
-        # Timeline per row: current window followed by the entering
-        # block — every evicted/entering value an update reads is a
-        # column of it.
-        timeline = np.empty((self.n_rows, w + m))
-        timeline[:, :w] = self._ring.view().T
-        timeline[:, w:] = block.T
-        y_all = timeline - k[:, None]
-        ev = y_all[:, :m]           # evicted: C[t],     t = 0..m-1
-        en = y_all[:, w : w + m]    # entering: C[w+t]
-        # Signed contributions interleaved exactly as the scalar fold:
-        # (-evict_0, +enter_0, -evict_1, +enter_1, ...), prepended with
-        # the running sum; cumsum's last column is the folded result.
-        contrib = np.empty((4, self.n_rows, 2 * m + 1))
-
-        def fold(sums: np.ndarray, neg: np.ndarray, pos: np.ndarray, row: int):
-            c = contrib[row]
-            c[:, 0] = sums
-            c[:, 1::2] = -neg
-            c[:, 2::2] = pos
-            return np.cumsum(c, axis=1)[:, -1]
-
-        ev2 = ev * ev
-        ev3 = ev2 * ev
-        en2 = en * en
-        en3 = en2 * en
-        self._s1 = fold(self._s1, ev, en, 0)
-        self._s2 = fold(self._s2, ev2, en2, 1)
-        self._s3 = fold(self._s3, ev3, en3, 2)
-        self._s4 = fold(self._s4, ev3 * ev, en3 * en, 3)
-        # Lag products: eviction reads the next one / two values after
-        # the evicted one, entry reads the previous one / two.
-        self._p1 = fold(
-            self._p1, ev * y_all[:, 1 : m + 1], en * y_all[:, w - 1 : w + m - 1], 0
-        )
-        self._p2 = fold(
-            self._p2, ev * y_all[:, 2 : m + 2], en * y_all[:, w - 2 : w + m - 2], 1
-        )
+        # Time-major timeline: current window, then the entering block.
+        timeline = np.concatenate((self._ring.view(), block))  # (w + m, n_rows)
+        y = timeline[self._fold_rows[:, : 2 * m]] - self._k  # (3, 2m, n_rows)
+        z = y[0]
+        # Signed contributions, one slab per running sum (M_1..M_4,
+        # P_1, P_2): (+-z)^p is exactly +-(z^p) and (+-z) * partner
+        # exactly +-(z * partner) — the scalar update's products.
+        contrib = np.empty((6, 2 * m, self.n_rows))
+        np.multiply(z, self._fold_signs[: 2 * m], out=contrib[0])
+        np.multiply(contrib[0], z, out=contrib[1])
+        np.multiply(contrib[1], z, out=contrib[2])
+        np.multiply(contrib[2], z, out=contrib[3])
+        np.multiply(contrib[0], y[1:], out=contrib[4:])
+        # The scalar fold is ((s + c_0) + c_1) + ...: seed the first
+        # step with s + c_0, then cumsum accumulates sequentially
+        # (ufunc accumulation *is* the scalar loop's order).
+        contrib[:, 0] = self._sums + contrib[:, 0]
+        self._sums[:] = np.cumsum(contrib, axis=1)[:, -1]
         # Turning indicators are integers: the m oldest entries of the
         # (virtual) indicator timeline leave, m new ones enter — order-
         # free exact arithmetic.
-        d1 = timeline[:, w - 1 : w + m - 1] - timeline[:, w - 2 : w + m - 2]
-        d2 = timeline[:, w : w + m] - timeline[:, w - 1 : w + m - 1]
-        indicators = ((d1 * d2) < 0).astype(np.int64)  # (n_rows, m)
+        diffs = np.diff(timeline[w - 2 :], axis=0)  # (m + 1, n_rows)
+        indicators = ((diffs[:-1] * diffs[1:]) < 0).astype(np.int64)
         turn_cap = w - 2
-        old_turns = self._turn.view().T  # (n_rows, turn_cap)
+        old_turns = self._turn.view()  # (turn_cap, n_rows)
         if m <= turn_cap:
-            evicted_turns = old_turns[:, :m].sum(axis=1)
+            evicted_turns = old_turns[:m].sum(axis=0)
         else:
-            evicted_turns = old_turns.sum(axis=1) + indicators[
-                :, : m - turn_cap
-            ].sum(axis=1)
-        self._turn_count += indicators.sum(axis=1) - evicted_turns
-        self._turn.extend(indicators.T)
+            evicted_turns = old_turns.sum(axis=0) + indicators[
+                : m - turn_cap
+            ].sum(axis=0)
+        self._turn_count += indicators.sum(axis=0) - evicted_turns
+        self._turn.extend(indicators)
         if self._hist_counts is not None:
-            first = self._hist_index(timeline[:, w - 1 : w + m - 1])
-            second = self._hist_index(timeline[:, w : w + m])
-            old_first = self._hist_index(timeline[:, :m])
-            old_second = self._hist_index(timeline[:, 1 : m + 1])
-            rows = np.arange(self.n_rows)[:, None]
-            np.add.at(self._hist_counts, (rows, first, second), 1)
-            np.subtract.at(self._hist_counts, (rows, old_first, old_second), 1)
+            # Bin every timeline value in one call: pairs (C[t], C[t+1])
+            # leave and (C[w-1+t], C[w+t]) enter.
+            cells = self._hist_pair_cells(timeline)
+            self._hist_counts += self._hist_pair_counts(
+                cells[w - 1 :]
+            ) - self._hist_pair_counts(cells[:m])
         self._ring.extend(block)
 
     def _refresh(self) -> None:
@@ -373,14 +385,15 @@ class RollingWindowStats:
         window = self._ring.view().T  # (n_rows, n)
         self._k = window.mean(axis=1)
         y = window - self._k[:, None]
-        self._s1 = y.sum(axis=1)
+        sums = self._sums
+        sums[0] = y.sum(axis=1)
         y2 = y * y
-        self._s2 = y2.sum(axis=1)
+        sums[1] = y2.sum(axis=1)
         y3 = y2 * y
-        self._s3 = y3.sum(axis=1)
-        self._s4 = (y3 * y).sum(axis=1)
-        self._p1 = (y[:, :-1] * y[:, 1:]).sum(axis=1)
-        self._p2 = (y[:, :-2] * y[:, 2:]).sum(axis=1)
+        sums[2] = y3.sum(axis=1)
+        sums[3] = (y3 * y).sum(axis=1)
+        sums[4] = (y[:, :-1] * y[:, 1:]).sum(axis=1)
+        sums[5] = (y[:, :-2] * y[:, 2:]).sum(axis=1)
         self._since_refresh = 0
 
     # ------------------------------------------------------------------
@@ -506,12 +519,10 @@ class RollingWindowStats:
         self._ring.load_state_dict(state["ring"])
         self._turn.load_state_dict(state["turn"])
         self._k = np.asarray(state["k"], dtype=np.float64).copy()
-        self._s1 = np.asarray(state["s1"], dtype=np.float64).copy()
-        self._s2 = np.asarray(state["s2"], dtype=np.float64).copy()
-        self._s3 = np.asarray(state["s3"], dtype=np.float64).copy()
-        self._s4 = np.asarray(state["s4"], dtype=np.float64).copy()
-        self._p1 = np.asarray(state["p1"], dtype=np.float64).copy()
-        self._p2 = np.asarray(state["p2"], dtype=np.float64).copy()
+        self._sums[:] = [
+            state["s1"], state["s2"], state["s3"], state["s4"],
+            state["p1"], state["p2"],
+        ]
         self._turn_count = np.asarray(state["turn_count"], dtype=np.int64).copy()
         self._since_refresh = int(state["since_refresh"])
         self._gen = int(state["gen"])

@@ -89,6 +89,9 @@ class ArrayRing:
         self._n += m
 
     def clear(self) -> None:
+        # Zero the storage too, so a cleared ring's snapshot holds no
+        # bytes of the items it forgot.
+        self._buf[:] = 0
         self._n = 0
 
     @property

@@ -22,9 +22,11 @@ Beyond the paper's text the engine adds a handful of mechanisms; each
 is restated here with a one-line comment naming the paper section it
 implements or marking it as a reproduction choice.
 
-Primitives used: :class:`FingerprintPipeline` (``push`` +
-``extract_incremental`` for the active window, ``extract`` per
-candidate), :class:`Repository` / :class:`ConceptState` storage and
+Primitives used: :class:`FingerprintPipeline` (``extract_incremental``
+for the active window, ``extract`` per candidate) with an eager
+``push`` (:class:`EagerPipeline`: every observation slides the rolling
+accumulators at once, where the engine queues rows and folds them per
+read), :class:`Repository` / :class:`ConceptState` storage and
 eviction, :class:`OnlineMinMax` ``update`` / ``scale`` /
 ``scale_std``, :func:`sim_fast`, :class:`Adwin` and
 :class:`HoeffdingTree`.  The big-R selection layer (``ann_prefilter``),
@@ -172,6 +174,44 @@ def reference_permutation_importance(
 
 
 # ----------------------------------------------------------------------
+# The active window's accumulators, slid one observation at a time
+# ----------------------------------------------------------------------
+class EagerPipeline(FingerprintPipeline):
+    """A :class:`FingerprintPipeline` whose pushes slide at once.
+
+    Each push builds the observation's source row and slides the
+    rolling accumulators and the error-distance tracker by it, with
+    their scalar updates; nothing is ever queued.
+    """
+
+    def push(self, x: np.ndarray, y: int, prediction: int) -> None:
+        if self._rolling is None:
+            raise RuntimeError("no window attached")
+        error = float(y != prediction)
+        if self.source_set == "all":
+            row = np.empty(self.n_features + 3)
+            row[: self.n_features] = x
+            row[self.n_features] = y
+            row[self.n_features + 1] = prediction
+            row[self.n_features + 2] = error
+        elif self.source_set == "supervised":
+            row = np.array([float(y), float(prediction), error])
+        elif self.source_set == "unsupervised":
+            row = np.asarray(x, dtype=np.float64)
+        else:  # error_rate
+            row = np.array([error])
+        self._rolling.push(row)
+        if self._error_tracker is not None:
+            self._error_tracker.push(bool(error))
+
+    def push_many(
+        self, xs: np.ndarray, ys: np.ndarray, predictions: np.ndarray
+    ) -> None:
+        for x, y, prediction in zip(xs, ys, predictions):
+            self.push(x, int(y), int(prediction))
+
+
+# ----------------------------------------------------------------------
 # Algorithm 1
 # ----------------------------------------------------------------------
 class ReferenceFicsum(AdaptiveSystem):
@@ -188,7 +228,7 @@ class ReferenceFicsum(AdaptiveSystem):
         self.config = cfg = config
         self.n_features = n_features
         self.n_classes = n_classes
-        self.pipeline = FingerprintPipeline(
+        self.pipeline = EagerPipeline(
             n_features,
             metafeatures=cfg.metafeatures,
             source_set=cfg.source_set,

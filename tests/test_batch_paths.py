@@ -14,6 +14,7 @@ import pytest
 
 from repro.classifiers import HoeffdingTree
 from repro.classifiers.base import Classifier
+from repro.classifiers.hoeffding_tree import _SplitNode
 from repro.classifiers.knn import KnnClassifier
 from repro.classifiers.majority import MajorityClass
 from repro.classifiers.naive_bayes import GaussianNaiveBayes
@@ -88,20 +89,51 @@ def test_predict_learn_batch_matches_sequential(mode):
     assert np.array_equal(t_seq.predict_batch(probe), t_batch.predict_batch(probe))
 
 
-def test_predict_learn_batch_chunked_sequence_matches():
-    """Feeding many small chunks equals one long per-observation run."""
-    t_seq = HoeffdingTree(N_CLASSES, N_FEATURES, grace_period=20, seed=5)
-    t_batch = HoeffdingTree(N_CLASSES, N_FEATURES, grace_period=20, seed=5)
+def _leaves(tree):
+    """The tree's leaves, left to right."""
+    leaves, stack = [], [tree._root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _SplitNode):
+            stack += [node.right, node.left]
+        else:
+            leaves.append(node)
+    return leaves
+
+
+@pytest.mark.parametrize("chunk", [1, 37])
+@pytest.mark.parametrize("mode", ["mc", "nb", "nba"])
+def test_predict_learn_batch_chunked_sequence_matches(mode, chunk):
+    """Feeding chunks equals one long per-observation run.
+
+    One-row chunks are what ``Ficsum.process`` sends; the trees start
+    empty, so the first rows meet a zero-weight leaf.  Every leaf's
+    adaptive bookkeeping (scored once per row on the chunked path)
+    must match the per-observation tree's.
+    """
+    t_seq = HoeffdingTree(
+        N_CLASSES, N_FEATURES, grace_period=20, leaf_prediction=mode, seed=5
+    )
+    t_batch = HoeffdingTree(
+        N_CLASSES, N_FEATURES, grace_period=20, leaf_prediction=mode, seed=5
+    )
     X, y = make_stream(1200, seed=6)
     expected = np.empty(len(y), dtype=np.int64)
     for i in range(len(y)):
         expected[i] = t_seq.predict(X[i])
         t_seq.learn(X[i], int(y[i]))
     got = []
-    for start in range(0, len(y), 37):
-        got.append(t_batch.predict_learn_batch(X[start : start + 37], y[start : start + 37]))
+    for start in range(0, len(y), chunk):
+        got.append(
+            t_batch.predict_learn_batch(
+                X[start : start + chunk], y[start : start + chunk]
+            )
+        )
     assert np.array_equal(expected, np.concatenate(got))
-    assert t_seq.n_splits == t_batch.n_splits
+    assert t_seq.n_splits == t_batch.n_splits >= 1
+    assert [(leaf.mc_correct, leaf.nb_correct) for leaf in _leaves(t_seq)] == [
+        (leaf.mc_correct, leaf.nb_correct) for leaf in _leaves(t_batch)
+    ]
 
 
 def test_predict_learn_batch_max_features_falls_back_to_loop():

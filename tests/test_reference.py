@@ -56,6 +56,7 @@ FORBIDDEN = {
     "inter_concept_variation_matrix",
     "intra_classifier_variation_matrix",
     "_gated_record",
+    "_fold_queue",
 }
 
 

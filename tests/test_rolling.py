@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import EagerPipeline
 
 from repro.metafeatures import (
     ErrorDistanceTracker,
@@ -253,6 +254,10 @@ class TestBlockPush:
         st.lists(st.integers(1, 60), min_size=1, max_size=6),
         st.floats(-1e3, 1e3),
     )
+    # One row right after warmup (8 rows, window 7): numpy 2.4 ufuncs
+    # writing through a strided one-row ``out=`` view fill the wrong
+    # elements, so a block kernel that did so would fail here.
+    @example(0, 7, 2, [8], 0.0)
     @settings(max_examples=60, deadline=None)
     def test_push_many_matches_push_exactly(
         self, seed, window, rows, chunk_sizes, offset
@@ -349,6 +354,107 @@ class TestBlockPush:
                 a.extract_incremental(win_x, win_y, win_p, None),
                 b.extract_incremental(win_x, win_y, win_p, None),
             )
+
+
+def _assert_same_tree(a, b, path="state"):
+    """Two state trees are equal down to the bytes of every array."""
+    if isinstance(a, dict):
+        assert isinstance(b, dict) and a.keys() == b.keys(), path
+        for key in a:
+            _assert_same_tree(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray), path
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), path
+        assert a.tobytes() == b.tobytes(), path
+    else:
+        assert type(a) is type(b) and a == b, path
+
+
+#: One step of a queued/eager pipeline drive: the operation, and for
+#: ``push_many`` its row count as a multiple of the window (0 to 2).
+#: Pushes and reads are drawn more often than snapshots and resets.
+PIPELINE_OPS = st.tuples(
+    st.sampled_from(
+        ["push"] * 3 + ["push_many"] * 3 + ["extract"] * 3
+        + ["n_observed", "snapshot", "reset"]
+    ),
+    st.floats(0.0, 2.0),
+)
+
+
+class TestQueuedPipeline:
+    """The push queue, folded per read, is the eager per-row slide."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        window=st.integers(5, 12),
+        source_set=st.sampled_from(
+            ["all", "supervised", "unsupervised", "error_rate"]
+        ),
+        profile=st.sampled_from(["exact", "fast"]),
+        ops=st.lists(PIPELINE_OPS, min_size=10, max_size=40),
+    )
+    # More than w pushes with no read: the queue folds when full.
+    @example(
+        seed=0, window=5, source_set="all", profile="fast",
+        ops=[("push", 0.0)] * 11 + [("extract", 0.0)],
+    )
+    # A fold of exactly one row between two reads.
+    @example(
+        seed=1, window=6, source_set="supervised", profile="exact",
+        ops=[("push_many", 1.0), ("extract", 0.0), ("push", 0.0),
+             ("extract", 0.0)],
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_queue_matches_eager_at_every_read(
+        self, seed, window, source_set, profile, ops
+    ):
+        rng = np.random.default_rng(seed)
+        d = 3
+
+        def build(cls):
+            return cls(
+                d, source_set=source_set, window_size=window,
+                sketch_profile=profile,
+            )
+
+        queued, eager = build(FingerprintPipeline), build(EagerPipeline)
+        win = ObservationWindow(window, d)
+        seen = 0
+        for op, scale in ops + [("snapshot", 0.0)]:
+            if op in ("push", "push_many"):
+                m = 1 if op == "push" else int(round(scale * window))
+                xs = rng.normal(loc=3.0, scale=2.0, size=(m, d))
+                ys = rng.integers(0, 3, size=m)
+                ps = np.where(rng.random(m) < 0.7, ys, rng.integers(0, 3, size=m))
+                if op == "push":
+                    queued.push(xs[0], int(ys[0]), int(ps[0]))
+                    eager.push(xs[0], int(ys[0]), int(ps[0]))
+                else:
+                    queued.push_many(xs, ys, ps)
+                    eager.push_many(xs, ys, ps)
+                win.extend(xs, ys, ps)
+                seen += m
+            elif op == "extract" and seen >= window:
+                arrays = win.arrays()
+                a = queued.extract_incremental(*arrays, None)
+                b = eager.extract_incremental(*arrays, None)
+                assert a.tobytes() == b.tobytes()
+            elif op == "n_observed":
+                assert queued.n_observed == eager.n_observed == min(seen, window)
+            elif op == "snapshot":
+                state = queued.state_dict()
+                _assert_same_tree(state, eager.state_dict())
+                queued, fresh_eager = build(FingerprintPipeline), build(EagerPipeline)
+                queued.load_state_dict(state)
+                fresh_eager.load_state_dict(eager.state_dict())
+                eager = fresh_eager
+                _assert_same_tree(queued.state_dict(), eager.state_dict())
+            elif op == "reset":
+                queued.reset_stream()
+                eager.reset_stream()
+                win = ObservationWindow(window, d)
+                seen = 0
 
 
 class TestPipelineEquivalence:
