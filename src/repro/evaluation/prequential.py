@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
-from repro.evaluation.metrics import ConfusionMatrix, co_occurrence_f1
 from repro.streams.base import Stream
 from repro.system import AdaptiveSystem
 
@@ -46,6 +42,9 @@ def prequential_run(
 ) -> RunResult:
     """Drive a system over a stream, test-then-train.
 
+    A :class:`~repro.serving.runner.StreamRunner` without checkpoints,
+    faults or guard: the one prequential loop.
+
     ``oracle_drift=True`` implements the paper's supplementary
     perfect-drift-detection protocol: :meth:`signal_drift` is called at
     every ground-truth segment boundary.
@@ -58,111 +57,14 @@ def prequential_run(
     state-id traces and every reported metric are identical to the
     per-observation path.
     """
-    if chunk_size is not None:
-        return _prequential_run_chunked(
-            system, stream, oracle_drift, max_observations, keep_history,
-            chunk_size,
-        )
-    meta = stream.meta
-    confusion = ConfusionMatrix(meta.n_classes)
-    concept_ids: List[int] = []
-    state_ids: List[int] = []
-    previous_concept: Optional[int] = None
-    n_seen = 0
-    start = time.perf_counter()
-    for x, y, concept_id in stream:
-        if max_observations is not None and n_seen >= max_observations:
-            break
-        if oracle_drift and previous_concept is not None and concept_id != previous_concept:
-            system.signal_drift()
-        previous_concept = concept_id
-        prediction = system.process(x, y)
-        confusion.update(y, prediction)
-        concept_ids.append(concept_id)
-        state_ids.append(system.active_state_id)
-        n_seen += 1
-    runtime = time.perf_counter() - start
-    return _build_result(
-        system, confusion, concept_ids, state_ids, runtime, n_seen, keep_history
+    # The runner module imports RunResult from here.
+    from repro.serving.runner import StreamRunner
+
+    runner = StreamRunner(
+        system,
+        stream,
+        oracle_drift=oracle_drift,
+        chunk_size=chunk_size,
+        keep_history=keep_history,
     )
-
-
-def _build_result(
-    system: AdaptiveSystem,
-    confusion: ConfusionMatrix,
-    concept_ids: List[int],
-    state_ids: List[int],
-    runtime: float,
-    n_seen: int,
-    keep_history: bool,
-) -> RunResult:
-    """Assemble the RunResult shared by both prequential loops."""
-    return RunResult(
-        accuracy=confusion.accuracy,
-        kappa=confusion.kappa,
-        c_f1=co_occurrence_f1(concept_ids, state_ids),
-        runtime_s=runtime,
-        n_observations=n_seen,
-        n_drifts=system.n_drifts_detected,
-        n_states=len(set(state_ids)),
-        discrimination=list(getattr(system, "discrimination_samples", [])),
-        concept_ids=concept_ids if keep_history else [],
-        state_ids=state_ids if keep_history else [],
-    )
-
-
-def _prequential_run_chunked(
-    system: AdaptiveSystem,
-    stream: Stream,
-    oracle_drift: bool,
-    max_observations: Optional[int],
-    keep_history: bool,
-    chunk_size: int,
-) -> RunResult:
-    """Chunked prequential loop (see :func:`prequential_run`)."""
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    meta = stream.meta
-    confusion = ConfusionMatrix(meta.n_classes)
-    concept_ids: List[int] = []
-    state_ids: List[int] = []
-    n_seen = 0
-    buf_x: List[np.ndarray] = []
-    buf_y: List[int] = []
-    buf_concept: Optional[int] = None
-    start = time.perf_counter()
-
-    def flush() -> None:
-        nonlocal n_seen
-        if not buf_x:
-            return
-        X = np.stack(buf_x)
-        Y = np.asarray(buf_y, dtype=np.int64)
-        sids = np.empty(len(Y), dtype=np.int64)
-        predictions = system.process_chunk(X, Y, state_ids_out=sids)
-        confusion.update_many(Y, predictions)
-        concept_ids.extend([buf_concept] * len(Y))
-        state_ids.extend(int(s) for s in sids)
-        n_seen += len(Y)
-        buf_x.clear()
-        buf_y.clear()
-
-    for x, y, concept_id in stream:
-        if max_observations is not None and n_seen + len(buf_x) >= max_observations:
-            break
-        if buf_concept is None:
-            buf_concept = concept_id
-        elif concept_id != buf_concept:
-            flush()
-            if oracle_drift:
-                system.signal_drift()
-            buf_concept = concept_id
-        elif len(buf_x) >= chunk_size:
-            flush()
-        buf_x.append(x)
-        buf_y.append(y)
-    flush()
-    runtime = time.perf_counter() - start
-    return _build_result(
-        system, confusion, concept_ids, state_ids, runtime, n_seen, keep_history
-    )
+    return runner.run(max_observations)

@@ -87,9 +87,14 @@ class FaultSpec:
         labels at ``engine.cell``, snapshot paths at snapshot sites).
     window:
         ``(start, stop)`` half-open step range the fault is confined
-        to; required for ``label_outage``.
+        to; required for ``label_outage``.  At the ``stream.*`` sites
+        the step is the observation's stream index, which counts
+        dropped observations, so a window drops at most
+        ``stop - start`` of them.
     at_step:
-        Exact step to fire at; required for ``stream_stall``.
+        Exact step to fire at; required for ``stream_stall``, which
+        pauses the run before the observation at that stream index is
+        pulled.
     attempts:
         ``engine.cell`` kinds only: fire while the cell's attempt
         ordinal is below this (``None`` = every attempt, i.e. a

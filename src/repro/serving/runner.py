@@ -1,24 +1,33 @@
 """Checkpointed prequential runs with bit-for-bit resume.
 
-:class:`StreamRunner` is a resumable counterpart of
-:func:`repro.evaluation.prequential.prequential_run`: it drives the
-same test-then-train loop (per-observation or chunked, oracle drift
-signals at ground-truth boundaries) but keeps every piece of harness
-state — confusion matrix, trace lists, stream position, accumulated
-runtime — as restorable state, so a run interrupted at observation T
-and restored from its checkpoint finishes with traces **identical** to
-the uninterrupted run.
+:class:`StreamRunner` is the one prequential (test-then-train) loop;
+:func:`repro.evaluation.prequential.prequential_run` is a runner
+without checkpoints, faults or guard.  It signals oracle drift at
+ground-truth boundaries and keeps every piece of harness state —
+confusion matrix, trace lists, stream position, accumulated runtime —
+as restorable state, so a run interrupted at observation T and
+restored from its checkpoint finishes with traces **identical** to the
+uninterrupted run.
 
-Two loop details make that exact:
+The loop buffers each labeled observation and flushes the buffer to
+the system once it holds ``chunk_size or 1`` rows: through ``process``
+when ``chunk_size`` is ``None``, through ``process_chunk`` otherwise.
+That flush is the only place the two modes differ.  The buffer is also
+flushed at every ground-truth concept boundary (before the oracle
+drift signal), before an unlabeled observation, at the end of a run
+and before every checkpoint.  Two details make resume exact:
 
 * The limit check happens *before* the next observation is pulled, so
-  a paused resumable iterator never loses the observation the plain
-  loop pulls-then-discards at its ``max_observations`` break.
-* In chunked mode the buffer is flushed before every checkpoint, so a
-  snapshot never holds half-processed observations.  The resulting
-  sub-chunk boundaries can differ from an uninterrupted chunked run —
-  which is exactly the boundary-invariance the chunked engine already
-  pins against the per-observation path.
+  a paused resumable iterator never loses an observation.
+* A snapshot never holds buffered observations.  In chunked mode the
+  flush before a checkpoint can shift sub-chunk boundaries, which is
+  exactly the boundary-invariance the chunked engine is pinned to.
+
+Every stream fault site (``stream.observation``, ``stream.labels``,
+``stream.stall``) and the observation guard receive one step: the
+pulled observation's stream index, ``n_seen + n_dropped + buffered``.
+Dropped observations count, so a fault window names the same stream
+positions whatever the chunk size.
 
 Checkpoints are snapshot directories (:mod:`repro.serving.snapshot`)
 holding the system payload plus the harness state.  With
@@ -51,8 +60,8 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.evaluation.metrics import ConfusionMatrix
-from repro.evaluation.prequential import RunResult, _build_result
+from repro.evaluation.metrics import ConfusionMatrix, co_occurrence_f1
+from repro.evaluation.prequential import RunResult
 from repro.faults.guards import ObservationGuard
 from repro.faults.plan import FaultInjector, corrupt_snapshot
 from repro.serving.audit import AuditLog, NULL_AUDIT
@@ -149,8 +158,11 @@ class StreamRunner:
         # traces); keep_history only controls the returned result.
         self._concept_ids: List[int] = []
         self._state_ids: List[int] = []
-        self._previous_concept: Optional[int] = None
-        self._buf_concept: Optional[int] = None
+        # Ground-truth concept of the last labeled observation: every
+        # buffered row belongs to it, and a change is a concept boundary.
+        self._concept: Optional[int] = None
+        self._buf_x: List[np.ndarray] = []
+        self._buf_y: List[int] = []
         self._n_seen = 0
         self._runtime = 0.0
         self._exhausted = False
@@ -187,49 +199,87 @@ class StreamRunner:
         self.stalled = False
         start = time.perf_counter()
         try:
-            if self.chunk_size is None:
-                self._run_per_observation(max_observations)
-            else:
-                self._run_chunked(max_observations)
+            self._loop(max_observations)
         finally:
             self._runtime += time.perf_counter() - start
         return self.result()
 
-    def _stall_fired(self) -> bool:
-        if self.faults is None:
-            return False
-        if not self.faults.fire("stream.stall", step=self._n_seen):
-            return False
-        self.stalled = True
-        return True
+    def _loop(self, limit: Optional[int]) -> None:
+        """Per observation: checkpoint, stall, pull, outage, boundary,
+        buffer — in that order (see the module docstring)."""
+        faults, guard = self.faults, self.guard
+        n_features = self.stream.meta.n_features
+        rows = self.chunk_size or 1
+        buf_x, buf_y = self._buf_x, self._buf_y
+        while limit is None or self._n_seen + len(buf_x) < limit:
+            if self._checkpoint_due(len(buf_x)):
+                self._flush()
+                self.save_checkpoint()
+            step = self._n_seen + self.n_dropped + len(buf_x)
+            if faults is not None and faults.fire("stream.stall", step=step):
+                self.stalled = True
+                break
+            try:
+                x, y, concept_id = next(self._iter)
+            except StopIteration:
+                self._exhausted = True
+                break
+            if faults is not None:
+                x = faults.mutate_observation(x, step)
+            if guard is not None:
+                verdict, x = guard.inspect(x, n_features, step)
+                if verdict == "skip":
+                    self.n_dropped += 1
+                    continue
+            if faults is not None and faults.label_missing(step):
+                self._flush()
+                self._process_unlabeled(x, y, concept_id)
+                continue
+            self._exit_outage()
+            if self._concept is not None and concept_id != self._concept:
+                self._flush()
+                if self.oracle_drift:
+                    self.system.signal_drift()
+            self._concept = concept_id
+            buf_x.append(x)
+            buf_y.append(y)
+            if len(buf_x) >= rows:
+                self._flush()
+        self._flush()
+        if not self.stalled and self._checkpoint_due():
+            self.save_checkpoint()
 
-    def _pull(self):
-        """Next observation, with stream-site faults/validation applied.
+    def _flush(self) -> None:
+        """Test-then-train the buffered rows and record their traces.
 
-        Returns ``None`` to skip (quarantined observation), the
-        observation tuple otherwise; raises ``StopIteration`` at end
-        of stream like the bare iterator.
+        ``process`` and ``process_chunk`` are looked up on the system at
+        call time, so wrappers installed after the runner is built see
+        every call.
         """
-        x, y, concept_id = next(self._iter)
-        if self.faults is not None:
-            x = self.faults.mutate_observation(x, self._n_seen)
-        if self.guard is not None:
-            verdict, x = self.guard.inspect(
-                x, self.stream.meta.n_features, self._n_seen
+        buf_x, buf_y = self._buf_x, self._buf_y
+        if not buf_x:
+            return
+        system = self.system
+        if self.chunk_size is None:
+            prediction = system.process(buf_x[0], buf_y[0])
+            self._confusion.update(buf_y[0], prediction)
+            self._state_ids.append(system.active_state_id)
+        else:
+            Y = np.asarray(buf_y, dtype=np.int64)
+            sids = np.empty(len(Y), dtype=np.int64)
+            predictions = system.process_chunk(
+                np.stack(buf_x), Y, state_ids_out=sids
             )
-            if verdict == "skip":
-                self.n_dropped += 1
-                return None
-        return x, y, concept_id
+            self._confusion.update_many(Y, predictions)
+            self._state_ids.extend(int(s) for s in sids)
+        self._concept_ids.extend([self._concept] * len(buf_y))
+        self._n_seen += len(buf_y)
+        buf_x.clear()
+        buf_y.clear()
 
     # ------------------------------------------------------------------
     # Label outages
     # ------------------------------------------------------------------
-    def _label_missing(self) -> bool:
-        return self.faults is not None and self.faults.label_missing(
-            self._n_seen
-        )
-
     def _enter_outage(self) -> None:
         if self._in_outage:
             return
@@ -266,109 +316,19 @@ class StreamRunner:
         self._state_ids.append(self.system.active_state_id)
         self._n_seen += 1
 
-    # ------------------------------------------------------------------
-    def _run_per_observation(self, limit: Optional[int]) -> None:
-        system = self.system
-        while limit is None or self._n_seen < limit:
-            if self._stall_fired():
-                break
-            try:
-                pulled = self._pull()
-            except StopIteration:
-                self._exhausted = True
-                break
-            if pulled is None:
-                continue
-            x, y, concept_id = pulled
-            if self._label_missing():
-                self._process_unlabeled(x, y, concept_id)
-                self._maybe_checkpoint()
-                continue
-            self._exit_outage()
-            if (
-                self.oracle_drift
-                and self._previous_concept is not None
-                and concept_id != self._previous_concept
-            ):
-                system.signal_drift()
-            self._previous_concept = concept_id
-            prediction = system.process(x, y)
-            self._confusion.update(y, prediction)
-            self._concept_ids.append(concept_id)
-            self._state_ids.append(system.active_state_id)
-            self._n_seen += 1
-            self._maybe_checkpoint()
-
-    def _run_chunked(self, limit: Optional[int]) -> None:
-        system = self.system
-        buf_x: List[np.ndarray] = []
-        buf_y: List[int] = []
-
-        def flush() -> None:
-            if not buf_x:
-                return
-            X = np.stack(buf_x)
-            Y = np.asarray(buf_y, dtype=np.int64)
-            sids = np.empty(len(Y), dtype=np.int64)
-            predictions = system.process_chunk(X, Y, state_ids_out=sids)
-            self._confusion.update_many(Y, predictions)
-            self._concept_ids.extend([self._buf_concept] * len(Y))
-            self._state_ids.extend(int(s) for s in sids)
-            self._n_seen += len(Y)
-            buf_x.clear()
-            buf_y.clear()
-
-        while limit is None or self._n_seen + len(buf_x) < limit:
-            # Checkpoints may only happen when every pulled observation
-            # is fully processed — i.e. before the next pull, with the
-            # buffer flushed.  The extra flush can shift sub-chunk
-            # boundaries, which is exactly the invariance the chunked
-            # engine pins against the per-observation path.
-            if self._checkpoint_due(len(buf_x)):
-                flush()
-                self.save_checkpoint()
-            if self._stall_fired():
-                break
-            try:
-                pulled = self._pull()
-            except StopIteration:
-                self._exhausted = True
-                break
-            if pulled is None:
-                continue
-            x, y, concept_id = pulled
-            if self._label_missing():
-                # Unlabeled observations bypass the batch: flush what
-                # is buffered, then run the degraded per-observation
-                # path until labels return.
-                flush()
-                self._process_unlabeled(x, y, concept_id)
-                continue
-            self._exit_outage()
-            if self._buf_concept is None:
-                self._buf_concept = concept_id
-            elif concept_id != self._buf_concept:
-                flush()
-                if self.oracle_drift:
-                    system.signal_drift()
-                self._buf_concept = concept_id
-            elif len(buf_x) >= self.chunk_size:
-                flush()
-            buf_x.append(x)
-            buf_y.append(y)
-        flush()
-        if not self.stalled:
-            self._maybe_checkpoint()
-
     def result(self) -> RunResult:
-        return _build_result(
-            self.system,
-            self._confusion,
-            self._concept_ids,
-            self._state_ids,
-            self._runtime,
-            self._n_seen,
-            self.keep_history,
+        system, history = self.system, self.keep_history
+        return RunResult(
+            accuracy=self._confusion.accuracy,
+            kappa=self._confusion.kappa,
+            c_f1=co_occurrence_f1(self._concept_ids, self._state_ids),
+            runtime_s=self._runtime,
+            n_observations=self._n_seen,
+            n_drifts=system.n_drifts_detected,
+            n_states=len(set(self._state_ids)),
+            discrimination=list(getattr(system, "discrimination_samples", [])),
+            concept_ids=self._concept_ids if history else [],
+            state_ids=self._state_ids if history else [],
         )
 
     # ------------------------------------------------------------------
@@ -382,10 +342,6 @@ class StreamRunner:
             >= self.checkpoint_every
         )
 
-    def _maybe_checkpoint(self) -> None:
-        if self._checkpoint_due():
-            self.save_checkpoint()
-
     def _harness_state(self) -> Dict[str, Any]:
         state: Dict[str, Any] = {
             "n_seen": self._n_seen,
@@ -393,8 +349,7 @@ class StreamRunner:
             "confusion": self._confusion.matrix.copy(),
             "concept_ids": np.asarray(self._concept_ids, dtype=np.int64),
             "state_ids": np.asarray(self._state_ids, dtype=np.int64),
-            "previous_concept": self._previous_concept,
-            "buf_concept": self._buf_concept,
+            "concept": self._concept,
             "exhausted": self._exhausted,
             "oracle_drift": self.oracle_drift,
             "chunk_size": self.chunk_size,
@@ -518,10 +473,8 @@ class StreamRunner:
                 int(c) for c in np.asarray(extra["concept_ids"])
             ]
             runner._state_ids = [int(s) for s in np.asarray(extra["state_ids"])]
-            previous = extra["previous_concept"]
-            runner._previous_concept = None if previous is None else int(previous)
-            buffered = extra["buf_concept"]
-            runner._buf_concept = None if buffered is None else int(buffered)
+            concept = extra["concept"]
+            runner._concept = None if concept is None else int(concept)
             runner._exhausted = bool(extra["exhausted"])
             runner.n_dropped = int(extra.get("n_dropped", 0))
             runner._in_outage = bool(extra.get("in_outage", False))

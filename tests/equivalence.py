@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from reference import ReferenceFicsum
+from reference import ReferenceFicsum, reference_prequential_run
 
 from repro.core import FicsumConfig
 from repro.core.variants import make_error_rate_variant, make_ficsum
@@ -178,12 +178,16 @@ def run_reference(
     :class:`reference.ReferenceFicsum` instead of the engine.
 
     The reference is built from the configuration the engine would run
-    under (variants included), one observation at a time.
+    under (variants included) and driven one observation at a time by
+    :func:`reference.reference_prequential_run`, not by the engine's
+    loop.
     """
     engine, stream = build_system(overrides, **build_kwargs)
     meta = stream.meta
     system = ReferenceFicsum(meta.n_features, meta.n_classes, engine.config)
-    result = prequential_run(system, stream, oracle_drift=system.config.oracle_drift)
+    result = reference_prequential_run(
+        system, stream, oracle_drift=system.config.oracle_drift
+    )
     return RunTrace(result, system)
 
 

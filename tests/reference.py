@@ -36,11 +36,14 @@ and are not restated.
 The module also restates one kernel plainly:
 :func:`reference_permutation_importance` is the per-feature loop that
 :func:`~repro.metafeatures.shapley.window_permutation_importance`
-vectorises.
+vectorises.  And it drives the reference with its own prequential loop,
+:func:`reference_prequential_run`, so the engine's loop
+(:class:`~repro.serving.runner.StreamRunner`) is pinned too.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -51,7 +54,10 @@ from repro.core.config import FicsumConfig
 from repro.core.repository import ConceptState, Repository
 from repro.core.similarity import sim_fast
 from repro.detectors import Adwin
+from repro.evaluation.metrics import ConfusionMatrix, co_occurrence_f1
+from repro.evaluation.prequential import RunResult
 from repro.metafeatures import FingerprintPipeline
+from repro.streams.base import Stream
 from repro.system import AdaptiveSystem
 from repro.utils.stats import OnlineMinMax
 
@@ -548,3 +554,43 @@ class ReferenceFicsum(AdaptiveSystem):
             mu, sigma = self._record(active)
             z_active = (self._sim(active.fingerprint.means, fp) - mu) / sigma
             self.discrimination_samples.append(float(z_active - np.mean(z_others)))
+
+
+# ----------------------------------------------------------------------
+# The prequential loop
+# ----------------------------------------------------------------------
+def reference_prequential_run(
+    system: ReferenceFicsum, stream: Stream, oracle_drift: bool = False
+) -> RunResult:
+    """Test-then-train over the whole stream, one observation at a time.
+
+    The paper's evaluation protocol without the engine's loop (no
+    buffer, checkpoints or fault sites): under oracle drift, signal
+    drift when the ground-truth concept changes, then process the
+    observation, score its prediction and record the traces.
+    """
+    confusion = ConfusionMatrix(stream.meta.n_classes)
+    concept_ids: List[int] = []
+    state_ids: List[int] = []
+    previous_concept: Optional[int] = None
+    start = time.perf_counter()
+    for x, y, concept_id in stream:
+        if oracle_drift and previous_concept is not None and concept_id != previous_concept:
+            system.signal_drift()
+        previous_concept = concept_id
+        prediction = system.process(x, y)
+        confusion.update(y, prediction)
+        concept_ids.append(concept_id)
+        state_ids.append(system.active_state_id)
+    return RunResult(
+        accuracy=confusion.accuracy,
+        kappa=confusion.kappa,
+        c_f1=co_occurrence_f1(concept_ids, state_ids),
+        runtime_s=time.perf_counter() - start,
+        n_observations=len(state_ids),
+        n_drifts=system.n_drifts_detected,
+        n_states=len(set(state_ids)),
+        discrimination=list(system.discrimination_samples),
+        concept_ids=concept_ids,
+        state_ids=state_ids,
+    )

@@ -1,12 +1,16 @@
 """Chunked stream engine: exact equivalence with per-observation runs.
 
-``Ficsum.process_chunk`` and the ``prequential_run(chunk_size=...)``
-fast path are pure execution restructurings — these tests assert that
-predictions, drift points, state-id traces and every reported metric
-are identical to the per-observation path on seeded streams, for
-ADWIN-detected and oracle drifts alike, across chunk sizes.  The
-run-and-compare cases go through the shared :mod:`equivalence`
-harness (``chunk_size`` is the only thing that differs between twins).
+The one prequential loop (:class:`~repro.serving.runner.StreamRunner`,
+which ``prequential_run`` builds) reaches the system through two entry
+points: ``process`` per observation, ``process_chunk`` when given a
+``chunk_size``.  ``Ficsum.process_chunk`` is a pure execution
+restructuring — these tests assert that predictions, drift points,
+state-id traces and every reported metric are identical between the
+two on seeded streams, for ADWIN-detected and oracle drifts alike,
+across chunk sizes.  The run-and-compare cases go through the shared
+:mod:`equivalence` harness (``chunk_size`` is the only thing that
+differs between twins); ``tests/test_reference.py`` pins both against
+the reference's own per-observation loop.
 """
 
 from __future__ import annotations

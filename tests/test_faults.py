@@ -7,6 +7,7 @@ Four layers, mirroring :mod:`repro.faults`:
   contract),
 * data-plane degradation — observation guard policies and label-outage
   windows driven through :class:`~repro.serving.runner.StreamRunner`,
+  per observation and in chunks, each fault keyed by stream position,
 * snapshot fallback — corrupt checkpoints are skipped for older
   verifiable chain entries, and resumed traces stay bit-for-bit
   identical to uninterrupted runs (the equivalence harness pins this),
@@ -247,29 +248,32 @@ def clean_total() -> int:
 
 
 class TestRunnerFaults:
+    #: ``None`` runs per observation; the ``Chunked`` twin runs chunks.
+    CHUNK_SIZE = None
+
+    def runner(self, plan=None, guard=None, **runner_kwargs):
+        return make_runner(
+            plan, guard, chunk_size=self.CHUNK_SIZE, **runner_kwargs
+        )
+
     def test_bad_observation_reaches_guard(self):
         plan = FaultPlan(
             seed=0,
             specs=(FaultSpec(kind="bad_observation", window=(10, 11)),),
         )
         with pytest.raises(DataValidationError, match="step 10"):
-            make_runner(plan, guard=ObservationGuard("raise")).run()
+            self.runner(plan, guard=ObservationGuard("raise")).run()
 
     def test_skip_policy_drops_and_completes(self):
         total = clean_total()
-        # Dropped observations do not advance the step counter, so pin
-        # the fault at one step with a bounded fire count: three
-        # consecutive bad pulls at position 10.
+        # Dropped observations advance the step (it is the stream
+        # index), so a three-step window drops three observations.
         plan = FaultPlan(
             seed=0,
-            specs=(
-                FaultSpec(
-                    kind="bad_observation", window=(10, 11), max_fires=3
-                ),
-            ),
+            specs=(FaultSpec(kind="bad_observation", window=(10, 13)),),
         )
         guard = ObservationGuard("skip")
-        runner = make_runner(plan, guard=guard)
+        runner = self.runner(plan, guard=guard)
         result = runner.run()
         assert runner.n_dropped == 3 == guard.n_quarantined
         assert result.n_observations == total - 3
@@ -281,18 +285,18 @@ class TestRunnerFaults:
             specs=(FaultSpec(kind="bad_observation", window=(10, 13)),),
         )
         guard = ObservationGuard("impute")
-        runner = make_runner(plan, guard=guard)
+        runner = self.runner(plan, guard=guard)
         result = runner.run()
         assert guard.n_imputed == 3 and runner.n_dropped == 0
         assert result.n_observations == total
 
     def test_stall_pauses_then_resumes_bit_for_bit(self):
-        baseline = make_runner()
+        baseline = self.runner()
         expected = RunTrace(baseline.run(), baseline.system)
         plan = FaultPlan(
             seed=0, specs=(FaultSpec(kind="stream_stall", at_step=100),)
         )
-        runner = make_runner(plan)
+        runner = self.runner(plan)
         first = runner.run()
         assert runner.stalled and first.n_observations == 100
         result = runner.run()
@@ -300,18 +304,27 @@ class TestRunnerFaults:
         assert_identical_traces(RunTrace(result, runner.system), expected)
 
 
+class TestRunnerFaultsChunked(TestRunnerFaults):
+    CHUNK_SIZE = 16
+
+
 class TestLabelOutage:
     WINDOW = (120, 180)
+    #: ``None`` runs per observation; the ``Chunked`` twin runs chunks.
+    CHUNK_SIZE = None
 
-    def outage_plan(self):
+    def runner(self, plan=None, **runner_kwargs):
+        return make_runner(plan, chunk_size=self.CHUNK_SIZE, **runner_kwargs)
+
+    def outage_plan(self, window=WINDOW):
         return FaultPlan(
             seed=0,
-            specs=(FaultSpec(kind="label_outage", window=self.WINDOW),),
+            specs=(FaultSpec(kind="label_outage", window=window),),
         )
 
     def test_capable_system_degrades_and_recovers(self):
         total = clean_total()
-        runner = make_runner(self.outage_plan())
+        runner = self.runner(self.outage_plan())
         metrics = StatsCollector()
         runner.system.attach_observability(metrics=metrics)
         result = runner.run()
@@ -331,37 +344,44 @@ class TestLabelOutage:
         # 300 on this stream): the repository holds enough fingerprinted
         # states for the masked matcher to get checked (and counted),
         # whether or not it ever switches.
-        plan = FaultPlan(
-            seed=0,
-            specs=(FaultSpec(kind="label_outage", window=(320, 460)),),
-        )
-        runner = make_runner(plan)
+        runner = self.runner(self.outage_plan((320, 460)))
         metrics = StatsCollector()
         runner.system.attach_observability(metrics=metrics)
         runner.run()
         assert metrics.counters.get("outage.checks", 0) > 0
 
-    def test_incapable_system_drops_outage_window(self):
+    def assert_incapable_system_drops(self, window):
         from repro.evaluation.runner import prepare_run
 
         def pair():
             return prepare_run("htcd", "STAGGER", seed=1, **FAST)
 
         system, stream = pair()
-        total = StreamRunner(system, stream).run().n_observations
+        total = StreamRunner(
+            system, stream, chunk_size=self.CHUNK_SIZE
+        ).run().n_observations
         system, stream = pair()
         runner = StreamRunner(
             system,
             stream,
-            faults=FaultInjector(self.outage_plan()),
+            chunk_size=self.CHUNK_SIZE,
+            faults=FaultInjector(self.outage_plan(window)),
         )
         result = runner.run()
-        width = self.WINDOW[1] - self.WINDOW[0]
+        width = window[1] - window[0]
         assert runner.n_dropped == width
         assert result.n_observations == total - width
 
+    def test_incapable_system_drops_outage_window(self):
+        self.assert_incapable_system_drops(self.WINDOW)
+
+    def test_incapable_system_drops_mid_stream_outage(self):
+        # The window closes before the stream ends: labels return only
+        # if dropped observations advance the step.
+        self.assert_incapable_system_drops((30, 50))
+
     def test_outage_state_survives_snapshot(self, tmp_path):
-        runner = make_runner(
+        runner = self.runner(
             self.outage_plan(),
             checkpoint_path=tmp_path / "ck",
             checkpoint_every=50,
@@ -376,10 +396,43 @@ class TestLabelOutage:
         )
         assert resumed._in_outage or resumed.n_seen < self.WINDOW[0]
         final = resumed.run()
-        baseline = make_runner(self.outage_plan())
+        baseline = self.runner(self.outage_plan())
         expected = baseline.run()
         assert final.accuracy == expected.accuracy
         assert final.state_ids == expected.state_ids
+
+
+class TestLabelOutageChunked(TestLabelOutage):
+    CHUNK_SIZE = 16
+
+
+@pytest.mark.parametrize("chunk_size", [None, 1, 4, 16])
+def test_stream_faults_fire_at_stream_index(chunk_size):
+    """Each stream fault fires once at the stream position it names:
+    dropped observations advance the step, and buffered ones count
+    before they are processed."""
+    from repro.evaluation.runner import prepare_run
+
+    def run(spec, guard=None):
+        system, stream = prepare_run("htcd", "STAGGER", seed=1, **FAST)
+        faults = FaultInjector(FaultPlan(seed=0, specs=(spec,)))
+        runner = StreamRunner(
+            system, stream, chunk_size=chunk_size, faults=faults, guard=guard
+        )
+        runner.run()
+        return runner, [record["step"] for record in faults.fired]
+
+    runner, fired = run(
+        FaultSpec(kind="bad_observation", window=(10, 11)),
+        guard=ObservationGuard("skip"),
+    )
+    assert fired == [10]
+    assert runner.n_dropped == 1 and runner.n_seen == 179
+    runner, _ = run(FaultSpec(kind="label_outage", window=(10, 30)))
+    assert runner.n_dropped == 20 and runner.n_seen == 160
+    runner, fired = run(FaultSpec(kind="stream_stall", at_step=10))
+    assert fired == [10]
+    assert runner.stalled and runner.n_seen == 10
 
 
 # ----------------------------------------------------------------------

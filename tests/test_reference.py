@@ -2,9 +2,10 @@
 
 Every scenario runs the production engine twice — per observation and
 chunked — and asserts both runs are observation-for-observation the
-run of :class:`reference.ReferenceFicsum`: same predictions, drift
-points, state-id traces, float discrimination samples, selection
-counts and final dynamic weights.  The scenarios are
+run of :class:`reference.ReferenceFicsum` driven by the reference's own
+prequential loop: same predictions, drift points, state-id traces,
+float discrimination samples, selection counts and final dynamic
+weights.  The scenarios are
 :data:`equivalence.SCENARIOS`; the layer modules
 (``test_vectorized_selection``, ``test_forest_routing``,
 ``test_extraction_cache``) re-run some of them with their fast path
@@ -57,6 +58,8 @@ FORBIDDEN = {
     "intra_classifier_variation_matrix",
     "_gated_record",
     "_fold_queue",
+    "StreamRunner",
+    "prequential_run",
 }
 
 

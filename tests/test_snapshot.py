@@ -90,6 +90,36 @@ def test_interrupt_restore_identical(scenario, chunk_size, tmp_path):
     assert_identical_traces(resumed, reference)
 
 
+@pytest.mark.parametrize("chunk_size", [None, 16])
+def test_interrupt_restore_at_concept_boundary(chunk_size, tmp_path):
+    """Interrupted just before a segment's first observation under
+    oracle drift: the restored runner still knows the last concept, so
+    the first observation it pulls gets its drift signal."""
+    _, stream = build_system({})
+    assert 300 in stream.drift_points
+    reference = run_config({}, chunk_size=chunk_size)
+    resumed = _interrupted_run(
+        {}, tmp_path, chunk_size=chunk_size, interrupt_at=300
+    )
+    assert_identical_traces(resumed, reference)
+
+
+def test_restore_rejects_harness_state_without_concept(tmp_path):
+    """A harness state without the last concept (a checkpoint written
+    before the runner kept one) cannot tell whether the next observation
+    crosses a boundary: restore refuses it, so the engine recomputes the
+    cell instead of skipping a drift signal."""
+    system, stream = build_system({})
+    runner = StreamRunner(system, stream, oracle_drift=True)
+    runner.run(max_observations=100)
+    state = runner._harness_state()
+    del state["concept"]
+    save_system(system, tmp_path / "old", extra_state=state)
+    _, fresh_stream = build_system({})
+    with pytest.raises(SnapshotError, match="concept"):
+        StreamRunner.restore(tmp_path / "old", fresh_stream)
+
+
 def test_payload_naming_removed_field_is_rejected():
     """A snapshot whose config names a field the config does not have
     fails to load, instead of building a silently different config."""
