@@ -15,9 +15,14 @@ Three measurements, all against populated, mid-stream systems:
 * **metrics overhead**: the identical run with a live
   :class:`~repro.serving.metrics.StatsCollector` attached vs the
   default :data:`NULL_COLLECTOR` wiring.  The observability layer's
-  contract is near-zero cost — asserted to stay **under 5%** (each
-  side takes the best of three runs so scheduler noise cannot fail
-  the gate spuriously).
+  contract is near-zero cost — asserted to stay **under 5%**.
+
+Both overheads are medians of paired differences.  Each round runs the
+baseline, the metrics and the checkpointed configuration once, and odd
+rounds run them in reverse order, so machine drift during the bench
+lands on every side alike instead of on whichever block ran later.
+The interquartile range of the paired differences is reported beside
+each median.
 
 Emits ``BENCH_snapshot.json`` (obs/sec of the un-instrumented run plus
 all latencies and overhead percentages) for the CI regression gate.
@@ -44,8 +49,8 @@ from repro.streams.datasets import make_dataset
 R_SWEEP = (10, 40)
 #: Timed save/load rounds per repository size (scaled for CI).
 N_ROUNDS = max(3, int(round(10 * min(SCALE, 1.0))))
-#: Best-of runs per side of the overhead comparisons.
-N_REPS = 3
+#: Rounds of the overhead comparison (one run of each configuration).
+OVERHEAD_ROUNDS = 11
 
 
 def bench_snapshot_latency(R: int, workdir: Path) -> dict:
@@ -75,6 +80,15 @@ def bench_snapshot_latency(R: int, workdir: Path) -> dict:
     }
 
 
+def _make_stream():
+    return make_dataset(
+        "RBF",
+        seed=5,
+        segment_length=max(150, int(300 * SCALE)),
+        n_repeats=2,
+    )
+
+
 def _run_stream(
     *, metrics: bool = False, checkpoint_every=None, workdir: Path = None
 ):
@@ -86,12 +100,7 @@ def _run_stream(
         oracle_drift=True,
         seed=1,
     )
-    stream = make_dataset(
-        "RBF",
-        seed=5,
-        segment_length=max(150, int(300 * SCALE)),
-        n_repeats=2,
-    )
+    stream = _make_stream()
     system = make_ficsum(stream.meta.n_features, stream.meta.n_classes, cfg)
     if metrics:
         system.attach_observability(metrics=StatsCollector())
@@ -112,42 +121,53 @@ def _run_stream(
     return wall, result, system
 
 
-def _best_wall(**kwargs) -> tuple:
-    walls = []
-    last = None
-    for _ in range(N_REPS):
-        wall, result, system = _run_stream(**kwargs)
-        walls.append(wall)
-        last = (result, system)
-    return min(walls), last[0], last[1]
+def _paired_pct(walls, base_walls) -> tuple:
+    """Median and quartiles of the per-round overheads, in percent."""
+    pcts = [100.0 * (w - b) / b for w, b in zip(walls, base_walls)]
+    q1, median, q3 = np.percentile(pcts, [25, 50, 75])
+    return round(float(median), 2), [round(float(q1), 2), round(float(q3), 2)]
 
 
 def run_overheads(workdir: Path) -> dict:
-    base_wall, base_result, _ = _best_wall()
-    n_obs = base_result.n_observations
-
-    metric_wall, metric_result, metric_system = _best_wall(metrics=True)
-    assert metric_result.accuracy == base_result.accuracy  # same run
-    counted = metric_system.metrics.counters["observations"]
-    assert counted == n_obs, (counted, n_obs)
-
+    n_obs = _make_stream().meta.length
     every = max(1, n_obs // 4)  # three mid-run checkpoints
-    ckpt_wall, ckpt_result, ckpt_system = _best_wall(
-        metrics=True, checkpoint_every=every, workdir=workdir
-    )
-    assert ckpt_result.accuracy == base_result.accuracy
-    n_saves = ckpt_system.metrics.counters["checkpoints"]
+    configs = {
+        "baseline": {},
+        "metrics": {"metrics": True},
+        "checkpoint": {
+            "metrics": True, "checkpoint_every": every, "workdir": workdir,
+        },
+    }
+    walls = {name: [] for name in configs}
+    for round_index in range(OVERHEAD_ROUNDS):
+        order = list(configs)
+        if round_index % 2:
+            order.reverse()
+        results, systems = {}, {}
+        for name in order:
+            wall, results[name], systems[name] = _run_stream(**configs[name])
+            walls[name].append(wall)
+        # Instrumentation and checkpoints must not change the run.
+        accuracy = results["baseline"].accuracy
+        assert results["metrics"].accuracy == accuracy
+        assert results["checkpoint"].accuracy == accuracy
+    counted = systems["metrics"].metrics.counters["observations"]
+    assert counted == n_obs, (counted, n_obs)
+    n_saves = systems["checkpoint"].metrics.counters["checkpoints"]
     assert n_saves >= 3, n_saves
 
-    def pct(wall):
-        return round(100.0 * (wall - base_wall) / base_wall, 2)
-
+    fastest = min(walls["baseline"])
+    metrics_pct, metrics_iqr = _paired_pct(walls["metrics"], walls["baseline"])
+    ckpt_pct, ckpt_iqr = _paired_pct(walls["checkpoint"], walls["baseline"])
     return {
         "observations": n_obs,
-        "baseline_wall_s": round(base_wall, 4),
-        "obs_per_sec": round(n_obs / base_wall, 1),
-        "metrics_overhead_pct": pct(metric_wall),
-        "checkpoint_overhead_pct": pct(ckpt_wall),
+        "baseline_wall_s": round(fastest, 4),
+        "obs_per_sec": round(n_obs / fastest, 1),
+        "rounds": OVERHEAD_ROUNDS,
+        "metrics_overhead_pct": metrics_pct,
+        "metrics_overhead_iqr_pct": metrics_iqr,
+        "checkpoint_overhead_pct": ckpt_pct,
+        "checkpoint_overhead_iqr_pct": ckpt_iqr,
         "checkpoint_saves": int(n_saves),
         "checkpoint_every": every,
     }
@@ -176,16 +196,24 @@ def build_table(results: dict) -> str:
         for R in R_SWEEP
     ]
     over = results["overheads"]
+
+    def overhead(name):
+        q1, q3 = over[f"{name}_overhead_iqr_pct"]
+        return (
+            f"{over[f'{name}_overhead_pct']:+.2f}% "
+            f"(IQR {q1:+.2f}% to {q3:+.2f}%)"
+        )
+
     return render_table(
         f"Snapshot latency vs repository size ({N_ROUNDS} rounds per cell)",
         ["R", "save ms", "restore ms", "artifact KB"],
         rows,
         notes=(
             f"End-to-end overheads on a {over['observations']}-obs "
-            f"recurring stream (best of {N_REPS}): metrics collector "
-            f"{over['metrics_overhead_pct']:+.2f}%, periodic "
+            f"recurring stream, medians of {over['rounds']} paired rounds: "
+            f"metrics collector {overhead('metrics')}, periodic "
             f"checkpointing ({over['checkpoint_saves']} saves) "
-            f"{over['checkpoint_overhead_pct']:+.2f}%."
+            f"{overhead('checkpoint')}."
         ),
     )
 

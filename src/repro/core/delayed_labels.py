@@ -138,7 +138,7 @@ class DelayedLabelAdapter(AdaptiveSystem):
         state: Dict[str, Any] = {
             "queue_x": queue_x,
             "queue_y": queue_y,
-            "rng": pickle.dumps(self._rng.bit_generator.state),
+            "rng": self._rng.bit_generator.state,
             "n_labels_dropped": self.n_labels_dropped,
             "n_labels_delivered": self.n_labels_delivered,
         }
@@ -154,7 +154,7 @@ class DelayedLabelAdapter(AdaptiveSystem):
         self._queue = deque(
             (queue_x[i].copy(), int(queue_y[i])) for i in range(len(queue_y))
         )
-        self._rng.bit_generator.state = pickle.loads(state["rng"])
+        self._rng.bit_generator.state = state["rng"]
         self.n_labels_dropped = int(state["n_labels_dropped"])
         self.n_labels_delivered = int(state["n_labels_delivered"])
         if "system" in state:

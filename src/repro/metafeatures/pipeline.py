@@ -49,7 +49,6 @@ Three extraction paths share one schema:
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -434,7 +433,7 @@ class FingerprintPipeline:
         resumed extraction.
         """
         state: Dict[str, Any] = {
-            "rng": pickle.dumps(self._rng.bit_generator.state),
+            "rng": self._rng.bit_generator.state,
         }
         self._fold_queue()
         if self._rolling is not None:
@@ -444,7 +443,7 @@ class FingerprintPipeline:
         return state
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self._rng.bit_generator.state = pickle.loads(state["rng"])
+        self._rng.bit_generator.state = state["rng"]
         # Snapshots hold folded accumulators only: queued rows of the
         # replaced stream position are dropped.
         self._queued = 0

@@ -23,7 +23,9 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
 #: Current snapshot layout version (see module docstring for policy).
-SCHEMA_VERSION = 1
+#: Version 2: ``arrays.npz`` holds one member per dtype, and rng states
+#: are plain dicts in ``state.json``.
+SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 #: Bounded per-histogram reservoir of the most recent samples, from
 #: which the percentile summaries are computed.

@@ -68,7 +68,7 @@ from repro.serving.audit import AuditLog, NULL_AUDIT
 from repro.serving.manifest import MANIFEST_NAME, SnapshotError
 from repro.serving.metrics import NULL_COLLECTOR
 from repro.serving.snapshot import load_system, save_system
-from repro.streams.base import ResumableIterator, Stream
+from repro.streams.base import Stream
 from repro.system import AdaptiveSystem
 
 #: Prefix of chained checkpoint directories under the checkpoint root.
@@ -469,10 +469,12 @@ class StreamRunner:
             runner._confusion.matrix[:] = np.asarray(
                 extra["confusion"], dtype=np.int64
             )
-            runner._concept_ids = [
-                int(c) for c in np.asarray(extra["concept_ids"])
-            ]
-            runner._state_ids = [int(s) for s in np.asarray(extra["state_ids"])]
+            runner._concept_ids = np.asarray(
+                extra["concept_ids"], dtype=np.int64
+            ).tolist()
+            runner._state_ids = np.asarray(
+                extra["state_ids"], dtype=np.int64
+            ).tolist()
             concept = extra["concept"]
             runner._concept = None if concept is None else int(concept)
             runner._exhausted = bool(extra["exhausted"])

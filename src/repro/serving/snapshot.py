@@ -4,17 +4,29 @@ The core classes describe their mutable state as plain nested dicts
 (see the ``state_dict`` convention in :mod:`repro.utils.stats`); this
 module packs one such tree into a snapshot directory:
 
-* ``arrays.npz``  — every ndarray leaf, keyed by position (``np.savez``
-  round-trips float64/int64 bit-exactly),
+* ``arrays.npz``  — one member per dtype (named by ``dtype.str``, e.g.
+  ``<f8``), holding every ndarray leaf of that dtype flattened and
+  concatenated in traversal order (``np.savez`` round-trips every
+  bit pattern, NaN payloads and ``-0.0`` included),
 * ``objects.pkl`` — the opaque ``bytes`` leaves (pickled classifiers,
-  detector state, rng states) as one pickled list,
+  detector state and stream concepts) as one pickled list,
 * ``state.json``  — the tree skeleton, with ndarray leaves replaced by
-  ``{"__array__": key}`` and bytes leaves by ``{"__blob__": index}``
-  sentinels (Python's JSON float round-trip is exact for doubles, so
-  scalar leaves also restore bit-for-bit),
+  ``{"__array__": [member, offset, shape, order]}`` and bytes leaves by
+  ``{"__blob__": index}`` sentinels (Python's JSON float round-trip is
+  exact for doubles and its int round-trip for any int, so scalar
+  leaves and rng states also restore bit-for-bit),
 * ``manifest.json`` — written **last** (see
   :mod:`repro.serving.manifest`): schema version, content hashes and
   caller metadata.
+
+Packing per dtype instead of per array keeps a save or restore at one
+``npz`` member per dtype present (``<f8`` and ``<i8`` for FiCSUM's
+states), however many arrays the repository holds.  Each restored array is an owned copy with the dtype, shape and memory
+order ``np.load`` would give it: Fortran order for an array that was
+only F-contiguous, C order otherwise.  Object and structured (void)
+dtypes cannot be grouped by ``dtype.str`` and are rejected before
+anything is written.  Members and offsets follow traversal order, so
+one state always packs to the same bytes.
 
 Writes are atomic at the directory level: everything lands in a
 ``<path>.tmp`` sibling which replaces the target only once complete,
@@ -30,6 +42,7 @@ and fall back to whole-object pickling for any other
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import shutil
@@ -52,39 +65,72 @@ STATE_NAME = "state.json"
 # ----------------------------------------------------------------------
 # Tree codec
 # ----------------------------------------------------------------------
-def _pack(
-    node: Any, arrays: Dict[str, np.ndarray], blobs: List[bytes]
+class _Packer:
+    """Replaces a state tree's ndarray and bytes leaves with sentinels.
+
+    Every array is flattened in the order ``np.load`` restores it in and
+    appended to its dtype's member at that member's running offset.
+    """
+
+    def __init__(self) -> None:
+        self.parts: Dict[str, List[np.ndarray]] = {}
+        self.sizes: Dict[str, int] = {}
+        self.blobs: List[bytes] = []
+
+    def pack(self, node: Any) -> Any:
+        if isinstance(node, np.ndarray):
+            return {"__array__": self._array(node)}
+        if isinstance(node, (bytes, bytearray)):
+            self.blobs.append(bytes(node))
+            return {"__blob__": len(self.blobs) - 1}
+        if isinstance(node, dict):
+            return {str(k): self.pack(v) for k, v in node.items()}
+        if isinstance(node, (list, tuple)):
+            return [self.pack(v) for v in node]
+        if isinstance(node, np.generic):
+            return node.item()
+        if node is None or isinstance(node, (bool, int, float, str)):
+            return node
+        raise SnapshotError(
+            f"state tree holds an unserializable leaf of type {type(node).__name__}"
+        )
+
+    def _array(self, array: np.ndarray) -> List[Any]:
+        dtype = array.dtype
+        if dtype.kind in "OV":
+            raise SnapshotError(
+                f"state tree holds an ndarray of unserializable dtype {dtype}"
+            )
+        flags = array.flags
+        order = "F" if flags.f_contiguous and not flags.c_contiguous else "C"
+        member = dtype.str
+        offset = self.sizes.get(member, 0)
+        self.parts.setdefault(member, []).append(array.ravel(order=order))
+        self.sizes[member] = offset + array.size
+        return [member, offset, list(array.shape), order]
+
+    def members(self) -> Dict[str, np.ndarray]:
+        """One flat array per dtype, in order of first appearance."""
+        return {
+            member: np.concatenate(parts, dtype=parts[0].dtype)
+            for member, parts in self.parts.items()
+        }
+
+
+def _unpack(
+    node: Any, members: Dict[str, np.ndarray], blobs: List[bytes]
 ) -> Any:
-    """Recursively replace ndarray/bytes leaves with sentinels."""
-    if isinstance(node, np.ndarray):
-        key = f"a{len(arrays)}"
-        arrays[key] = node
-        return {"__array__": key}
-    if isinstance(node, (bytes, bytearray)):
-        blobs.append(bytes(node))
-        return {"__blob__": len(blobs) - 1}
     if isinstance(node, dict):
-        return {str(k): _pack(v, arrays, blobs) for k, v in node.items()}
-    if isinstance(node, (list, tuple)):
-        return [_pack(v, arrays, blobs) for v in node]
-    if isinstance(node, np.generic):
-        return node.item()
-    if node is None or isinstance(node, (bool, int, float, str)):
-        return node
-    raise SnapshotError(
-        f"state tree holds an unserializable leaf of type {type(node).__name__}"
-    )
-
-
-def _unpack(node: Any, arrays: Any, blobs: List[bytes]) -> Any:
-    if isinstance(node, dict):
-        if "__array__" in node and len(node) == 1:
-            return arrays[node["__array__"]]
-        if "__blob__" in node and len(node) == 1:
-            return blobs[node["__blob__"]]
-        return {k: _unpack(v, arrays, blobs) for k, v in node.items()}
+        if len(node) == 1:
+            if "__array__" in node:
+                member, offset, shape, order = node["__array__"]
+                flat = members[member][offset : offset + math.prod(shape)]
+                return flat.reshape(shape, order=order).copy(order=order)
+            if "__blob__" in node:
+                return blobs[node["__blob__"]]
+        return {k: _unpack(v, members, blobs) for k, v in node.items()}
     if isinstance(node, list):
-        return [_unpack(v, arrays, blobs) for v in node]
+        return [_unpack(v, members, blobs) for v in node]
     return node
 
 
@@ -114,14 +160,12 @@ def write_state(
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
     try:
-        arrays: Dict[str, np.ndarray] = {}
-        blobs: List[bytes] = []
-        skeleton = _pack(state, arrays, blobs)
-        np.savez(tmp / ARRAYS_NAME, **arrays)
+        packer = _Packer()
+        skeleton = packer.pack(state)
+        np.savez(tmp / ARRAYS_NAME, **packer.members())
         with (tmp / OBJECTS_NAME).open("wb") as fh:
-            pickle.dump(blobs, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        with (tmp / STATE_NAME).open("w", encoding="utf-8") as fh:
-            json.dump(skeleton, fh)
+            pickle.dump(packer.blobs, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        (tmp / STATE_NAME).write_text(json.dumps(skeleton), encoding="utf-8")
         write_manifest(tmp, meta, clock=clock)
         if path.exists():
             shutil.rmtree(path)
@@ -148,7 +192,7 @@ def read_state(
     manifest = read_manifest(path, verify=verify)
     try:
         with np.load(path / ARRAYS_NAME) as npz:
-            arrays = {key: npz[key] for key in npz.files}
+            members = {key: npz[key] for key in npz.files}
         with (path / OBJECTS_NAME).open("rb") as fh:
             blobs = pickle.load(fh)
         with (path / STATE_NAME).open("r", encoding="utf-8") as fh:
@@ -157,7 +201,7 @@ def read_state(
         raise SnapshotError(
             f"corrupt snapshot payload at {path}: {exc}"
         ) from exc
-    state = _unpack(skeleton, arrays, blobs)
+    state = _unpack(skeleton, members, blobs)
     return state, manifest.get("meta", {})
 
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import pickle
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -59,19 +58,23 @@ class ConceptGenerator(ABC):
         return xs, ys
 
 
-def generator_state(rng: np.random.Generator) -> bytes:
-    """The full bit-generator state of a numpy Generator, as a blob.
+def generator_state(rng: np.random.Generator) -> Mapping[str, Any]:
+    """The full bit-generator state of a numpy Generator, as plain data.
 
-    Restoring it with :func:`restore_generator_state` makes the
-    generator continue its draw sequence exactly where it left off —
-    the piece of the puzzle that makes synthetic streams seekable.
+    For ``default_rng``'s PCG64, a dict of strings and Python ints, which
+    a JSON round trip restores exactly.  Restoring it with
+    :func:`restore_generator_state` makes the generator continue its
+    draw sequence exactly where it left off — the piece of the puzzle
+    that makes synthetic streams seekable.
     """
-    return pickle.dumps(rng.bit_generator.state)
+    return rng.bit_generator.state
 
 
-def restore_generator_state(rng: np.random.Generator, blob: bytes) -> None:
+def restore_generator_state(
+    rng: np.random.Generator, state: Mapping[str, Any]
+) -> None:
     """Restore a Generator to a :func:`generator_state` capture."""
-    rng.bit_generator.state = pickle.loads(blob)
+    rng.bit_generator.state = state
 
 
 class ResumableIterator(Iterator[Observation], ABC):

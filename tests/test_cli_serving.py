@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.serving.manifest import MANIFEST_NAME, read_manifest
+from repro.serving.manifest import MANIFEST_NAME, SCHEMA_VERSION, read_manifest
 from repro.serving.snapshot import ARRAYS_NAME, write_state
 
 
@@ -52,7 +52,7 @@ def test_snapshot_rejects_nonpositive_observations(tmp_path):
 def test_inspect_happy_path(snapshot_dir, capsys):
     assert main(["inspect", str(snapshot_dir)]) == 0
     out = capsys.readouterr().out
-    assert "schema    : version 1" in out
+    assert f"schema    : version {SCHEMA_VERSION}" in out
     assert "verified (sha256)" in out
     assert "artifact" in out and "checkpoint" in out
     assert ARRAYS_NAME in out

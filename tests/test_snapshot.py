@@ -9,13 +9,18 @@ vectorized selection, forest routing, incremental updates), both
 engines (per-observation and chunked) and the ADWIN detection path.
 The remaining tests pin the artifact layer itself: manifests reject
 tampering, truncation and unknown schema versions; overwrites are
-atomic; evicted states surface their full serialized payload.
+atomic; the codec restores every array exactly and one state always
+writes the same bytes; evicted states surface their full serialized
+payload.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +30,12 @@ from equivalence import (
     build_system,
     run_config,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.classifiers import HoeffdingTree
+from repro.core import DelayedLabelAdapter
 from repro.core.repository import ConceptState, Repository
 from repro.serving.manifest import (
     MANIFEST_NAME,
@@ -36,6 +45,9 @@ from repro.serving.manifest import (
 )
 from repro.serving.runner import StreamRunner
 from repro.serving.snapshot import (
+    ARRAYS_NAME,
+    OBJECTS_NAME,
+    STATE_NAME,
     load_system,
     read_state,
     save_system,
@@ -204,6 +216,35 @@ def test_from_snapshot_classmethod(tmp_path):
     np.testing.assert_array_equal(twin.weights, system.weights)
 
 
+def test_delayed_label_adapter_roundtrip_with_queued_labels(tmp_path):
+    """An adapter snapshotted with labels still queued resumes exactly:
+    the label queue, the missing-label rng (plain data, no pickle), both
+    counters and the wrapped system travel through the codec."""
+
+    def build():
+        system, stream = build_system({})
+        adapter = DelayedLabelAdapter(system, delay=40, missing_rate=0.3, seed=3)
+        return adapter, stream
+
+    adapter, stream = build()
+    it = iter(stream)
+    for _ in range(250):
+        x, y, _ = next(it)
+        adapter.process(x, y)
+    assert len(adapter._queue) > 0
+    state = adapter.state_dict()
+    assert isinstance(state["rng"], dict)
+    write_state(tmp_path / "adapter", state)
+    loaded, _ = read_state(tmp_path / "adapter")
+    twin, _ = build()
+    twin.load_state_dict(loaded)
+    for _ in range(200):
+        x, y, _ = next(it)
+        assert twin.process(x.copy(), y) == adapter.process(x, y)
+    assert twin.n_labels_delivered == adapter.n_labels_delivered
+    assert twin.n_labels_dropped == adapter.n_labels_dropped
+
+
 # ---------------------------------------------------------------------
 # Manifest / artifact integrity
 # ---------------------------------------------------------------------
@@ -238,10 +279,13 @@ def test_manifest_rejects_missing_manifest(tmp_path):
 def test_manifest_rejects_unknown_schema_version(tmp_path):
     path = _small_snapshot(tmp_path)
     manifest = json.loads((path / MANIFEST_NAME).read_text())
-    manifest["schema_version"] = SCHEMA_VERSION + 1
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest))
-    with pytest.raises(SnapshotError, match="version"):
-        load_system(path)
+    # Version 1 stored one npz member per array: its array references
+    # must never reach the version-2 unpacker.
+    for version in (1, SCHEMA_VERSION + 1):
+        manifest["schema_version"] = version
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="version"):
+            load_system(path)
 
 
 def test_manifest_rejects_missing_payload_file(tmp_path):
@@ -274,12 +318,37 @@ def test_snapshot_overwrite_is_atomic(tmp_path):
     load_system(path)  # still a complete, verifiable artifact
 
 
+def test_snapshot_bytes_are_reproducible(tmp_path):
+    """Under a fixed clock one state always gives the same bytes: saving
+    it twice, or saving its restored twin, writes identical payloads and
+    manifests, because packing follows the state tree's traversal order."""
+    system, stream = build_system({})
+    StreamRunner(system, stream, oracle_drift=True).run()
+    assert len(system.repository) >= 2
+
+    def clock():
+        return 1234.5
+
+    first = save_system(system, tmp_path / "first", clock=clock)
+    again = save_system(system, tmp_path / "again", clock=clock)
+    twin, _, _ = load_system(first)
+    resaved = save_system(twin, tmp_path / "resaved", clock=clock)
+    for name in (ARRAYS_NAME, OBJECTS_NAME, STATE_NAME, MANIFEST_NAME):
+        expected = (first / name).read_bytes()
+        assert (again / name).read_bytes() == expected, name
+        assert (resaved / name).read_bytes() == expected, name
+
+
 def test_write_state_rejects_unserializable_leaf(tmp_path):
-    with pytest.raises(SnapshotError, match="serializ"):
-        write_state(tmp_path / "bad", {"leaf": object()})
-    # A failed write never leaves a half-written artifact behind.
-    assert not (tmp_path / "bad").exists()
-    assert not (tmp_path / "bad.tmp").exists()
+    # Object and structured (void) arrays cannot share a member keyed
+    # by ``dtype.str``; each bad leaf follows an array already packed.
+    structured = np.zeros(2, dtype=[("a", "<f8"), ("b", "<i4")])
+    for leaf in (object(), np.array([None, 1], dtype=object), structured):
+        with pytest.raises(SnapshotError, match="serializ"):
+            write_state(tmp_path / "bad", {"ok": np.arange(3.0), "leaf": leaf})
+        # A failed write never leaves a half-written artifact behind.
+        assert not (tmp_path / "bad").exists()
+        assert not (tmp_path / "bad.tmp").exists()
 
 
 def test_write_read_state_roundtrip_exact(tmp_path):
@@ -299,6 +368,53 @@ def test_write_read_state_roundtrip_exact(tmp_path):
     assert loaded["nested"]["none"] is None
     assert loaded["nested"]["list"] == [1, 2.5, "s"]
     assert loaded["nested"]["scalar"] == 0.1
+
+
+#: float64 bit patterns: a signalling and a quiet NaN with payloads, -0.0.
+_F8_SPECIALS = [0x7FF0_0000_DEAD_BEEF, 0xFFF8_0000_0000_0001, 1 << 63]
+
+
+@st.composite
+def _codec_arrays(draw):
+    """Arrays of every dtype and layout the codec must restore exactly."""
+    dtype = np.dtype(draw(st.sampled_from(["?", "<i4", "<i8", "|u1", "<f8"])))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    if dtype.kind == "f":
+        bits = st.one_of(st.sampled_from(_F8_SPECIALS), st.integers(0, 2**64 - 1))
+        array = draw(hnp.arrays(np.uint64, shape, elements=bits)).view(np.float64)
+    else:
+        array = draw(hnp.arrays(dtype, shape))
+    layout = draw(st.sampled_from(["C", "F", "reversed"]))
+    if layout == "F":
+        return np.asfortranarray(array)
+    if layout == "reversed":
+        return array[(slice(None, None, -1),) * array.ndim + (Ellipsis,)]
+    return array
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays=st.lists(_codec_arrays(), min_size=1, max_size=6))
+def test_write_read_state_roundtrip_any_layout(arrays):
+    """Every restored array has the original bytes, dtype and shape, the
+    memory order ``np.load`` would give it, and its own buffer — also
+    when several arrays share one dtype member."""
+    state = {"arrays": arrays, "shared": arrays[0]}
+    with tempfile.TemporaryDirectory() as tmp:
+        write_state(Path(tmp) / "s", state)
+        loaded, _ = read_state(Path(tmp) / "s")
+    pairs = list(zip(arrays, loaded["arrays"]))
+    pairs.append((arrays[0], loaded["shared"]))
+    for original, restored in pairs:
+        buffer = io.BytesIO()
+        np.save(buffer, original)
+        buffer.seek(0)
+        reference = np.load(buffer)
+        assert restored.dtype.str == original.dtype.str
+        assert restored.shape == original.shape
+        assert restored.tobytes() == original.tobytes()
+        assert restored.flags.c_contiguous == reference.flags.c_contiguous
+        assert restored.flags.f_contiguous == reference.flags.f_contiguous
+        assert restored.flags.owndata
 
 
 # ---------------------------------------------------------------------
