@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.classifiers import HoeffdingTree
 from repro.detectors import Eddm
@@ -111,6 +110,10 @@ class Rcd(AdaptiveSystem):
 
         Returns (indistinguishable?, min corrected p-value).
         """
+        # Imported here: loading scipy.stats would cost every process
+        # that imports the evaluation runner, which builds RCD.
+        from scipy import stats as scipy_stats
+
         threshold = self.significance / self.n_features
         min_p = 1.0
         for j in range(self.n_features):

@@ -10,8 +10,9 @@ framework should be flat in ``R``.
 The :class:`ClassifierBank` removes that fan-out.  Each tree is
 flattened once into a :class:`TreePlan` — contiguous per-node arrays
 (split feature / threshold / child indices) plus contiguous per-leaf
-naive-Bayes sufficient statistics (class counts, Welford means / M2,
-leaf-predictor accuracies) — and invalidated by version counters
+naive-Bayes terms (class counts, means, the variances, their logs and
+the log priors each leaf keeps, total weights, the leaf-predictor
+choice) — and invalidated by version counters
 (``n_splits`` for structure, ``n_learns`` for statistics), mirroring
 the repository's :class:`~repro.core.repository.FingerprintMatrix`
 dirty tracking.  :meth:`ClassifierBank.predict_batch_many` then
@@ -29,10 +30,10 @@ returning an ``(R, W)`` prediction block.
 
 Equivalence is the hard constraint, not a best effort: every float
 comparison and reduction replays the per-tree path's operations
-elementwise (descent comparisons, ``m2 / counts`` variances, log-pdf
-sums over the contiguous feature axis, the exp-normalise-argmax tail of
-:meth:`_LeafNode.predict_proba_batch`), so the block is **bit-for-bit**
-``np.stack([tree.predict_batch(X) for tree in trees])``.
+elementwise (descent comparisons, the log-pdf over the leaves' own
+terms, sums over the contiguous feature axis, the exp-normalise-argmax
+tail of :meth:`_LeafNode.predict_proba_batch`), so the block is
+**bit-for-bit** ``np.stack([tree.predict_batch(X) for tree in trees])``.
 """
 
 from __future__ import annotations
@@ -42,12 +43,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.classifiers.base import Classifier
-from repro.classifiers.hoeffding_tree import (
-    _MIN_VAR,
-    HoeffdingTree,
-    _LeafNode,
-    _SplitNode,
-)
+from repro.classifiers.hoeffding_tree import HoeffdingTree, _LeafNode, _SplitNode
 
 
 class TreePlan:
@@ -57,7 +53,7 @@ class TreePlan:
     ``feature == -1`` marks a leaf and ``leaf_local`` maps it into the
     plan's leaf-statistics arrays.  :meth:`sync` re-flattens when the
     tree grew a branch (``n_splits`` moved) and re-pulls the leaf
-    sufficient statistics when the tree learned (``n_learns`` moved) —
+    naive-Bayes terms when the tree learned (``n_learns`` moved) —
     inactive concepts' plans therefore stay valid across selection
     events for free.
     """
@@ -74,7 +70,9 @@ class TreePlan:
         "_leaves",
         "class_counts",
         "means",
-        "m2",
+        "nb_variances",
+        "nb_log_variances",
+        "nb_log_prior",
         "total_weight",
         "use_nb",
         "_structure_version",
@@ -136,29 +134,32 @@ class TreePlan:
         self._leaves = leaves
 
     def _pull_stats(self) -> None:
-        """Copy every leaf's NB sufficient statistics into one block."""
+        """Copy every leaf's naive-Bayes terms into one block."""
         tree = self.tree
         n_classes = tree.n_classes
         n_features = tree.n_features
         n = self.n_leaves
         self.class_counts = np.empty((n, n_classes))
         self.means = np.empty((n, n_classes, n_features))
-        self.m2 = np.empty((n, n_classes, n_features))
+        self.nb_variances = np.empty((n, n_classes, n_features))
+        self.nb_log_variances = np.empty((n, n_classes, n_features))
+        self.nb_log_prior = np.empty((n, n_classes))
+        self.total_weight = np.empty(n)
         use_nb = np.empty(n, dtype=bool)
         mode = tree.leaf_prediction
         for i, leaf in enumerate(self._leaves):
             self.class_counts[i] = leaf.class_counts
             self.means[i] = leaf.means
-            self.m2[i] = leaf.m2
+            self.nb_variances[i] = leaf.nb_variances
+            self.nb_log_variances[i] = leaf.nb_log_variances
+            self.nb_log_prior[i] = leaf.nb_log_prior
+            self.total_weight[i] = leaf.total_weight
             # The per-leaf predictor choice, hoisted exactly as
             # _LeafNode.predict_proba_batch hoists it out of the rows.
             use_nb[i] = mode == "nb" or (
                 mode == "nba" and leaf.nb_correct >= leaf.mc_correct
             )
         self.use_nb = use_nb
-        # Same contiguous-axis summation as _LeafNode.total_weight's
-        # ``class_counts.sum()`` (only ever compared against zero).
-        self.total_weight = self.class_counts.sum(axis=1)
 
 
 class _StackedForest:
@@ -177,7 +178,9 @@ class _StackedForest:
         "leaf_global",
         "class_counts",
         "means",
-        "m2",
+        "nb_variances",
+        "nb_log_variances",
+        "nb_log_prior",
         "total_weight",
         "use_nb",
     )
@@ -200,7 +203,11 @@ class _StackedForest:
         self.leaf_global += np.repeat(leaf_off, n_nodes)
         self.class_counts = np.concatenate([p.class_counts for p in plans])
         self.means = np.concatenate([p.means for p in plans])
-        self.m2 = np.concatenate([p.m2 for p in plans])
+        self.nb_variances = np.concatenate([p.nb_variances for p in plans])
+        self.nb_log_variances = np.concatenate(
+            [p.nb_log_variances for p in plans]
+        )
+        self.nb_log_prior = np.concatenate([p.nb_log_prior for p in plans])
         self.total_weight = np.concatenate([p.total_weight for p in plans])
         self.use_nb = np.concatenate([p.use_nb for p in plans])
 
@@ -322,10 +329,11 @@ class ClassifierBank:
         Three leaf categories, dispatched by mask exactly as
         :meth:`_LeafNode.predict_proba_batch` branches per leaf:
         unseen leaves predict uniformly (argmax 0), majority leaves
-        share one per-leaf argmax, naive-Bayes leaves run one gathered
-        kernel whose elementwise operations and contiguous-axis
-        reductions replay :meth:`_LeafNode._nb_log_scores_batch` and
-        the exp-normalise tail lane for lane.
+        share one per-leaf argmax, naive-Bayes leaves run one kernel
+        over the gathered leaf terms whose elementwise operations and
+        contiguous-axis reductions replay
+        :meth:`_LeafNode._nb_log_scores_batch` and the exp-normalise
+        tail lane for lane.
         """
         out = np.empty(leaf_global.shape, dtype=np.int64)
         pair_weight = forest.total_weight[leaf_global]
@@ -340,7 +348,8 @@ class ClassifierBank:
         if majority.any():
             # probs = class_counts / class_counts.sum(); the per-leaf
             # argmax is shared by every row routed to that leaf.  The
-            # stacked total_weight IS that sum (same per-lane reduce).
+            # stacked total_weight holds each leaf's total_weight, which
+            # is that sum.
             counts = forest.class_counts
             totals = forest.total_weight
             bad = (totals <= 0) | ~np.isfinite(totals)
@@ -353,15 +362,11 @@ class ClassifierBank:
             rows = np.broadcast_to(
                 np.arange(X.shape[0])[None, :], leaf_global.shape
             )[nb]
-            cc = forest.class_counts[g]
-            cnt = np.maximum(cc, 1.0)[:, :, None]
-            variances = np.maximum(forest.m2[g] / cnt, _MIN_VAR)
             diff = X[rows][:, None, :] - forest.means[g]
-            log_pdf = -0.5 * (np.log(variances) + diff * diff / variances)
-            log_prior = np.where(
-                cc > 0, np.log(np.maximum(cc, 1e-12)), -1e9
+            log_pdf = -0.5 * (
+                forest.nb_log_variances[g] + diff * diff / forest.nb_variances[g]
             )
-            scores = log_prior + log_pdf.sum(axis=2)
+            scores = forest.nb_log_prior[g] + log_pdf.sum(axis=2)
             scores = scores - scores.max(axis=1, keepdims=True)
             probs = np.exp(scores)
             totals = probs.sum(axis=1)

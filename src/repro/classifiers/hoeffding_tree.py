@@ -12,6 +12,13 @@ Re-implementation of the Very Fast Decision Tree of Domingos & Hulten
 * adaptive naive-Bayes leaves (predict with whichever of
   majority-class / naive-Bayes has been more accurate at that leaf).
 
+Each leaf keeps the naive-Bayes terms its scores read (variances, their
+logs, log priors, total weight) current as it learns, instead of
+recomputing them for every scored row, and the split search scores
+every feature × threshold in one vectorised pass.  Both are bit-equal
+to recomputing per row and walking thresholds one by one; the plain
+tree lives in ``tests/reference.py`` as the reference for that.
+
 Two extensions serve the rest of the reproduction:
 
 * :attr:`n_splits` is a monotone structural-change counter — FiCSUM's
@@ -24,29 +31,42 @@ Two extensions serve the rest of the reproduction:
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy.special import erf as _erf
 
 from repro.classifiers.base import Classifier
 
 _MIN_VAR = 1e-9
 _SQRT2 = math.sqrt(2.0)
 
+#: What a leaf learns and pickles.  Its naive-Bayes terms are derived
+#: from these and rebuilt when a leaf is unpickled.
+_LEAF_STATISTICS = (
+    "class_counts",
+    "means",
+    "m2",
+    "mins",
+    "maxs",
+    "weight_at_last_attempt",
+    "depth",
+    "feature_subset",
+    "mc_correct",
+    "nb_correct",
+)
+
 
 def _gaussian_cdf(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """Vectorised normal CDF via erf (no scipy dependency in the hot path)."""
+    """Vectorised normal CDF via ``scipy.special.erf``.
+
+    ``math.erf`` is no substitute: it differs from scipy's erf in the
+    last bits on some inputs, which would move split thresholds' masses
+    and the priors a split seeds.
+    """
     std = np.maximum(std, 1e-9)
     z = (x - mean) / (std * _SQRT2)
-    # math.erf is scalar; use the numpy polynomial-free route via np.vectorize
-    # would be slow — use the identity with np.erf when available.
     return 0.5 * (1.0 + _erf(z))
-
-
-try:  # numpy>=2 exposes erf under special in scipy only; prefer scipy here.
-    from scipy.special import erf as _erf  # type: ignore
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _erf = np.vectorize(math.erf)
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -58,20 +78,51 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(probs * np.log2(probs)).sum())
 
 
+def _entropies(counts: np.ndarray) -> np.ndarray:
+    """:func:`_entropy` of every class vector along the last axis.
+
+    Bit-equal to :func:`_entropy` per vector.  The rows are made
+    contiguous, so each total is numpy's pairwise sum over the classes,
+    as ``counts.sum()`` of one vector is.  ``p log2 p`` is summed over
+    only the positive classes, in class order, and numpy groups a
+    pairwise sum by its length: so each row's positive terms are moved
+    to its front, and rows with equally many are summed together.
+    """
+    counts = np.ascontiguousarray(counts)
+    total = counts.sum(axis=-1)
+    positive = counts > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = counts / total[..., None]
+        terms = probs * np.log2(probs)
+    front = np.argsort(~positive, axis=-1, kind="stable")
+    terms = np.take_along_axis(terms, front, axis=-1)
+    n_positive = positive.sum(axis=-1)
+    sums = np.zeros(total.shape)
+    for k in np.unique(n_positive):
+        rows = n_positive == k
+        sums[rows] = terms[rows][:, :k].sum(axis=-1)
+    return np.where(total <= 0, 0.0, -sums)
+
+
 class _LeafNode:
-    """A learning leaf with per-class Gaussian attribute estimators."""
+    """A learning leaf with per-class Gaussian attribute estimators.
+
+    Beside its statistics a leaf keeps the naive-Bayes terms that every
+    score reads: the per-class variances ``nb_variances`` and their logs
+    ``nb_log_variances``, the log priors ``nb_log_prior`` and the
+    ``total_weight``.  Each term is one elementwise expression of the
+    statistics (:meth:`_refresh_nb_terms`), so :meth:`learn` recomputes
+    only the learned class's row and prior, and the terms stay equal to
+    a full recompute.  They are derived state: a pickled leaf carries
+    its statistics only and rebuilds the terms when it is unpickled.
+    """
 
     __slots__ = (
-        "class_counts",
-        "means",
-        "m2",
-        "mins",
-        "maxs",
-        "weight_at_last_attempt",
-        "depth",
-        "feature_subset",
-        "mc_correct",
-        "nb_correct",
+        *_LEAF_STATISTICS,
+        "nb_variances",
+        "nb_log_variances",
+        "nb_log_prior",
+        "total_weight",
     )
 
     def __init__(
@@ -80,8 +131,13 @@ class _LeafNode:
         n_features: int,
         depth: int,
         feature_subset: Optional[np.ndarray],
+        class_counts: Optional[np.ndarray] = None,
     ) -> None:
-        self.class_counts = np.zeros(n_classes, dtype=np.float64)
+        self.class_counts = (
+            np.zeros(n_classes, dtype=np.float64)
+            if class_counts is None
+            else class_counts
+        )
         self.means = np.zeros((n_classes, n_features), dtype=np.float64)
         self.m2 = np.zeros((n_classes, n_features), dtype=np.float64)
         self.mins = np.full(n_features, np.inf)
@@ -91,6 +147,26 @@ class _LeafNode:
         self.feature_subset = feature_subset
         self.mc_correct = 0.0
         self.nb_correct = 0.0
+        self._refresh_nb_terms()
+
+    def __getstate__(self) -> tuple:
+        return None, {name: getattr(self, name) for name in _LEAF_STATISTICS}
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._refresh_nb_terms()
+
+    def _refresh_nb_terms(self) -> None:
+        """Recompute every naive-Bayes term from the statistics."""
+        class_counts = self.class_counts
+        counts = np.maximum(class_counts, 1.0)[:, None]
+        self.nb_variances = np.maximum(self.m2 / counts, _MIN_VAR)
+        self.nb_log_variances = np.log(self.nb_variances)
+        self.nb_log_prior = np.where(
+            class_counts > 0, np.log(np.maximum(class_counts, 1e-12)), -1e9
+        )
+        self.total_weight = float(class_counts.sum())
 
     # -- learning ------------------------------------------------------
     def learn(
@@ -107,39 +183,41 @@ class _LeafNode:
         (the test step of test-then-train); they are computed here
         otherwise.
         """
+        class_counts = self.class_counts
         if use_nb_adaptive and self.total_weight > 0:
             # Evaluate both leaf predictors on the incoming example
             # *before* learning from it (test-then-train at leaf level).
-            if int(np.argmax(self.class_counts)) == y:
+            if class_counts.argmax() == y:
                 self.mc_correct += 1.0
             if nb_scores is None:
                 nb_scores = self._nb_log_scores(x)
-            if int(np.argmax(nb_scores)) == y:
+            if nb_scores.argmax() == y:
                 self.nb_correct += 1.0
-        self.class_counts[y] += 1.0
-        count = self.class_counts[y]
-        delta = x - self.means[y]
-        self.means[y] += delta / count
-        self.m2[y] += delta * (x - self.means[y])
+        class_counts[y] += 1.0
+        count = class_counts[y]
+        means = self.means[y]
+        delta = x - means
+        means += delta / count
+        m2 = self.m2[y]
+        m2 += delta * (x - means)
         np.minimum(self.mins, x, out=self.mins)
         np.maximum(self.maxs, x, out=self.maxs)
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.class_counts.sum())
+        # Row y of _refresh_nb_terms: only class y's statistics moved.
+        variances = self.nb_variances[y]
+        np.maximum(m2 / max(count, 1.0), _MIN_VAR, out=variances)
+        np.log(variances, out=self.nb_log_variances[y])
+        if count > 0:
+            prior = self.nb_log_prior[y : y + 1]
+            np.log(np.maximum(class_counts[y : y + 1], 1e-12), out=prior)
+        else:  # a NaN count, which np.where sends to the else branch
+            self.nb_log_prior[y] = -1e9
+        self.total_weight = float(class_counts.sum())
 
     # -- prediction ----------------------------------------------------
     def _nb_log_scores(self, x: np.ndarray) -> np.ndarray:
-        counts = np.maximum(self.class_counts, 1.0)[:, None]
-        variances = np.maximum(self.m2 / counts, _MIN_VAR)
-        diff = x[None, :] - self.means
-        log_pdf = -0.5 * (np.log(variances) + diff * diff / variances)
-        log_prior = np.where(
-            self.class_counts > 0,
-            np.log(np.maximum(self.class_counts, 1e-12)),
-            -1e9,
-        )
-        return log_prior + log_pdf.sum(axis=1)
+        diff = x - self.means
+        log_pdf = -0.5 * (self.nb_log_variances + diff * diff / self.nb_variances)
+        return self.nb_log_prior + log_pdf.sum(axis=1)
 
     def _nb_log_scores_batch(self, X: np.ndarray) -> np.ndarray:
         """``(n, n_classes)`` naive-Bayes scores, one row per input row.
@@ -148,18 +226,9 @@ class _LeafNode:
         exactly (same ops, same contiguous-axis summation order), so
         every row is bit-identical to the scalar path.
         """
-        counts = np.maximum(self.class_counts, 1.0)[:, None]
-        variances = np.maximum(self.m2 / counts, _MIN_VAR)
-        diff = X[:, None, :] - self.means[None, :, :]
-        log_pdf = -0.5 * (
-            np.log(variances)[None, :, :] + diff * diff / variances[None, :, :]
-        )
-        log_prior = np.where(
-            self.class_counts > 0,
-            np.log(np.maximum(self.class_counts, 1e-12)),
-            -1e9,
-        )
-        return log_prior[None, :] + log_pdf.sum(axis=2)
+        diff = X[:, None, :] - self.means
+        log_pdf = -0.5 * (self.nb_log_variances + diff * diff / self.nb_variances)
+        return self.nb_log_prior + log_pdf.sum(axis=2)
 
     def predict_proba(
         self, x: np.ndarray, mode: str, nb_scores: Optional[np.ndarray] = None
@@ -176,7 +245,7 @@ class _LeafNode:
         else:
             probs = self.class_counts.copy()
         total = probs.sum()
-        if total <= 0 or not np.isfinite(total):
+        if total <= 0 or not math.isfinite(total):
             return np.full(n_classes, 1.0 / n_classes)
         return probs / total
 
@@ -217,6 +286,15 @@ class _LeafNode:
 
         Returns a list of ``(gain, feature, threshold)`` sorted best
         first; includes the "no split" option as ``(0.0, -1, nan)``.
+        Each feature with a finite, non-empty range offers its first
+        threshold at its best gain when that gain is positive.  Every
+        feature × threshold is scored in one pass, with the arithmetic
+        of a per-threshold loop over :func:`_entropy`: the thresholds
+        are each feature's ``np.linspace(lo, hi, n_split_points + 2)``
+        interior, the side masses sum over the class axis as
+        ``(classes, thresholds).sum(axis=0)`` does, and thresholds
+        leaving under ``1e-9`` on a side, or with a NaN gain, are
+        skipped.
         """
         parent_entropy = _entropy(self.class_counts)
         total = self.total_weight
@@ -228,35 +306,44 @@ class _LeafNode:
             if self.feature_subset is not None
             else np.arange(self.means.shape[1])
         )
-        counts = np.maximum(self.class_counts, 1.0)[:, None]
-        stds = np.sqrt(np.maximum(self.m2 / counts, _MIN_VAR))
-        for f in features:
-            lo, hi = self.mins[f], self.maxs[f]
-            if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
-                continue
-            thresholds = np.linspace(lo, hi, n_split_points + 2)[1:-1]
-            # mass of each class falling at or below each threshold
-            cdf = _gaussian_cdf(
-                thresholds[None, :], self.means[:, f][:, None], stds[:, f][:, None]
+        lo, hi = self.mins[features], self.maxs[features]
+        keep = np.isfinite(lo) & np.isfinite(hi) & (hi > lo)
+        features, lo, hi = features[keep], lo[keep], hi[keep]
+        if features.size == 0 or n_split_points < 1:
+            return candidates
+        # np.linspace's interior points, one feature per row: i * step +
+        # lo, or (i / div) * delta + lo where the step underflows to 0.
+        div = n_split_points + 1
+        grid = np.arange(1, div, dtype=np.float64)
+        delta = (hi - lo)[:, None]
+        step = delta / div
+        thresholds = (
+            np.where(step == 0, grid / div * delta, grid * step) + lo[:, None]
+        )
+        # (features, classes, thresholds): the mass of each class at or
+        # below each threshold.
+        cdf = _gaussian_cdf(
+            thresholds[:, None, :],
+            self.means[:, features].T[:, :, None],
+            np.sqrt(self.nb_variances[:, features]).T[:, :, None],
+        )
+        left = self.class_counts[:, None] * cdf
+        right = self.class_counts[:, None] - left
+        left_totals = left.sum(axis=1)
+        right_totals = right.sum(axis=1)
+        child = (
+            left_totals / total * _entropies(left.transpose(0, 2, 1))
+            + right_totals / total * _entropies(right.transpose(0, 2, 1))
+        )
+        gains = parent_entropy - child
+        usable = (left_totals >= 1e-9) & (right_totals >= 1e-9) & ~np.isnan(gains)
+        gains = np.where(usable, gains, -np.inf)
+        best = gains.argmax(axis=1)  # the first threshold at the best gain
+        best_gains = gains[np.arange(len(best)), best]
+        for i in np.flatnonzero(best_gains > 0):
+            candidates.append(
+                (best_gains[i], int(features[i]), float(thresholds[i, best[i]]))
             )
-            left = self.class_counts[:, None] * cdf
-            right = self.class_counts[:, None] - left
-            left_totals = left.sum(axis=0)
-            right_totals = right.sum(axis=0)
-            best_gain, best_thr = -1.0, None
-            for j, thr in enumerate(thresholds):
-                lt, rt = left_totals[j], right_totals[j]
-                if lt < 1e-9 or rt < 1e-9:
-                    continue
-                child = (
-                    lt / total * _entropy(left[:, j])
-                    + rt / total * _entropy(right[:, j])
-                )
-                gain = parent_entropy - child
-                if gain > best_gain:
-                    best_gain, best_thr = gain, thr
-            if best_thr is not None and best_gain > 0:
-                candidates.append((best_gain, int(f), float(best_thr)))
         candidates.sort(key=lambda c: c[0], reverse=True)
         return candidates
 
@@ -271,9 +358,6 @@ class _SplitNode:
         self.threshold = threshold
         self.left: object = None
         self.right: object = None
-
-    def route(self, x: np.ndarray) -> object:
-        return self.left if x[self.feature] <= self.threshold else self.right
 
 
 class HoeffdingTree(Classifier):
@@ -338,19 +422,33 @@ class HoeffdingTree(Classifier):
         self._root: object = self._new_leaf(depth=0)
 
     # ------------------------------------------------------------------
-    def _new_leaf(self, depth: int) -> _LeafNode:
+    def _new_leaf(
+        self, depth: int, class_counts: Optional[np.ndarray] = None
+    ) -> _LeafNode:
         subset = None
         if self.max_features is not None and self.max_features < self.n_features:
             subset = self._rng.choice(
                 self.n_features, size=self.max_features, replace=False
             )
-        return _LeafNode(self.n_classes, self.n_features, depth, subset)
+        return _LeafNode(
+            self.n_classes, self.n_features, depth, subset, class_counts
+        )
 
-    def _sort_to_leaf(self, x: np.ndarray) -> _LeafNode:
+    def _descend(
+        self, x: np.ndarray
+    ) -> Tuple[_LeafNode, Optional[_SplitNode], bool]:
+        """The leaf ``x`` reaches, the split above it and the side taken."""
+        parent: Optional[_SplitNode] = None
+        went_left = False
         node = self._root
         while isinstance(node, _SplitNode):
-            node = node.route(x)
-        return node
+            parent = node
+            went_left = x[node.feature] <= node.threshold
+            node = node.left if went_left else node.right
+        return node, parent, went_left
+
+    def _sort_to_leaf(self, x: np.ndarray) -> _LeafNode:
+        return self._descend(x)[0]
 
     def _hoeffding_bound(self, n: float) -> float:
         value_range = math.log2(max(self.n_classes, 2))
@@ -363,36 +461,36 @@ class HoeffdingTree(Classifier):
         x = np.asarray(x, dtype=np.float64)
         if not 0 <= y < self.n_classes:
             raise ValueError(f"label {y} out of range [0, {self.n_classes})")
-        parent: Optional[_SplitNode] = None
-        went_left = False
-        node = self._root
-        while isinstance(node, _SplitNode):
-            parent = node
-            went_left = x[node.feature] <= node.threshold
-            node = node.left if went_left else node.right
-        leaf: _LeafNode = node
+        leaf, parent, went_left = self._descend(x)
         self.n_learns += 1
         leaf.learn(x, y, use_nb_adaptive=self.leaf_prediction == "nba")
-        if (
+        if self._split_due(leaf):
+            self._attempt_split(leaf, parent, went_left)
+
+    def _split_due(self, leaf: _LeafNode) -> bool:
+        """Has ``leaf`` gathered a grace period since its last attempt?"""
+        return (
             leaf.depth < self.max_depth
             and self.n_leaves < self.max_leaves
             and leaf.total_weight - leaf.weight_at_last_attempt >= self.grace_period
-        ):
-            self._attempt_split(leaf, parent, went_left)
+        )
 
     def _attempt_split(
         self, leaf: _LeafNode, parent: Optional[_SplitNode], went_left: bool
-    ) -> None:
+    ) -> bool:
+        """Split ``leaf`` when the Hoeffding bound allows; True if it did."""
         leaf.weight_at_last_attempt = leaf.total_weight
         if np.count_nonzero(leaf.class_counts) < 2:
-            return  # pure leaf: nothing to gain
+            return False  # pure leaf: nothing to gain
         ranked = leaf.best_splits(self.n_split_points)
         if len(ranked) < 2 or ranked[0][1] == -1:
-            return
+            return False
         best, second = ranked[0], ranked[1]
         bound = self._hoeffding_bound(leaf.total_weight)
         if best[0] - second[0] > bound or bound < self.tie_threshold:
             self._split_leaf(leaf, parent, went_left, best)
+            return True
+        return False
 
     def _split_leaf(
         self,
@@ -403,18 +501,16 @@ class HoeffdingTree(Classifier):
     ) -> None:
         gain, feature, threshold = best
         split = _SplitNode(feature, threshold)
-        split.left = self._new_leaf(leaf.depth + 1)
-        split.right = self._new_leaf(leaf.depth + 1)
         # Seed the children's class priors with the parent's split masses
         # so predictions don't collapse to uniform right after a split.
-        counts = np.maximum(leaf.class_counts, 1.0)[:, None]
-        stds = np.sqrt(np.maximum(leaf.m2 / counts, _MIN_VAR))
         cdf = _gaussian_cdf(
             np.array([[threshold]]), leaf.means[:, feature][:, None],
-            stds[:, feature][:, None],
+            np.sqrt(leaf.nb_variances[:, feature])[:, None],
         )[:, 0]
-        split.left.class_counts = leaf.class_counts * cdf
-        split.right.class_counts = leaf.class_counts * (1.0 - cdf)
+        split.left = self._new_leaf(leaf.depth + 1, leaf.class_counts * cdf)
+        split.right = self._new_leaf(
+            leaf.depth + 1, leaf.class_counts * (1.0 - cdf)
+        )
         if parent is None:
             self._root = split
         elif went_left:
@@ -506,27 +602,19 @@ class HoeffdingTree(Classifier):
         if min(labels) < 0 or max(labels) >= self.n_classes:
             bad = next(v for v in labels if not 0 <= v < self.n_classes)
             raise ValueError(f"label {bad} out of range [0, {self.n_classes})")
-        use_nba = self.leaf_prediction == "nba"
-        mode = self.leaf_prediction
-        # Every leaf predictor but majority class reads the leaf's
-        # naive-Bayes scores of a row, and the adaptive bookkeeping in
-        # learn() reads them again: score once, before learning.
-        scored = mode != "mc"
-        grace = self.grace_period
         # Every row below reaches some leaf's learn(); count them up
         # front (the leaf-grouped loop bypasses self.learn).
         self.n_learns += n
+        if n == 1:
+            # A lone row (every row of Ficsum.process) descends by plain
+            # comparisons and needs no index arrays.
+            x = X[0]
+            out[0], _ = self._test_then_train(*self._descend(x), x, labels[0])
+            return out
         stack: List[tuple] = [(self._root, None, False, np.arange(n))]
         while stack:
             node, parent, went_left, idx = stack.pop()
             while isinstance(node, _SplitNode):
-                if idx.size == 1:
-                    # A lone row (every row of Ficsum.process) descends
-                    # by plain comparisons, without mask arrays.
-                    parent = node
-                    went_left = X[idx[0], node.feature] <= node.threshold
-                    node = node.left if went_left else node.right
-                    continue
                 mask = X[idx, node.feature] <= node.threshold
                 right_idx = idx[~mask]
                 if right_idx.size:
@@ -535,37 +623,49 @@ class HoeffdingTree(Classifier):
                 node, idx = node.left, idx[mask]
             if idx.size == 0:
                 continue
-            leaf: _LeafNode = node
-            may_split = leaf.depth < self.max_depth
             rows = idx.tolist()
             for pos, i in enumerate(rows, 1):
-                x = X[i]
-                scores = (
-                    leaf._nb_log_scores(x)
-                    if scored and leaf.total_weight > 0
-                    else None
+                out[i], split = self._test_then_train(
+                    node, parent, went_left, X[i], labels[i]
                 )
-                out[i] = leaf.predict_proba(x, mode, scores).argmax()
-                leaf.learn(x, labels[i], use_nba, scores)
-                if (
-                    may_split
-                    and self.n_leaves < self.max_leaves
-                    and leaf.total_weight - leaf.weight_at_last_attempt >= grace
-                ):
-                    splits_before = self.n_splits
-                    self._attempt_split(leaf, parent, went_left)
-                    if self.n_splits != splits_before:
-                        # The leaf became a split node: re-route the
-                        # rest of this group through the new subtree.
-                        if pos < len(rows):
-                            grown = (
-                                self._root
-                                if parent is None
-                                else (parent.left if went_left else parent.right)
-                            )
-                            stack.append((grown, parent, went_left, idx[pos:]))
-                        break
+                if split:
+                    # The leaf became a split node: re-route the rest of
+                    # this group through the new subtree.
+                    if pos < len(rows):
+                        grown = (
+                            self._root
+                            if parent is None
+                            else (parent.left if went_left else parent.right)
+                        )
+                        stack.append((grown, parent, went_left, idx[pos:]))
+                    break
         return out
+
+    def _test_then_train(
+        self,
+        leaf: _LeafNode,
+        parent: Optional[_SplitNode],
+        went_left: bool,
+        x: np.ndarray,
+        y: int,
+    ) -> Tuple[int, bool]:
+        """Predict ``x`` at ``leaf``, learn it, then split if due.
+
+        Returns the prediction and whether ``leaf`` split.
+        """
+        mode = self.leaf_prediction
+        # Every leaf predictor but majority class reads the leaf's
+        # naive-Bayes scores of a row, and the adaptive bookkeeping in
+        # learn() reads them again: score once, before learning.
+        scores = (
+            leaf._nb_log_scores(x)
+            if mode != "mc" and leaf.total_weight > 0
+            else None
+        )
+        prediction = leaf.predict_proba(x, mode, scores).argmax()
+        leaf.learn(x, y, mode == "nba", scores)
+        split = self._split_due(leaf) and self._attempt_split(leaf, parent, went_left)
+        return prediction, split
 
     def change_marker(self) -> int:
         """Structural-change counter: advances when a branch is grown."""

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 #: Studentised-range q_alpha / sqrt(2) values for the Nemenyi test at
 #: alpha = 0.05, indexed by the number of compared systems k (2..10).
@@ -36,6 +35,10 @@ def average_ranks(scores: np.ndarray, higher_is_better: bool = True) -> np.ndarr
 
     Rank 1 is best.  Ties receive the average of the tied ranks.
     """
+    # scipy.stats is imported where it is used, so the streaming modules
+    # that import repro.evaluation do not pay for loading it.
+    from scipy import stats as scipy_stats
+
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError(f"scores must be 2-D (datasets x systems), got {scores.shape}")
@@ -57,6 +60,8 @@ class FriedmanResult:
 
 def friedman_test(scores: np.ndarray, higher_is_better: bool = True) -> FriedmanResult:
     """Friedman chi-square test over a datasets x systems score matrix."""
+    from scipy import stats as scipy_stats
+
     scores = np.asarray(scores, dtype=np.float64)
     n_datasets, k = scores.shape
     if k < 3:

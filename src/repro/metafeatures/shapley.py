@@ -55,25 +55,25 @@ def window_permutation_importance(
         else rng.choice(w, size=max_eval, replace=False)
     )
     base_x = window_x[eval_idx]
-    base_pred = classifier.predict_batch(base_x)
     n_eval = len(eval_idx)
     importances = np.zeros(d)
     # One within-window shuffle per feature, drawn in feature order.
     # Features whose shuffle matches the evaluated rows (np.allclose)
-    # cannot change a prediction and are skipped; the rest ride one
-    # stacked predict_batch call — per-row predictions are independent,
-    # so the results are identical to d separate calls while the
-    # classifier routes the whole probe set once.
+    # cannot change a prediction and are skipped; the evaluated rows and
+    # every remaining feature's perturbed copy ride one predict_batch
+    # call.  Per-row predictions are independent, so each equals the
+    # one a separate call would give, and with nothing to perturb the
+    # classifier is not called at all.
     shuffled = np.empty((d, n_eval))
     for j in range(d):
         shuffled[j] = window_x[rng.permutation(w)[:n_eval], j]
     features = np.flatnonzero(~np.isclose(shuffled, base_x.T).all(axis=1))
     k = features.size
     if k:
-        perturbed = np.repeat(base_x[None], k, axis=0)
-        perturbed[np.arange(k), :, features] = shuffled[features]
-        changed = classifier.predict_batch(perturbed.reshape(-1, d)) != np.tile(
-            base_pred, k
+        probes = np.repeat(base_x[None], k + 1, axis=0)
+        probes[np.arange(1, k + 1), :, features] = shuffled[features]
+        preds = classifier.predict_batch(probes.reshape(-1, d)).reshape(
+            k + 1, n_eval
         )
-        importances[features] = changed.reshape(k, n_eval).mean(axis=1)
+        importances[features] = (preds[1:] != preds[0]).mean(axis=1)
     return importances

@@ -28,13 +28,17 @@ for the active window, ``extract`` per candidate) with an eager
 accumulators at once, where the engine queues rows and folds them per
 read), :class:`Repository` / :class:`ConceptState` storage and
 eviction, :class:`OnlineMinMax` ``update`` / ``scale`` /
-``scale_std``, :func:`sim_fast`, :class:`Adwin` and
-:class:`HoeffdingTree`.  The big-R selection layer (``ann_prefilter``),
-family merging and label-outage mode are outside the paper's algorithm
-and are not restated.
+``scale_std``, :func:`sim_fast` and :class:`Adwin`.  The big-R
+selection layer (``ann_prefilter``), family merging and label-outage
+mode are outside the paper's algorithm and are not restated.
 
-The module also restates one kernel plainly:
-:func:`reference_permutation_importance` is the per-feature loop that
+The module also restates two kernels plainly.
+:class:`ReferenceHoeffdingTree` is the engine's VFDT with Gaussian
+estimators and adaptive naive-Bayes leaves as it was before its leaves
+kept their naive-Bayes terms: every score recomputes a leaf's variances,
+their logs and the log priors, and the split search walks every
+threshold with a scalar entropy.  :func:`reference_permutation_importance`
+is the per-feature loop that
 :func:`~repro.metafeatures.shapley.window_permutation_importance`
 vectorises.  And it drives the reference with its own prequential loop,
 :func:`reference_prequential_run`, so the engine's loop
@@ -43,13 +47,15 @@ vectorises.  And it drives the reference with its own prequential loop,
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy.special import erf as _erf
 
-from repro.classifiers import HoeffdingTree
+from repro.classifiers.base import Classifier
 from repro.core.config import FicsumConfig
 from repro.core.repository import ConceptState, Repository
 from repro.core.similarity import sim_fast
@@ -60,6 +66,559 @@ from repro.metafeatures import FingerprintPipeline
 from repro.streams.base import Stream
 from repro.system import AdaptiveSystem
 from repro.utils.stats import OnlineMinMax
+
+
+# ----------------------------------------------------------------------
+# The Hoeffding tree, plainly: every score recomputes its leaf's terms
+# ----------------------------------------------------------------------
+_MIN_VAR = 1e-9
+_SQRT2 = math.sqrt(2.0)
+
+
+def _gaussian_cdf(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """Vectorised normal CDF via ``scipy.special.erf``."""
+    std = np.maximum(std, 1e-9)
+    z = (x - mean) / (std * _SQRT2)
+    return 0.5 * (1.0 + _erf(z))
+
+
+def _entropy(counts: np.ndarray) -> float:
+    """Shannon entropy (bits) of a vector of non-negative class counts."""
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    probs = counts[counts > 0] / total
+    return float(-(probs * np.log2(probs)).sum())
+
+
+class _LeafNode:
+    """A learning leaf with per-class Gaussian attribute estimators."""
+
+    __slots__ = (
+        "class_counts",
+        "means",
+        "m2",
+        "mins",
+        "maxs",
+        "weight_at_last_attempt",
+        "depth",
+        "feature_subset",
+        "mc_correct",
+        "nb_correct",
+    )
+
+    def __init__(
+        self,
+        n_classes: int,
+        n_features: int,
+        depth: int,
+        feature_subset: Optional[np.ndarray],
+    ) -> None:
+        self.class_counts = np.zeros(n_classes, dtype=np.float64)
+        self.means = np.zeros((n_classes, n_features), dtype=np.float64)
+        self.m2 = np.zeros((n_classes, n_features), dtype=np.float64)
+        self.mins = np.full(n_features, np.inf)
+        self.maxs = np.full(n_features, -np.inf)
+        self.weight_at_last_attempt = 0.0
+        self.depth = depth
+        self.feature_subset = feature_subset
+        self.mc_correct = 0.0
+        self.nb_correct = 0.0
+
+    # -- learning ------------------------------------------------------
+    def learn(
+        self,
+        x: np.ndarray,
+        y: int,
+        use_nb_adaptive: bool,
+        nb_scores: Optional[np.ndarray] = None,
+    ) -> None:
+        """Absorb one observation.
+
+        ``nb_scores`` are this leaf's :meth:`_nb_log_scores` of ``x``
+        when the caller already computed them on the current statistics
+        (the test step of test-then-train); they are computed here
+        otherwise.
+        """
+        if use_nb_adaptive and self.total_weight > 0:
+            # Evaluate both leaf predictors on the incoming example
+            # *before* learning from it (test-then-train at leaf level).
+            if int(np.argmax(self.class_counts)) == y:
+                self.mc_correct += 1.0
+            if nb_scores is None:
+                nb_scores = self._nb_log_scores(x)
+            if int(np.argmax(nb_scores)) == y:
+                self.nb_correct += 1.0
+        self.class_counts[y] += 1.0
+        count = self.class_counts[y]
+        delta = x - self.means[y]
+        self.means[y] += delta / count
+        self.m2[y] += delta * (x - self.means[y])
+        np.minimum(self.mins, x, out=self.mins)
+        np.maximum(self.maxs, x, out=self.maxs)
+
+    @property
+    def total_weight(self) -> float:
+        return float(self.class_counts.sum())
+
+    # -- prediction ----------------------------------------------------
+    def _nb_log_scores(self, x: np.ndarray) -> np.ndarray:
+        counts = np.maximum(self.class_counts, 1.0)[:, None]
+        variances = np.maximum(self.m2 / counts, _MIN_VAR)
+        diff = x[None, :] - self.means
+        log_pdf = -0.5 * (np.log(variances) + diff * diff / variances)
+        log_prior = np.where(
+            self.class_counts > 0,
+            np.log(np.maximum(self.class_counts, 1e-12)),
+            -1e9,
+        )
+        return log_prior + log_pdf.sum(axis=1)
+
+    def _nb_log_scores_batch(self, X: np.ndarray) -> np.ndarray:
+        """``(n, n_classes)`` naive-Bayes scores, one row per input row.
+
+        Elementwise/reduction structure matches :meth:`_nb_log_scores`
+        exactly (same ops, same contiguous-axis summation order), so
+        every row is bit-identical to the scalar path.
+        """
+        counts = np.maximum(self.class_counts, 1.0)[:, None]
+        variances = np.maximum(self.m2 / counts, _MIN_VAR)
+        diff = X[:, None, :] - self.means[None, :, :]
+        log_pdf = -0.5 * (
+            np.log(variances)[None, :, :] + diff * diff / variances[None, :, :]
+        )
+        log_prior = np.where(
+            self.class_counts > 0,
+            np.log(np.maximum(self.class_counts, 1e-12)),
+            -1e9,
+        )
+        return log_prior[None, :] + log_pdf.sum(axis=2)
+
+    def predict_proba(
+        self, x: np.ndarray, mode: str, nb_scores: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Class probabilities of ``x`` (``nb_scores`` as in :meth:`learn`)."""
+        n_classes = len(self.class_counts)
+        if self.total_weight == 0:
+            return np.full(n_classes, 1.0 / n_classes)
+        use_nb = mode == "nb" or (mode == "nba" and self.nb_correct >= self.mc_correct)
+        if use_nb:
+            scores = self._nb_log_scores(x) if nb_scores is None else nb_scores
+            scores = scores - scores.max()
+            probs = np.exp(scores)
+        else:
+            probs = self.class_counts.copy()
+        total = probs.sum()
+        if total <= 0 or not np.isfinite(total):
+            return np.full(n_classes, 1.0 / n_classes)
+        return probs / total
+
+    def predict_proba_batch(self, X: np.ndarray, mode: str) -> np.ndarray:
+        """Vectorised :meth:`predict_proba` over the rows of ``X``.
+
+        Bit-identical per row to the scalar path: the leaf-predictor
+        choice (majority vs naive Bayes) is a property of the leaf, so
+        it is hoisted out of the row dimension, and the NB scores come
+        from :meth:`_nb_log_scores_batch`.
+        """
+        n = X.shape[0]
+        n_classes = len(self.class_counts)
+        if self.total_weight == 0:
+            return np.full((n, n_classes), 1.0 / n_classes)
+        use_nb = mode == "nb" or (mode == "nba" and self.nb_correct >= self.mc_correct)
+        if not use_nb:
+            probs = self.class_counts.copy()
+            total = probs.sum()
+            if total <= 0 or not np.isfinite(total):
+                probs = np.full(n_classes, 1.0 / n_classes)
+            else:
+                probs = probs / total
+            return np.broadcast_to(probs, (n, n_classes)).copy()
+        scores = self._nb_log_scores_batch(X)
+        scores = scores - scores.max(axis=1, keepdims=True)
+        probs = np.exp(scores)
+        totals = probs.sum(axis=1)
+        bad = (totals <= 0) | ~np.isfinite(totals)
+        if bad.any():
+            probs[bad] = 1.0 / n_classes
+            totals[bad] = 1.0
+        return probs / totals[:, None]
+
+    # -- split search ----------------------------------------------------
+    def best_splits(self, n_split_points: int) -> List[tuple]:
+        """Rank candidate binary splits by information gain.
+
+        Returns a list of ``(gain, feature, threshold)`` sorted best
+        first; includes the "no split" option as ``(0.0, -1, nan)``.
+        """
+        parent_entropy = _entropy(self.class_counts)
+        total = self.total_weight
+        candidates: List[tuple] = [(0.0, -1, math.nan)]
+        if total <= 0:
+            return candidates
+        features = (
+            self.feature_subset
+            if self.feature_subset is not None
+            else np.arange(self.means.shape[1])
+        )
+        counts = np.maximum(self.class_counts, 1.0)[:, None]
+        stds = np.sqrt(np.maximum(self.m2 / counts, _MIN_VAR))
+        for f in features:
+            lo, hi = self.mins[f], self.maxs[f]
+            if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
+                continue
+            thresholds = np.linspace(lo, hi, n_split_points + 2)[1:-1]
+            # mass of each class falling at or below each threshold
+            cdf = _gaussian_cdf(
+                thresholds[None, :], self.means[:, f][:, None], stds[:, f][:, None]
+            )
+            left = self.class_counts[:, None] * cdf
+            right = self.class_counts[:, None] - left
+            left_totals = left.sum(axis=0)
+            right_totals = right.sum(axis=0)
+            best_gain, best_thr = -1.0, None
+            for j, thr in enumerate(thresholds):
+                lt, rt = left_totals[j], right_totals[j]
+                if lt < 1e-9 or rt < 1e-9:
+                    continue
+                child = (
+                    lt / total * _entropy(left[:, j])
+                    + rt / total * _entropy(right[:, j])
+                )
+                gain = parent_entropy - child
+                if gain > best_gain:
+                    best_gain, best_thr = gain, thr
+            if best_thr is not None and best_gain > 0:
+                candidates.append((best_gain, int(f), float(best_thr)))
+        candidates.sort(key=lambda c: c[0], reverse=True)
+        return candidates
+
+
+class _SplitNode:
+    """Internal binary split on ``feature <= threshold``."""
+
+    __slots__ = ("feature", "threshold", "left", "right")
+
+    def __init__(self, feature: int, threshold: float) -> None:
+        self.feature = feature
+        self.threshold = threshold
+        self.left: object = None
+        self.right: object = None
+
+    def route(self, x: np.ndarray) -> object:
+        return self.left if x[self.feature] <= self.threshold else self.right
+
+
+class ReferenceHoeffdingTree(Classifier):
+    """Incremental VFDT classifier.
+
+    Parameters
+    ----------
+    n_classes, n_features:
+        Stream metadata.
+    grace_period:
+        Observations a leaf accumulates between split attempts.
+    split_confidence:
+        ``delta`` of the Hoeffding bound (probability of a wrong split).
+    tie_threshold:
+        Split anyway when the bound falls below this (tie breaking).
+    leaf_prediction:
+        ``"mc"`` majority class, ``"nb"`` naive Bayes, ``"nba"`` adaptive.
+    max_depth / max_leaves:
+        Resource bounds; leaves beyond them keep learning but stop
+        splitting.
+    max_features:
+        When set, each leaf evaluates splits on a random subset of this
+        many features (ARF's random-subspace mechanism).
+    """
+
+    def __init__(
+        self,
+        n_classes: int,
+        n_features: int,
+        grace_period: int = 50,
+        split_confidence: float = 1e-5,
+        tie_threshold: float = 0.05,
+        leaf_prediction: str = "nba",
+        n_split_points: int = 10,
+        max_depth: int = 20,
+        max_leaves: int = 512,
+        max_features: Optional[int] = None,
+        seed: Optional[int] = None,
+    ) -> None:
+        super().__init__(n_classes)
+        if leaf_prediction not in ("mc", "nb", "nba"):
+            raise ValueError(f"unknown leaf_prediction {leaf_prediction!r}")
+        self.n_features = n_features
+        self.grace_period = grace_period
+        self.split_confidence = split_confidence
+        self.tie_threshold = tie_threshold
+        self.leaf_prediction = leaf_prediction
+        self.n_split_points = n_split_points
+        self.max_depth = max_depth
+        self.max_leaves = max_leaves
+        self.max_features = max_features
+        self._rng = np.random.default_rng(seed)
+        self.n_splits = 0
+        #: Monotone learning counter: advances whenever any leaf absorbs
+        #: an observation.  Together with :attr:`n_splits` it is the
+        #: dirty marker the :class:`~repro.classifiers.bank.ClassifierBank`
+        #: uses to invalidate flattened routing tables / leaf statistics
+        #: (the exact count is irrelevant, only that it moves).
+        self.n_learns = 0
+        self.n_leaves = 1
+        self.feature_importances = np.zeros(n_features, dtype=np.float64)
+        self._root: object = self._new_leaf(depth=0)
+
+    # ------------------------------------------------------------------
+    def _new_leaf(self, depth: int) -> _LeafNode:
+        subset = None
+        if self.max_features is not None and self.max_features < self.n_features:
+            subset = self._rng.choice(
+                self.n_features, size=self.max_features, replace=False
+            )
+        return _LeafNode(self.n_classes, self.n_features, depth, subset)
+
+    def _sort_to_leaf(self, x: np.ndarray) -> _LeafNode:
+        node = self._root
+        while isinstance(node, _SplitNode):
+            node = node.route(x)
+        return node
+
+    def _hoeffding_bound(self, n: float) -> float:
+        value_range = math.log2(max(self.n_classes, 2))
+        return math.sqrt(
+            value_range * value_range * math.log(1.0 / self.split_confidence) / (2.0 * n)
+        )
+
+    # ------------------------------------------------------------------
+    def learn(self, x: np.ndarray, y: int) -> None:
+        x = np.asarray(x, dtype=np.float64)
+        if not 0 <= y < self.n_classes:
+            raise ValueError(f"label {y} out of range [0, {self.n_classes})")
+        parent: Optional[_SplitNode] = None
+        went_left = False
+        node = self._root
+        while isinstance(node, _SplitNode):
+            parent = node
+            went_left = x[node.feature] <= node.threshold
+            node = node.left if went_left else node.right
+        leaf: _LeafNode = node
+        self.n_learns += 1
+        leaf.learn(x, y, use_nb_adaptive=self.leaf_prediction == "nba")
+        if (
+            leaf.depth < self.max_depth
+            and self.n_leaves < self.max_leaves
+            and leaf.total_weight - leaf.weight_at_last_attempt >= self.grace_period
+        ):
+            self._attempt_split(leaf, parent, went_left)
+
+    def _attempt_split(
+        self, leaf: _LeafNode, parent: Optional[_SplitNode], went_left: bool
+    ) -> None:
+        leaf.weight_at_last_attempt = leaf.total_weight
+        if np.count_nonzero(leaf.class_counts) < 2:
+            return  # pure leaf: nothing to gain
+        ranked = leaf.best_splits(self.n_split_points)
+        if len(ranked) < 2 or ranked[0][1] == -1:
+            return
+        best, second = ranked[0], ranked[1]
+        bound = self._hoeffding_bound(leaf.total_weight)
+        if best[0] - second[0] > bound or bound < self.tie_threshold:
+            self._split_leaf(leaf, parent, went_left, best)
+
+    def _split_leaf(
+        self,
+        leaf: _LeafNode,
+        parent: Optional[_SplitNode],
+        went_left: bool,
+        best: tuple,
+    ) -> None:
+        gain, feature, threshold = best
+        split = _SplitNode(feature, threshold)
+        split.left = self._new_leaf(leaf.depth + 1)
+        split.right = self._new_leaf(leaf.depth + 1)
+        # Seed the children's class priors with the parent's split masses
+        # so predictions don't collapse to uniform right after a split.
+        counts = np.maximum(leaf.class_counts, 1.0)[:, None]
+        stds = np.sqrt(np.maximum(leaf.m2 / counts, _MIN_VAR))
+        cdf = _gaussian_cdf(
+            np.array([[threshold]]), leaf.means[:, feature][:, None],
+            stds[:, feature][:, None],
+        )[:, 0]
+        split.left.class_counts = leaf.class_counts * cdf
+        split.right.class_counts = leaf.class_counts * (1.0 - cdf)
+        if parent is None:
+            self._root = split
+        elif went_left:
+            parent.left = split
+        else:
+            parent.right = split
+        self.n_splits += 1
+        self.n_leaves += 1
+        self.feature_importances[feature] += gain * leaf.total_weight
+
+    # ------------------------------------------------------------------
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        leaf = self._sort_to_leaf(x)
+        return leaf.predict_proba(x, self.leaf_prediction)
+
+    # -- vectorised batch paths ------------------------------------------
+    def _leaf_groups(self, X: np.ndarray) -> List[tuple]:
+        """Partition row indices of ``X`` onto leaves with mask routing.
+
+        One boolean mask per split node on the visited path replaces
+        the per-row ``_sort_to_leaf`` walks; returns ``(leaf, indices)``
+        pairs covering every row (indices in ascending row order).
+        """
+        groups: List[tuple] = []
+        if X.shape[0] == 0:
+            return groups
+        stack: List[tuple] = [(self._root, np.arange(X.shape[0]))]
+        while stack:
+            node, idx = stack.pop()
+            if idx.size == 0:
+                continue
+            if isinstance(node, _SplitNode):
+                mask = X[idx, node.feature] <= node.threshold
+                stack.append((node.left, idx[mask]))
+                stack.append((node.right, idx[~mask]))
+            else:
+                groups.append((node, idx))
+        return groups
+
+    def predict_proba_batch(self, X: np.ndarray) -> np.ndarray:
+        """Class probabilities for every row, via mask-based routing.
+
+        Rows are partitioned down the split nodes with boolean masks
+        and each leaf scores its group with vectorised naive-Bayes /
+        majority arithmetic — bit-identical per row to
+        :meth:`predict_proba`.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        out = np.empty((X.shape[0], self.n_classes))
+        for leaf, idx in self._leaf_groups(X):
+            out[idx] = leaf.predict_proba_batch(X[idx], self.leaf_prediction)
+        return out
+
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        out = np.empty(X.shape[0], dtype=np.int64)
+        for leaf, idx in self._leaf_groups(X):
+            probs = leaf.predict_proba_batch(X[idx], self.leaf_prediction)
+            out[idx] = np.argmax(probs, axis=1)
+        return out
+
+    def predict_learn_batch(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Exact chunked test-then-train with shared routing.
+
+        Routes the whole chunk down the tree once with boolean masks,
+        then processes each leaf's rows in chronological order.  Leaf
+        statistics are independent across leaves and predictions depend
+        only on the owning leaf, so grouping by leaf preserves the
+        per-observation semantics exactly; when a leaf splits mid-chunk
+        its remaining rows are re-routed through the new subtree.  The
+        single caveat: when the ``max_leaves`` bound is *reached inside
+        one chunk*, the order in which competing leaves claim the final
+        split slots can differ from the per-observation order.
+
+        Trees with ``max_features`` random subspaces (ARF's mechanism)
+        fall back to the per-observation loop: every split draws a
+        feature subset from the tree's rng, so the leaf-grouped split
+        order would reorder those draws and break the equivalence.
+        """
+        if self.max_features is not None:
+            return super().predict_learn_batch(X, y)
+        X = np.asarray(X, dtype=np.float64)
+        labels = np.asarray(y, dtype=np.int64).tolist()
+        n = len(labels)
+        out = np.empty(n, dtype=np.int64)
+        if n == 0:
+            return out
+        if min(labels) < 0 or max(labels) >= self.n_classes:
+            bad = next(v for v in labels if not 0 <= v < self.n_classes)
+            raise ValueError(f"label {bad} out of range [0, {self.n_classes})")
+        use_nba = self.leaf_prediction == "nba"
+        mode = self.leaf_prediction
+        # Every leaf predictor but majority class reads the leaf's
+        # naive-Bayes scores of a row, and the adaptive bookkeeping in
+        # learn() reads them again: score once, before learning.
+        scored = mode != "mc"
+        grace = self.grace_period
+        # Every row below reaches some leaf's learn(); count them up
+        # front (the leaf-grouped loop bypasses self.learn).
+        self.n_learns += n
+        stack: List[tuple] = [(self._root, None, False, np.arange(n))]
+        while stack:
+            node, parent, went_left, idx = stack.pop()
+            while isinstance(node, _SplitNode):
+                if idx.size == 1:
+                    # A lone row (every row of Ficsum.process) descends
+                    # by plain comparisons, without mask arrays.
+                    parent = node
+                    went_left = X[idx[0], node.feature] <= node.threshold
+                    node = node.left if went_left else node.right
+                    continue
+                mask = X[idx, node.feature] <= node.threshold
+                right_idx = idx[~mask]
+                if right_idx.size:
+                    stack.append((node.right, node, False, right_idx))
+                parent, went_left = node, True
+                node, idx = node.left, idx[mask]
+            if idx.size == 0:
+                continue
+            leaf: _LeafNode = node
+            may_split = leaf.depth < self.max_depth
+            rows = idx.tolist()
+            for pos, i in enumerate(rows, 1):
+                x = X[i]
+                scores = (
+                    leaf._nb_log_scores(x)
+                    if scored and leaf.total_weight > 0
+                    else None
+                )
+                out[i] = leaf.predict_proba(x, mode, scores).argmax()
+                leaf.learn(x, labels[i], use_nba, scores)
+                if (
+                    may_split
+                    and self.n_leaves < self.max_leaves
+                    and leaf.total_weight - leaf.weight_at_last_attempt >= grace
+                ):
+                    splits_before = self.n_splits
+                    self._attempt_split(leaf, parent, went_left)
+                    if self.n_splits != splits_before:
+                        # The leaf became a split node: re-route the
+                        # rest of this group through the new subtree.
+                        if pos < len(rows):
+                            grown = (
+                                self._root
+                                if parent is None
+                                else (parent.left if went_left else parent.right)
+                            )
+                            stack.append((grown, parent, went_left, idx[pos:]))
+                        break
+        return out
+
+    def change_marker(self) -> int:
+        """Structural-change counter: advances when a branch is grown."""
+        return self.n_splits
+
+    @property
+    def depth(self) -> int:
+        """Maximum depth of the current tree."""
+        def walk(node: object) -> int:
+            if isinstance(node, _SplitNode):
+                return 1 + max(walk(node.left), walk(node.right))
+            return 0
+
+        return walk(self._root)
+
+    def __repr__(self) -> str:
+        return (
+            f"ReferenceHoeffdingTree(n_leaves={self.n_leaves}, n_splits={self.n_splits}, "
+            f"leaf_prediction={self.leaf_prediction!r})"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +846,7 @@ class ReferenceFicsum(AdaptiveSystem):
     def _new_state(self, protect: Tuple[int, ...] = ()) -> ConceptState:
         cfg = self.config
         self._classifier_seed += 1
-        classifier = HoeffdingTree(
+        classifier = ReferenceHoeffdingTree(
             self.n_classes,
             self.n_features,
             grace_period=cfg.grace_period,

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +26,7 @@ from repro.evaluation.discrimination import (
     summarize_discrimination,
 )
 from repro.evaluation.stats import significantly_better
+import repro
 from repro.streams import make_dataset
 from repro.baselines import Htcd
 
@@ -112,6 +118,29 @@ class TestCoOccurrenceF1:
 
 
 class TestStats:
+    def test_streaming_imports_leave_scipy_stats_unloaded(self):
+        """The significance tests and RCD import scipy.stats when called:
+        a process that only streams never loads it."""
+        code = (
+            "import sys\n"
+            "import repro.serving.runner, repro.core.ficsum\n"
+            "import repro.evaluation.prequential\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert result.stdout.strip() == "False"
+
     def test_average_ranks_higher_better(self):
         scores = np.array([[0.9, 0.5, 0.1], [0.8, 0.6, 0.2]])
         ranks = average_ranks(scores)

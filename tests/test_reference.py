@@ -11,6 +11,10 @@ weights.  The scenarios are
 ``test_extraction_cache``) re-run some of them with their fast path
 spied, to show each was taken on the way to the reference's trace.
 
+The reference builds its own copy of the Hoeffding tree
+(:class:`reference.ReferenceHoeffdingTree`), so a change to the engine's
+tree shows here too.
+
 Stream seeds honour ``REPRO_SEED`` (see :mod:`equivalence`), so CI
 runs the whole matrix on three distinct streams.
 """
@@ -60,6 +64,16 @@ FORBIDDEN = {
     "_fold_queue",
     "StreamRunner",
     "prequential_run",
+    # The engine tree's leaf terms and one-pass split search: the
+    # reference tree recomputes every term and walks every threshold.
+    "nb_variances",
+    "nb_log_variances",
+    "nb_log_prior",
+    "_refresh_nb_terms",
+    "_LEAF_STATISTICS",
+    "_entropies",
+    "_test_then_train",
+    "HoeffdingTree",
 }
 
 

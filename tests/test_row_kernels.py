@@ -142,12 +142,26 @@ class TestPermutationImportance:
         tree, window, max_eval, seed = case
         rng = np.random.default_rng(seed)
         ref_rng = np.random.default_rng(seed)
-        got = window_permutation_importance(tree, window, max_eval=max_eval, rng=rng)
+        calls = []
+
+        class Counted:
+            def predict_batch(self, x):
+                calls.append(len(x))
+                return tree.predict_batch(x)
+
+        got = window_permutation_importance(
+            Counted(), window, max_eval=max_eval, rng=rng
+        )
         want = reference_permutation_importance(
             tree, window, max_eval=max_eval, rng=ref_rng
         )
         _assert_bits_equal(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # The evaluated rows and every perturbed copy ride one call.
+        assert len(calls) <= 1
+        if calls:
+            n_eval = min(len(window), max_eval)
+            assert calls[0] % n_eval == 0 and calls[0] > n_eval
 
     @pytest.mark.parametrize("w", [1, 12, 75])
     def test_all_constant_window_skips_prediction(self, w):
@@ -162,4 +176,4 @@ class TestPermutationImportance:
         window = np.ones((w, 3))
         imp = window_permutation_importance(clf, window, rng=np.random.default_rng(1))
         _assert_bits_equal(imp, np.zeros(3))
-        assert clf.calls == 1  # only the base predictions
+        assert clf.calls == 0  # nothing to perturb, nothing to predict
