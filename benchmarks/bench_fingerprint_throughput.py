@@ -1,28 +1,13 @@
-"""Fingerprint extraction throughput: batch recompute vs incremental.
+"""Fingerprint extraction throughput of the incremental hot path.
 
-The extraction layer is the hottest path of every FiCSUM stream: at
-``fingerprint_period=1`` the pre-refactor extractor re-derived every
-meta-information function from the full window on every observation —
-O(w) work per source per step plus the Python-list window rebuild.
-The pipeline's rolling accumulators replace that with O(1) updates per
-observation for the components that admit rolling algebra.
-
-This bench replays one labelled stream through three per-observation
-extraction loops:
-
-* **batch-list** — the pre-refactor shape: a ``deque`` of observation
-  tuples rebuilt into arrays every step, batch extraction (this is
-  what ``Ficsum._window_arrays`` + ``FingerprintExtractor.extract``
-  did before the refactor),
-* **batch-views** — batch extraction over the ring-buffer
-  ``ObservationWindow`` views (isolates the window-copy fix),
-* **incremental** — ``push`` + ``extract_incremental`` (the new hot
-  path).
-
-The headline comparison uses the rolling-capable component set (the
-moments, ACF/PACF and turning rate); the full 13-function set is also
-measured for context — its EMD/MI/Shapley cost is unavoidable batch
-work on every path.
+The extraction layer is the hottest path of every FiCSUM stream.  The
+pipeline's rolling accumulators give O(1) updates per observation for
+the components that admit rolling algebra; this bench replays one
+labelled stream through the per-observation ``push`` +
+``extract_incremental`` loop at ``fingerprint_period=1``, over the
+rolling-capable component set (the moments, ACF/PACF and turning rate)
+and over the full 13-function set, whose EMD/MI/Shapley cost is batch
+work on every step.
 
 The full set is additionally measured under every ``sketch_profile``
 (exact / balanced / fast): the sketch-mode components replace the
@@ -34,15 +19,14 @@ committed artifact.  The delta runs use a fixed stream length and
 paired seeds (every profile on each seed's stream), whatever
 ``REPRO_SCALE`` is, and the JSON records the per-seed deltas with their
 mean and spread.  Emits ``BENCH_fingerprint_throughput.json`` and
-asserts the incremental path clears 3x the pre-refactor throughput,
-the ``fast`` profile stays ahead of the exact full-set path on the same
-stream, and the mean ``balanced`` accuracy delta stays within 1 pp.
+asserts the ``fast`` profile stays ahead of the exact full-set path on
+the same stream and the mean ``balanced`` accuracy delta stays within
+1 pp.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 
 import numpy as np
 from _harness import SCALE, render_table, save_bench_json, save_table
@@ -87,37 +71,8 @@ def make_stream(seed: int = 0):
     return xs, ys, preds
 
 
-def run_batch_list(pipe: FingerprintPipeline, stream) -> float:
-    """Pre-refactor loop: tuple deque + per-step list rebuild + batch."""
-    xs, ys, preds = stream
-    window: deque = deque(maxlen=WINDOW)
-    start = time.perf_counter()
-    for i in range(N_OBS):
-        window.append((xs[i], ys[i], preds[i]))
-        if len(window) == WINDOW:
-            items = list(window)
-            wx = np.stack([it[0] for it in items])
-            wy = np.array([it[1] for it in items], dtype=np.int64)
-            wp = np.array([it[2] for it in items], dtype=np.int64)
-            pipe.extract(wx, wy, wp, None)
-    return time.perf_counter() - start
-
-
-def run_batch_views(pipe: FingerprintPipeline, stream) -> float:
-    """Batch extraction over zero-copy ring-buffer views."""
-    xs, ys, preds = stream
-    window = ObservationWindow(WINDOW, N_FEATURES)
-    start = time.perf_counter()
-    for i in range(N_OBS):
-        window.append(xs[i], ys[i], preds[i])
-        if window.full:
-            wx, wy, wp = window.arrays()
-            pipe.extract(wx, wy, wp, None)
-    return time.perf_counter() - start
-
-
 def run_incremental(pipe: FingerprintPipeline, stream) -> float:
-    """The new hot path: O(1) accumulator updates per observation."""
+    """The hot path: O(1) accumulator updates per observation."""
     xs, ys, preds = stream
     window = ObservationWindow(WINDOW, N_FEATURES)
     pipe.reset_stream()
@@ -138,21 +93,13 @@ def run_throughput() -> dict:
         pipe = FingerprintPipeline(
             N_FEATURES, metafeatures=selection, window_size=WINDOW
         )
-        timings = {
-            "batch_list": run_batch_list(pipe, stream),
-            "batch_views": run_batch_views(pipe, stream),
-            "incremental": run_incremental(pipe, stream),
-        }
+        t = run_incremental(pipe, stream)
         results[label] = {
-            mode: {
+            "incremental": {
                 "wall_time_s": round(t, 4),
                 "obs_per_sec": round(N_OBS / t, 1),
             }
-            for mode, t in timings.items()
         }
-        results[label]["speedup_vs_batch_list"] = round(
-            timings["batch_list"] / timings["incremental"], 2
-        )
     return results
 
 
@@ -220,17 +167,13 @@ def measure_accuracy_deltas() -> dict:
 def build_table(results: dict, profiles: dict, deltas: dict) -> str:
     rows = []
     for label, modes in results.items():
-        for mode in ("batch_list", "batch_views", "incremental"):
-            rows.append(
-                [
-                    label,
-                    mode,
-                    f"{modes[mode]['wall_time_s']:.3f}",
-                    f"{modes[mode]['obs_per_sec']:.0f}",
-                ]
-            )
         rows.append(
-            [label, "speedup", f"{modes['speedup_vs_batch_list']:.2f}x", ""]
+            [
+                label,
+                "incremental",
+                f"{modes['incremental']['wall_time_s']:.3f}",
+                f"{modes['incremental']['obs_per_sec']:.0f}",
+            ]
         )
     for profile in SKETCH_PROFILE_NAMES:
         mode = f"incremental/{profile}"
@@ -254,9 +197,8 @@ def build_table(results: dict, profiles: dict, deltas: dict) -> str:
         ["function set", "mode", "wall s", "obs/s"],
         rows,
         notes=(
-            "batch_list replays the pre-refactor extractor loop "
-            "(deque rebuild + full-window recompute); incremental is "
-            "the rolling-accumulator hot path; incremental/<profile> is "
+            "incremental is the rolling-accumulator hot path; "
+            "incremental/<profile> is "
             "the full set under a sketch_profile, with the FiCSUM "
             "accuracy delta vs exact on small STAGGER streams "
             f"(segments of {DELTA_SEGMENT}, mean ± sample std over "
@@ -297,9 +239,6 @@ def test_fingerprint_throughput(benchmark):
             "accuracy_delta_seeds": list(DELTA_SEEDS),
         },
     )
-    # The refactor's acceptance bar: >= 3x over the pre-refactor
-    # extractor at fingerprint_period=1 on the rolling-capable set.
-    assert results["rolling-set"]["speedup_vs_batch_list"] >= 3.0, results
     # The sketch knob's contract: on the same stream the fast profile
     # stays ahead of the exact full-set path (whose IMF-entropy, MI and
     # permutation-importance row kernels are themselves batched, so the

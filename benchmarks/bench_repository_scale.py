@@ -11,11 +11,12 @@ repository-scaling layer (``repro.core.store``):
   selection, not setup),
 * per R, times whole selection events (``_model_select``: candidate
   staging, fingerprint stacking, the lazily gated walk every selection
-  runs) in three modes — the exact full scan, provable-exactness mode
-  (``ann_prefilter`` with ``ann_exact=True``: prefilter staging, then
-  the same full-stack walk) and the approximate shortlist
-  (``ann_exact=False``) — asserting the provable twin picks the *same*
-  state as the full scan at every R,
+  runs) in two modes — the exact full scan and the approximate
+  shortlist (``ann_exact=False``, which sketches the candidates' stored
+  fingerprint-mean rows in one product).  Provable-exactness mode
+  (``ann_prefilter`` with ``ann_exact=True``) runs the full scan's walk
+  on the same candidates; ``tests/test_repository_scale.py`` pins its
+  picks to the full scan's,
 * measures shortlist recall in sketch space at every R: the fraction
   of clustered queries whose top-1-by-exact-weighted-cosine candidate
   lands in the k=16 shortlist (the bound
@@ -128,24 +129,17 @@ def _selection_event(system: Ficsum):
 def bench_repository_size(R: int) -> dict:
     modes = {
         "exact": build_system(R, ann=False, exact=True),
-        "provable": build_system(R, ann=True, exact=True),
         "approximate": build_system(R, ann=True, exact=False),
     }
-    picks, timings = {}, {}
+    timings = {}
     for mode, system in modes.items():
-        picks[mode] = _selection_event(system)  # warm-up + decision
+        _selection_event(system)  # warm-up
         start = time.perf_counter()
         for _ in range(N_EVENTS):
             _selection_event(system)
         timings[mode] = (time.perf_counter() - start) / N_EVENTS
-    # The provable twin must make the full scan's exact decision.
-    exact_pick, provable_pick = picks["exact"], picks["provable"]
-    assert (exact_pick is None) == (provable_pick is None), R
-    if exact_pick is not None:
-        assert exact_pick.state_id == provable_pick.state_id, R
     return {
         "exact_ms_per_event": round(1e3 * timings["exact"], 4),
-        "provable_ms_per_event": round(1e3 * timings["provable"], 4),
         "approximate_ms_per_event": round(
             1e3 * timings["approximate"], 4
         ),
@@ -242,7 +236,6 @@ def build_table(results: dict) -> str:
             [
                 str(R),
                 f"{m['exact_ms_per_event']:.2f}",
-                f"{m['provable_ms_per_event']:.2f}",
                 f"{m['approximate_ms_per_event']:.2f}",
                 f"{m['speedup_selection']:.1f}x",
                 f"{m['recall_shortlist']:.3f}",
@@ -251,13 +244,12 @@ def build_table(results: dict) -> str:
     return render_table(
         f"Selection latency vs repository size "
         f"({N_EVENTS} events per cell)",
-        ["R", "exact ms", "provable ms", "approx ms", "speedup", "recall"],
+        ["R", "exact ms", "approx ms", "speedup", "recall"],
         rows,
         notes=(
             "Exact = full scan: every candidate stacked, then the lazily "
-            "gated walk; provable = ann_prefilter with ann_exact=True, "
-            "prefilter staging then the same walk (same pick asserted "
-            "every R); approx = k=16 shortlist before stacking.  Recall "
+            "gated walk; approx = k=16 shortlist of the sketched stored "
+            "rows before stacking.  Recall "
             "is the declared sketch-space bound measured on a clustered "
             "population of the same R."
         ),
@@ -282,7 +274,7 @@ def test_repository_scale(benchmark):
             "tier": tier,
         },
         repo_states=max(R_SWEEP),
-        selection_events=len(R_SWEEP) * 3 * N_EVENTS,
+        selection_events=len(R_SWEEP) * 2 * N_EVENTS,
     )
     # The shortlist must stay ahead of the full scan at a 10 000-state
     # repository; the ratio's level is gated by check_regression

@@ -13,9 +13,8 @@ flattened once into a :class:`TreePlan` — contiguous per-node arrays
 naive-Bayes terms (class counts, means, the variances, their logs and
 the log priors each leaf keeps, total weights, the leaf-predictor
 choice) — and invalidated by version counters
-(``n_splits`` for structure, ``n_learns`` for statistics), mirroring
-the repository's :class:`~repro.core.repository.FingerprintMatrix`
-dirty tracking.  :meth:`ClassifierBank.predict_batch_many` then
+(``n_splits`` for structure, ``n_learns`` for statistics).
+:meth:`ClassifierBank.predict_batch_many` then
 concatenates the requested plans with index offsets and
 
 1. routes the ``(W, F)`` window through **all** trees simultaneously —
@@ -215,8 +214,8 @@ class _StackedForest:
 class ClassifierBank:
     """Write-through store of :class:`TreePlan`\\ s keyed by state id.
 
-    The repository mirrors membership into the bank exactly as it does
-    into the fingerprint matrix; :meth:`predict_batch_many` is the one
+    The repository adds and removes a state's plan whenever it stores
+    or drops the state; :meth:`predict_batch_many` is the one
     read path and refreshes stale plans lazily through their version
     counters.  The concatenated request tables are memoised on the
     requested keys plus every plan's version pair, so the steady state

@@ -398,8 +398,6 @@ class Ficsum(AdaptiveSystem):
             self.audit.log(
                 "family_merge", self._step, kept=kept, absorbed=absorbed
             )
-            if self._prefilter is not None:
-                self._prefilter.forget(absorbed)
 
     def signal_drift(self) -> None:
         """Oracle drift notification (perfect-detection experiment)."""
@@ -578,13 +576,12 @@ class Ficsum(AdaptiveSystem):
     def _refresh_weights(self) -> None:
         """Recompute the dynamic weights (Step III-B).
 
-        All per-state statistics are read from the repository's
-        contiguous fingerprint matrix (one batched scale per term).
+        Every stored concept's statistics are read from the
+        repository's fingerprint matrix (one batched scale per term).
         """
-        matrix = self.repository.matrix()
         self._weights = make_weights(
             self.config.weighting, self._active, self.repository.states(),
-            self.normalizer, matrix,
+            self.normalizer, self.repository.matrix(),
         )
         self._weights_version += 1
 
@@ -718,7 +715,7 @@ class Ficsum(AdaptiveSystem):
         retained sim-pairs of all memo-miss states are re-expressed
         under the current weighting with one scale + similarity kernel,
         each pair in its state's range; the per-state reductions then
-        replay :meth:`ConceptState.rescaled_similarity_record` exactly.
+        run :func:`rescale_record`, as a per-pair loop would.
         Memoised per (state, step) on the record, range and weights
         versions, so a hit returns exactly what recomputation would.
         """
@@ -839,7 +836,9 @@ class Ficsum(AdaptiveSystem):
             return candidates
         if query is None:
             query = self._window_fingerprint(xa, ya, self._active)
-        keep = self._prefilter.shortlist(candidates, query, cfg.ann_shortlist_k)
+        keep = self._prefilter.shortlist(
+            self._stored_means(candidates), query, cfg.ann_shortlist_k
+        )
         self.metrics.inc(
             "selection.prefiltered", len(candidates) - len(keep)
         )
@@ -862,10 +861,8 @@ class Ficsum(AdaptiveSystem):
         if not ids:
             return 0
         query_sketch = prefilter.sketch(query)
-        hot = (
-            prefilter.scores(prefilter.state_sketches(candidates), query_sketch)
-            if candidates
-            else np.empty(0)
+        hot = prefilter.scores(
+            prefilter.sketch_rows(self._stored_means(candidates)), query_sketch
         )
         warm = prefilter.scores(prefilter.sketch_rows(means), query_sketch)
         combined = np.concatenate([hot, warm])
@@ -936,6 +933,12 @@ class Ficsum(AdaptiveSystem):
         both = minmax_scale(np.stack([a, b]), mins, maxs)
         return sim_pairs_many(both[0], both[1], self._weights)
 
+    def _stored_means(self, states: List[ConceptState]) -> np.ndarray:
+        """``(len(states), D)`` gather of the states' fingerprint-mean
+        rows from the repository's matrix."""
+        matrix = self.repository.matrix()
+        return matrix.fp_means[matrix.rows_of(states)]
+
     def _score_stack(
         self,
         states: List[ConceptState],
@@ -944,11 +947,9 @@ class Ficsum(AdaptiveSystem):
         maxs: np.ndarray,
     ) -> np.ndarray:
         """``Sim(F_c, fps[i])`` of every stacked candidate, row ``i``
-        scaled in the range ``(mins[i], maxs[i])``: the repository
-        matrix's fingerprint-mean rows against the stack."""
-        matrix = self.repository.matrix()
-        rows = [matrix.row_of(s.state_id) for s in states]
-        return self._pair_similarities(matrix.fp_means_view[rows], fps, mins, maxs)
+        scaled in the range ``(mins[i], maxs[i])``: the states' stored
+        fingerprint-mean rows against the stack."""
+        return self._pair_similarities(self._stored_means(states), fps, mins, maxs)
 
     def _select_from_fingerprints(
         self, states: List[ConceptState], fps: np.ndarray
@@ -1135,9 +1136,9 @@ class Ficsum(AdaptiveSystem):
         Pure caches are deliberately absent: the per-step gated-record
         memo and shared-window extraction cache are keyed on the step
         counter (snapshots are taken between observations, so future
-        events use later keys), and the repository's fingerprint matrix
-        / classifier bank mirrors rebuild lazily and bit-identically
-        from the restored states.
+        events use later keys), and the repository rebuilds its
+        fingerprint matrix and classifier bank from the restored
+        states.
         """
         fa_keys = np.fromiter(self._fa_cache.keys(), dtype=np.int64)
         if len(self._fa_cache):
@@ -1220,10 +1221,6 @@ class Ficsum(AdaptiveSystem):
         self._gated_cache = {}
         self._gated_cache_step = -1
         self._extract_cache.invalidate()
-        if self._prefilter is not None:
-            # Sketches rebuild on demand from the restored fingerprint
-            # versions; stale cross-object entries must not survive.
-            self._prefilter.clear()
 
     def __repr__(self) -> str:
         return (

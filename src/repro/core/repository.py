@@ -15,16 +15,14 @@ Each stored concept keeps
   — stale records can be re-expressed in the current scheme
   (Section IV of the paper).
 
-For the vectorized selection engine the repository additionally
-maintains a :class:`FingerprintMatrix`: a C-contiguous ``(R, D)``
-mirror of every state's fingerprint statistics, row-synced lazily via
-version-based dirty tracking, so model selection and the dynamic
-weights score all stored concepts with batched kernels instead of
-per-state Python loops.  The forest-routing engine adds a sibling
-write-through mirror, the
-:class:`~repro.classifiers.bank.ClassifierBank`, which flattens every
-stored Hoeffding tree's routing tables so one pass evaluates the
-active window under all stored classifiers at once.
+The repository owns the statistics of every stored concept: its
+:class:`FingerprintMatrix` holds both fingerprints of every stored
+state as ``(R, D)`` arrays, and each state's fingerprints are views of
+its row, so model selection and the dynamic weights score all stored
+concepts with batched kernels over the one copy.  The repository also
+keeps a :class:`~repro.classifiers.bank.ClassifierBank`, which
+flattens every stored Hoeffding tree's routing tables so one pass
+evaluates the active window under all stored classifiers at once.
 """
 
 from __future__ import annotations
@@ -40,9 +38,6 @@ from repro.core.fingerprint import ConceptFingerprint
 from repro.core.similarity import weighted_cosine_many
 from repro.utils.stats import EwmaStats
 
-SimFn = Callable[[np.ndarray, np.ndarray], float]
-
-
 class RepositoryFullError(RuntimeError):
     """Raised when eviction is required but every state is protected."""
 
@@ -57,9 +52,9 @@ def rescale_record(
     """Move a recorded (mu, sigma) by re-scored retained pairs.
 
     The one reduction behind every record re-expression (Section IV) —
-    the scalar :meth:`ConceptState.rescaled_similarity_record` and the
-    framework's batched path both call it, so the clip bounds and
-    fallbacks cannot drift apart.  ``sims`` are the retained pairs'
+    the framework's batched path and the plain per-pair loop of the
+    test reference both call it, so the clip bounds and fallbacks
+    cannot drift apart.  ``sims`` are the retained pairs'
     similarities under the *current* scheme, ``old_sims`` the values
     recorded when the pairs were written (aligned, logical order).
     Bounded (cosine) similarities shift additively under a weighting
@@ -99,9 +94,10 @@ class SimPairRecord:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self.n_dims = n_dims
-        self.a = np.empty((capacity, n_dims))
-        self.b = np.empty((capacity, n_dims))
-        self.sims = np.empty(capacity)
+        # Zeroed, not empty: state_dict saves every row, written or not.
+        self.a = np.zeros((capacity, n_dims))
+        self.b = np.zeros((capacity, n_dims))
+        self.sims = np.zeros(capacity)
         self.count = 0
         self._next = 0
 
@@ -198,24 +194,6 @@ class ConceptState:
         self.sim_stats.update(sim)
         self.sim_pairs.append(concept_means, window_fp, sim)
 
-    def rescaled_similarity_record(self, sim_fn: SimFn) -> Tuple[float, float]:
-        """Recorded (mu, sigma) re-expressed under the current scheme.
-
-        Re-scores the retained fingerprint pairs with the *current*
-        weighting/normalisation and moves the stored record through
-        :func:`rescale_record` (Section IV).  Falls back to the raw
-        record when no pairs are retained.
-        """
-        mu, sigma = self.sim_stats.mean, self.sim_stats.std
-        n = len(self.sim_pairs)
-        if not n:
-            return mu, sigma
-        pairs_a, pairs_b, old_sims = self.sim_pairs.views()
-        sims = np.array([sim_fn(pairs_a[i], pairs_b[i]) for i in range(n)])
-        return rescale_record(
-            mu, sigma, sims, old_sims, self.sim_pairs.n_dims == 1
-        )
-
     def reset_similarity_record(self) -> None:
         self.record_version += 1
         self.sim_stats = EwmaStats(alpha=self.sim_record_decay)
@@ -297,148 +275,108 @@ class ConceptState:
 
 
 class FingerprintMatrix:
-    """Write-through ``(R, D)`` mirror of per-state fingerprint statistics.
+    """The ``(R, D)`` storage of every stored concept's fingerprint statistics.
 
-    One C-contiguous row per stored concept, in repository insertion
-    order (so batched reductions see exactly the row order the
-    per-state loops iterate in): concept-fingerprint means / stds /
-    per-dimension counts plus non-active means / stds, and the scalar
-    incorporation counts that gate candidate masks.  Rows are re-pulled
-    lazily via :meth:`refresh`, which compares each state's fingerprint
-    ``version`` against the last synced value — an unchanged repository
-    costs an O(R) integer scan, an updated state one row copy.
+    Six arrays with one row per storage slot: the concept fingerprint's
+    Welford triple (``fp_counts``, ``fp_means``, ``fp_m2``) and the
+    non-active fingerprint's (``na_counts``, ``na_means``, ``na_m2``).
+    A stored state's two :class:`ConceptFingerprint` objects are views
+    of its row, so every update lands here and nothing is synced.  A
+    row does not move while its state is stored; removal hands the
+    state a copy of its row and frees the slot.  Growing the arrays is
+    the only step that re-points the views.
 
-    Eviction compacts rows upward (order-preserving), so views stay
-    aligned with :meth:`Repository.states`.
+    :attr:`rows` holds the stored states' rows in repository order, so
+    indexing an array with it (or with :meth:`rows_of`) gathers the
+    rows in the order the per-state loops iterate in.
     """
 
     _INITIAL_CAPACITY = 8
+    _ARRAYS = ("fp_counts", "fp_means", "fp_m2", "na_counts", "na_means", "na_m2")
 
     def __init__(self, n_dims: int) -> None:
         self.n_dims = n_dims
-        self.n_rows = 0
+        #: Stored state ids and their storage rows, repository order.
         self.state_ids: List[int] = []
+        self.rows = np.empty(0, dtype=np.intp)
         self._row_of: Dict[int, int] = {}
-        self._row_states: List[ConceptState] = []
-        self._allocate(self._INITIAL_CAPACITY)
-
-    def _allocate(self, capacity: int) -> None:
-        d = self.n_dims
-        self.fp_means = np.zeros((capacity, d))
-        self.fp_stds = np.zeros((capacity, d))
-        self.fp_counts = np.zeros((capacity, d), dtype=np.int64)
-        self.fp_n = np.zeros(capacity, dtype=np.int64)
-        self.na_means = np.zeros((capacity, d))
-        self.na_stds = np.zeros((capacity, d))
-        self.na_n = np.zeros(capacity, dtype=np.int64)
-        self._fp_versions = np.full(capacity, -1, dtype=np.int64)
-        self._na_versions = np.full(capacity, -1, dtype=np.int64)
+        self._row_states: Dict[int, ConceptState] = {}
+        self._free: List[int] = []
+        for name in self._ARRAYS:
+            dtype = np.int64 if name.endswith("counts") else np.float64
+            setattr(self, name, np.zeros((0, n_dims), dtype=dtype))
+        self._grow()
 
     def _grow(self) -> None:
-        old = (
-            self.fp_means, self.fp_stds, self.fp_counts, self.fp_n,
-            self.na_means, self.na_stds, self.na_n,
-            self._fp_versions, self._na_versions,
+        old = len(self.fp_counts)
+        new = max(2 * old, self._INITIAL_CAPACITY)
+        for name in self._ARRAYS:
+            array = getattr(self, name)
+            grown = np.zeros((new, self.n_dims), dtype=array.dtype)
+            grown[:old] = array
+            setattr(self, name, grown)
+        # Lowest free row first.
+        self._free.extend(range(new - 1, old - 1, -1))
+        for row, state in self._row_states.items():
+            self._point(state, row)
+
+    def _point(self, state: ConceptState, row: int) -> None:
+        """Make ``state``'s fingerprints views of storage row ``row``."""
+        fp, na = state.fingerprint, state.nonactive
+        fp.counts, fp.means, fp.m2 = (
+            self.fp_counts[row], self.fp_means[row], self.fp_m2[row]
         )
-        self._allocate(2 * len(self.fp_n))
-        new = (
-            self.fp_means, self.fp_stds, self.fp_counts, self.fp_n,
-            self.na_means, self.na_stds, self.na_n,
-            self._fp_versions, self._na_versions,
+        na.counts, na.means, na.m2 = (
+            self.na_counts[row], self.na_means[row], self.na_m2[row]
         )
-        n = self.n_rows
-        for src, dst in zip(old, new):
-            dst[:n] = src[:n]
 
     # -- membership ----------------------------------------------------
     def add(self, state: ConceptState) -> None:
+        """Move ``state``'s statistics into a free row."""
         if state.fingerprint.n_dims != self.n_dims:
             raise ValueError(
                 f"state has {state.fingerprint.n_dims} dims, "
                 f"matrix holds {self.n_dims}"
             )
-        if self.n_rows == len(self.fp_n):
+        if not self._free:
             self._grow()
-        r = self.n_rows
-        self.n_rows += 1
+        row = self._free.pop()
+        fp, na = state.fingerprint, state.nonactive
+        self.fp_counts[row], self.fp_means[row], self.fp_m2[row] = (
+            fp.counts, fp.means, fp.m2
+        )
+        self.na_counts[row], self.na_means[row], self.na_m2[row] = (
+            na.counts, na.means, na.m2
+        )
+        self._point(state, row)
+        self._row_of[state.state_id] = row
+        self._row_states[row] = state
         self.state_ids.append(state.state_id)
-        self._row_of[state.state_id] = r
-        self._row_states.append(state)
-        # Stale versions force the first refresh to pull the row.
-        self._fp_versions[r] = -1
-        self._na_versions[r] = -1
+        self.rows = np.append(self.rows, row)
 
     def remove(self, state_id: int) -> None:
-        r = self._row_of.pop(state_id, None)
-        if r is None:
+        """Give the state a copy of its row and free the slot."""
+        row = self._row_of.pop(state_id, None)
+        if row is None:
             return
-        n = self.n_rows
-        # Order-preserving compaction: shift trailing rows up one.
-        for arr in (
-            self.fp_means, self.fp_stds, self.fp_counts, self.fp_n,
-            self.na_means, self.na_stds, self.na_n,
-            self._fp_versions, self._na_versions,
-        ):
-            arr[r : n - 1] = arr[r + 1 : n]
-        del self.state_ids[r]
-        del self._row_states[r]
-        for sid in self.state_ids[r:]:
-            self._row_of[sid] -= 1
-        self.n_rows = n - 1
+        state = self._row_states.pop(row)
+        for fp in (state.fingerprint, state.nonactive):
+            fp.counts, fp.means, fp.m2 = (
+                fp.counts.copy(), fp.means.copy(), fp.m2.copy()
+            )
+        self.state_ids.remove(state_id)
+        self.rows = self.rows[self.rows != row]
+        self._free.append(row)
 
     def row_of(self, state_id: int) -> int:
         return self._row_of[state_id]
 
-    # -- synchronisation -----------------------------------------------
-    def refresh(self) -> None:
-        """Re-pull every row whose backing statistics changed."""
-        for r in range(self.n_rows):
-            state = self._row_states[r]
-            fp = state.fingerprint
-            if fp.version != self._fp_versions[r]:
-                self.fp_means[r] = fp.means
-                self.fp_stds[r] = fp.stds
-                self.fp_counts[r] = fp.counts
-                self.fp_n[r] = fp.count
-                self._fp_versions[r] = fp.version
-            na = state.nonactive
-            if na.version != self._na_versions[r]:
-                self.na_means[r] = na.means
-                self.na_stds[r] = na.stds
-                self.na_n[r] = na.count
-                self._na_versions[r] = na.version
-
-    # -- views (valid until the next add/remove) ------------------------
-    @property
-    def fp_means_view(self) -> np.ndarray:
-        return self.fp_means[: self.n_rows]
-
-    @property
-    def fp_stds_view(self) -> np.ndarray:
-        return self.fp_stds[: self.n_rows]
-
-    @property
-    def fp_counts_view(self) -> np.ndarray:
-        return self.fp_counts[: self.n_rows]
-
-    @property
-    def fp_n_view(self) -> np.ndarray:
-        return self.fp_n[: self.n_rows]
-
-    @property
-    def na_means_view(self) -> np.ndarray:
-        return self.na_means[: self.n_rows]
-
-    @property
-    def na_stds_view(self) -> np.ndarray:
-        return self.na_stds[: self.n_rows]
-
-    @property
-    def na_n_view(self) -> np.ndarray:
-        return self.na_n[: self.n_rows]
+    def rows_of(self, states: Iterable[ConceptState]) -> List[int]:
+        """Storage rows of ``states``, in the given order."""
+        return [self._row_of[s.state_id] for s in states]
 
     def __len__(self) -> int:
-        return self.n_rows
+        return len(self.state_ids)
 
 
 class Repository:
@@ -484,23 +422,28 @@ class Repository:
             sim_record_decay,
         )
         state.last_active_step = step
-        self._states[state.state_id] = state
+        self._store(state)
         self._next_id += 1
+        self._evict_if_needed(protect={state.state_id, *protect})
+        return state
+
+    def _store(self, state: ConceptState) -> None:
+        """Insert ``state``: its row in the storage, its bank plan.
+
+        The storage takes the first state's dimensionality and refuses
+        any other, before anything else changes.
+        """
+        if self._matrix is None:
+            self._matrix = FingerprintMatrix(state.fingerprint.n_dims)
+        self._matrix.add(state)
+        self._states[state.state_id] = state
         self._states_list = None
-        if self._matrix is not None:
-            if self._matrix.n_dims == n_dims:
-                self._matrix.add(state)
-            else:
-                # Mixed-dimension repositories have no matrix mirror.
-                self._matrix = None
         if self._bank is not None:
-            if ClassifierBank.supports(classifier):
-                self._bank.add(state.state_id, classifier)
+            if ClassifierBank.supports(state.classifier):
+                self._bank.add(state.state_id, state.classifier)
             else:
                 # Mixed-classifier repositories have no tree bank.
                 self._bank = None
-        self._evict_if_needed(protect={state.state_id, *protect})
-        return state
 
     def _evict_if_needed(self, protect: set) -> None:
         while len(self._states) > self.max_size:
@@ -526,26 +469,14 @@ class Repository:
         """Re-insert a previously evicted (rehydrated) concept state.
 
         The state keeps its original id — ``_next_id`` is pushed past
-        it so future ids never collide — and the mirrors are updated
-        write-through exactly as in :meth:`new_state`.  The insertion
-        may itself trigger an eviction, never of the admitted state or
-        of ``protect``.
+        it so future ids never collide — and is stored exactly as in
+        :meth:`new_state`.  The insertion may itself trigger an
+        eviction, never of the admitted state or of ``protect``.
         """
         if state.state_id in self._states:
             raise ValueError(f"state {state.state_id} is already stored")
-        self._states[state.state_id] = state
+        self._store(state)
         self._next_id = max(self._next_id, state.state_id + 1)
-        self._states_list = None
-        if self._matrix is not None:
-            if self._matrix.n_dims == state.fingerprint.n_dims:
-                self._matrix.add(state)
-            else:
-                self._matrix = None
-        if self._bank is not None:
-            if ClassifierBank.supports(state.classifier):
-                self._bank.add(state.state_id, state.classifier)
-            else:
-                self._bank = None
         self._evict_if_needed(protect={state.state_id, *protect})
         return state
 
@@ -619,30 +550,20 @@ class Repository:
         return self._states_list
 
     def matrix(self) -> FingerprintMatrix:
-        """The write-through fingerprint matrix, refreshed.
+        """The ``(R, D)`` storage of every stored state's statistics.
 
-        Built lazily on first use and maintained through membership
-        changes thereafter.  Requires a non-empty repository of
-        homogeneous fingerprint dimensionality.
+        Created by the first insertion; an empty repository that never
+        held a state has none.
         """
         if self._matrix is None:
-            dims = {s.fingerprint.n_dims for s in self._states.values()}
-            if len(dims) != 1:
-                raise ValueError(
-                    "fingerprint matrix needs a non-empty repository of "
-                    f"uniform dimensionality, got dims={sorted(dims)}"
-                )
-            self._matrix = FingerprintMatrix(dims.pop())
-            for state in self.states():
-                self._matrix.add(state)
-        self._matrix.refresh()
+            raise ValueError("an empty repository has no fingerprint matrix")
         return self._matrix
 
     def bank(self) -> Optional[ClassifierBank]:
         """The write-through classifier bank, or ``None``.
 
-        Built lazily on first use and mirrored through membership
-        changes thereafter, like :meth:`matrix`.  Unavailable (returns
+        Built lazily on first use and kept through membership changes
+        thereafter.  Unavailable (returns
         ``None``) whenever any stored classifier is not a Hoeffding
         tree — callers fall back to per-state prediction.  Plans
         refresh themselves lazily at read time, so no explicit refresh
@@ -670,11 +591,10 @@ class Repository:
     def state_dict(self) -> Dict[str, Any]:
         """Serialized repository: stored states in insertion order.
 
-        The :class:`FingerprintMatrix` and
-        :class:`~repro.classifiers.bank.ClassifierBank` mirrors are
-        *not* serialized — they are pure write-through caches rebuilt
-        lazily (and bit-identically) from the restored states, in the
-        same insertion order.
+        The :class:`FingerprintMatrix` and the
+        :class:`~repro.classifiers.bank.ClassifierBank` are not
+        serialized: each state's statistics travel in its own state
+        dict, and loading re-inserts the states in the same order.
         """
         return {
             "max_size": self.max_size,
@@ -689,9 +609,8 @@ class Repository:
         # Pre-tiering snapshots lack the counter: nothing was tracked.
         self.evicted_dropped = int(state.get("evicted_dropped", 0))
         self._states = {}
-        for concept_state in state["states"]:
-            concept = ConceptState.from_state_dict(concept_state)
-            self._states[concept.state_id] = concept
         self._matrix = None
         self._bank = None
         self._states_list = None
+        for concept_state in state["states"]:
+            self._store(ConceptState.from_state_dict(concept_state))

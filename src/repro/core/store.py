@@ -9,10 +9,11 @@ the two scaling layers that sit around that exact machinery without
 ever replacing it:
 
 * :class:`ProjectionPrefilter` — a seed-deterministic random-projection
-  sketch over raw fingerprint means that shortlists top-k candidates
-  for the exact rerank.  Approximate by construction, so it declares
-  its measured recall bound and the exact path it stands in for (lint
-  rule RPR008).  It cuts the candidate list only when
+  sketch over raw fingerprint means (the candidates' rows of the
+  repository's fingerprint matrix, one product) that shortlists top-k
+  candidates for the exact rerank.  Approximate by construction, so it
+  declares its measured recall bound and the exact path it stands in
+  for (lint rule RPR008).  It cuts the candidate list only when
   ``FicsumConfig.ann_prefilter`` is on with ``ann_exact=False``; with
   the default ``ann_exact=True`` every candidate reaches the same walk
   as without the prefilter, so selection stays bit-for-bit exact and
@@ -34,7 +35,7 @@ scoring the same cold candidates.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,23 +48,18 @@ from repro.serving.snapshot import read_state, write_state
 _PROJECTION_SEED = 9_182_736
 
 
-class ProjectionPrefilter:  # repro-lint: disable=RPR002
+class ProjectionPrefilter:
     """Random-projection shortlist over raw concept-fingerprint means.
 
-    Each stored concept's mean vector is sketched by ``k`` fixed
-    ±1/√D projection vectors (seed-deterministic, the same family the
-    sketch-mode meta-features use); a selection query is sketched once
-    and candidates are ranked by cosine similarity *in sketch space*,
-    which preserves the relative ordering of the exact weighted-cosine
-    rerank well enough that the true argmax lands in a small shortlist
-    with high probability.  Sketches are memoised per state and keyed
-    on the fingerprint version, so the steady-state cost of a shortlist
-    is one O(R·k) scoring pass — no per-candidate extraction, no
-    re-projection of unchanged concepts.
-
-    The per-state sketch memo is a pure cache (rebuilt on demand from
-    fingerprint state, dropped wholesale on checkpoint restore), hence
-    the RPR002 suppression above.
+    Candidates' mean rows are sketched by ``k`` fixed ±1/√D projection
+    vectors (seed-deterministic, the same family the sketch-mode
+    meta-features use) in one product; a selection query is sketched
+    once and candidates are ranked by cosine similarity *in sketch
+    space*, which preserves the relative ordering of the exact
+    weighted-cosine rerank well enough that the true argmax lands in a
+    small shortlist with high probability.  A shortlist costs one
+    O(R·D·k) product and one O(R·k) scoring pass — no per-candidate
+    extraction.
     """
 
     #: This is a shortlist path: results are approximate unless the
@@ -96,8 +92,6 @@ class ProjectionPrefilter:  # repro-lint: disable=RPR002
         signs = rng.integers(0, 2, size=(n_projections, n_dims))
         #: ``(k, D)`` ±1/√D projection matrix, fixed for the run.
         self.vectors = (2.0 * signs - 1.0) / np.sqrt(n_dims)
-        # state_id -> (fingerprint version, sketch) memo.
-        self._sketches: Dict[int, Tuple[int, np.ndarray]] = {}
 
     # -- sketching -----------------------------------------------------
     def sketch(self, vector: np.ndarray) -> np.ndarray:
@@ -105,27 +99,14 @@ class ProjectionPrefilter:  # repro-lint: disable=RPR002
         return self.vectors @ vector
 
     def sketch_rows(self, matrix: np.ndarray) -> np.ndarray:
-        """Project ``(n, D)`` rows into ``(n, k)`` sketch space."""
-        return matrix @ self.vectors.T
+        """Project ``(n, D)`` rows into ``(n, k)`` sketch space.
 
-    def state_sketches(self, states: Sequence[ConceptState]) -> np.ndarray:
-        """Memoised ``(R, k)`` sketches of the states' fingerprint means."""
-        out = np.empty((len(states), self.n_projections))
-        for i, state in enumerate(states):
-            fp = state.fingerprint
-            hit = self._sketches.get(state.state_id)
-            if hit is None or hit[0] != fp.version:
-                hit = (fp.version, self.vectors @ fp.means)
-                self._sketches[state.state_id] = hit
-            out[i] = hit[1]
-        if len(self._sketches) > 2 * len(states) + 16:
-            # Evicted states leave memo entries behind; prune lazily so
-            # the cache tracks the live repository, not its history.
-            live = {s.state_id for s in states}
-            self._sketches = {
-                sid: v for sid, v in self._sketches.items() if sid in live
-            }
-        return out
+        A contraction in numpy's own loop, not a BLAS product: at 10k
+        rows a BLAS product wakes the library's worker threads, whose
+        busy-waiting slowed the rest of each selection event 1.5-2x on
+        a 2-vCPU machine.
+        """
+        return np.einsum("nd,kd->nk", matrix, self.vectors)
 
     def scores(self, sketches: np.ndarray, query_sketch: np.ndarray) -> np.ndarray:
         """Cosine of every sketch row against the query sketch."""
@@ -133,27 +114,20 @@ class ProjectionPrefilter:  # repro-lint: disable=RPR002
 
     # -- the shortlist -------------------------------------------------
     def shortlist(
-        self, states: Sequence[ConceptState], query: np.ndarray, k: int
+        self, means: np.ndarray, query: np.ndarray, k: int
     ) -> List[int]:
-        """Indices of the top-``k`` sketch-similar states.
+        """Indices of the top-``k`` sketch-similar rows of ``means``.
 
-        Returned in ascending index order so the downstream exact rerank
-        sees candidates in repository insertion order — the same
-        tie-breaking order the full scan uses.
+        ``means`` holds the candidates' ``(n, D)`` fingerprint means in
+        repository order; the indices come back ascending so the
+        downstream exact rerank sees candidates in repository insertion
+        order — the same tie-breaking order the full scan uses.
         """
-        if k >= len(states):
-            return list(range(len(states)))
-        scored = self.scores(self.state_sketches(states), self.sketch(query))
+        if k >= len(means):
+            return list(range(len(means)))
+        scored = self.scores(self.sketch_rows(means), self.sketch(query))
         top = np.argpartition(-scored, k - 1)[:k]
         return sorted(int(i) for i in top)
-
-    def forget(self, state_id: int) -> None:
-        """Drop one state's memoised sketch (eviction/absorption)."""
-        self._sketches.pop(state_id, None)
-
-    def clear(self) -> None:
-        """Drop every memoised sketch (checkpoint restore)."""
-        self._sketches.clear()
 
 
 class TieredConceptStore:

@@ -21,7 +21,10 @@ Each fingerprint dimension ``mi`` gets weight ``w_mi = w_sigma * w_d``:
     detection.
 
 All statistics enter in the normalised [0, 1] fingerprint space so the
-two Fisher terms are comparable across dimensions.
+two Fisher terms are comparable across dimensions.  The stored
+concepts' statistics are read from the repository's
+:class:`~repro.core.repository.FingerprintMatrix`, gathered in
+repository order, one batched scale per term.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import TYPE_CHECKING, List
 
 import numpy as np
 
+from repro.core.fingerprint import welford_stds
 from repro.utils.stats import OnlineMinMax
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,15 +66,18 @@ def inter_concept_variation_matrix(
     """``v_s``: Fisher score of dimension means across stored concepts.
 
     ``v_s = std_S(mu_S) / max_S(sigma_S)`` per dimension, computed over
-    the matrix rows with trained fingerprints (repository order).
+    the stored concepts with trained fingerprints (repository order).
     Needs at least two such concepts; otherwise every dimension gets a
     neutral 1.
     """
-    trained = matrix.fp_n_view >= 2
-    if int(trained.sum()) < 2:
+    rows = matrix.rows
+    trained = rows[matrix.fp_counts[rows].max(axis=1) >= 2]
+    if len(trained) < 2:
         return np.ones(normalizer.n_dims)
-    means = normalizer.scale_many(matrix.fp_means_view[trained])
-    stds = normalizer.scale_std_many(matrix.fp_stds_view[trained])
+    means = normalizer.scale(matrix.fp_means[trained])
+    stds = normalizer.scale_std(
+        welford_stds(matrix.fp_counts[trained], matrix.fp_m2[trained])
+    )
     between = means.std(axis=0)
     within = np.maximum(stds.max(axis=0), _SIGMA_EPS)
     return np.minimum(between / within, _WEIGHT_CAP)
@@ -88,13 +95,20 @@ def intra_classifier_variation_matrix(
     non-active sigma — averaged over such concepts.  Neutral 1 when no
     concept qualifies.
     """
-    mask = (matrix.fp_n_view >= 2) & (matrix.na_n_view >= 2)
-    if not mask.any():
+    rows = matrix.rows
+    both = rows[
+        (matrix.fp_counts[rows].max(axis=1) >= 2)
+        & (matrix.na_counts[rows].max(axis=1) >= 2)
+    ]
+    if not len(both):
         return np.ones(normalizer.n_dims)
-    mu_self = normalizer.scale_many(matrix.fp_means_view[mask])
-    mu_cross = normalizer.scale_many(matrix.na_means_view[mask])
+    mu_self = normalizer.scale(matrix.fp_means[both])
+    mu_cross = normalizer.scale(matrix.na_means[both])
     sigma_cross = np.maximum(
-        normalizer.scale_std_many(matrix.na_stds_view[mask]), _SIGMA_EPS
+        normalizer.scale_std(
+            welford_stds(matrix.na_counts[both], matrix.na_m2[both])
+        ),
+        _SIGMA_EPS,
     )
     # std of the two-point set {mu_self, mu_cross} is |diff| / 2.
     ratios = np.abs(mu_self - mu_cross) / (2.0 * sigma_cross)
@@ -112,18 +126,17 @@ def make_weights(
 
     ``mode`` selects the ablation: "full", "sigma", "fisher" or "none".
     Cosine similarity is invariant to a global rescaling of the weight
-    vector, so no normalisation is applied.  Every per-state statistic
-    is read from ``matrix``, the refreshed :class:`FingerprintMatrix`
-    whose rows mirror ``states`` (the repository's stored concepts, in
-    order) — one batched scale per term.
+    vector, so no normalisation is applied.  ``states`` are the
+    repository's stored concepts, in order, and ``matrix`` is the
+    repository's storage of their statistics, which the Fisher terms
+    read.
     """
     n_dims = normalizer.n_dims
     if mode == "none":
         return np.ones(n_dims)
-    row = matrix.row_of(active_state.state_id)
+    fingerprint = active_state.fingerprint
     w_sigma = sigma_weights(
-        normalizer.scale_std(matrix.fp_stds_view[row]),
-        matrix.fp_counts_view[row],
+        normalizer.scale_std(fingerprint.stds), fingerprint.counts
     )
     if mode == "sigma":
         return w_sigma

@@ -3,7 +3,6 @@
 from repro.utils.stats import (
     OnlineStats,
     EwmaStats,
-    OnlineVectorStats,
     OnlineMinMax,
     ReservoirSampler,
 )
@@ -18,7 +17,6 @@ from repro.utils.validation import (
 __all__ = [
     "OnlineStats",
     "EwmaStats",
-    "OnlineVectorStats",
     "OnlineMinMax",
     "ReservoirSampler",
     "SlidingWindow",

@@ -3,12 +3,12 @@
 FiCSUM is a one-pass streaming algorithm: every distribution it tracks
 (meta-information features inside a concept fingerprint, the "normal"
 similarity of a concept, the observed range of each fingerprint dimension)
-must be maintained in constant space.  This module provides the three
+must be maintained in constant space.  This module provides the
 building blocks used throughout the code base:
 
-* :class:`OnlineStats` — Welford mean / variance / count for scalars.
-* :class:`OnlineVectorStats` — the same, vectorised over numpy arrays
-  (one Welford accumulator per fingerprint dimension).
+* :class:`OnlineStats` — Welford mean / variance / count for scalars
+  (the per-dimension vector form is
+  :class:`~repro.core.fingerprint.ConceptFingerprint`).
 * :class:`OnlineMinMax` — running per-dimension range, used to scale
   fingerprint dimensions into ``[0, 1]`` (Section III-A of the paper).
 * :class:`EwmaStats` — exponentially-forgetting mean/std, used for the
@@ -198,129 +198,6 @@ class EwmaStats:
         return f"EwmaStats(count={self.count}, mean={self.mean:.4g}, std={self.std:.4g})"
 
 
-class OnlineVectorStats:
-    """Vectorised Welford accumulator: one mean/std/count per dimension.
-
-    This is the storage format of a *concept fingerprint*: the paper
-    represents each meta-information feature as the triple
-    ``(mu_mi, sigma_mi, count_mi)`` over all incorporated fingerprints.
-    ``reset_dims`` supports the fingerprint-plasticity mechanism of
-    Section IV (forgetting classifier-dependent dimensions after the
-    classifier changes significantly).
-    """
-
-    def __init__(self, n_dims: int) -> None:
-        if n_dims <= 0:
-            raise ValueError(f"n_dims must be positive, got {n_dims}")
-        self.n_dims = n_dims
-        self.counts = np.zeros(n_dims, dtype=np.int64)
-        self.means = np.zeros(n_dims, dtype=np.float64)
-        self._m2 = np.zeros(n_dims, dtype=np.float64)
-        # Monotone change counter: write-through mirrors (the repository
-        # fingerprint matrix) compare it against their last synced value
-        # to re-pull only rows whose statistics actually moved.
-        self.version = 0
-
-    def update(self, values: np.ndarray) -> None:
-        """Fold one vector of observations into the running statistics."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.n_dims,):
-            raise ValueError(
-                f"expected shape ({self.n_dims},), got {values.shape}"
-            )
-        self.version += 1
-        self.counts += 1
-        delta = values - self.means
-        self.means += delta / self.counts
-        self._m2 += delta * (values - self.means)
-
-    @property
-    def variances(self) -> np.ndarray:
-        """Per-dimension population variance (0 where count < 2)."""
-        out = np.zeros(self.n_dims)
-        mask = self.counts >= 2
-        out[mask] = self._m2[mask] / self.counts[mask]
-        # Welford's m2 can drift a hair below zero in float arithmetic.
-        return np.maximum(out, 0.0)
-
-    @property
-    def stds(self) -> np.ndarray:
-        return np.sqrt(self.variances)
-
-    @property
-    def count(self) -> int:
-        """Number of fingerprints incorporated (max across dimensions)."""
-        return int(self.counts.max()) if self.n_dims else 0
-
-    def reset_dims(self, dims: np.ndarray, keep_means: bool = True) -> None:
-        """Forget the history of a subset of dimensions (boolean mask).
-
-        With ``keep_means`` (default) the running means survive as the
-        best current estimate until the next update overwrites them
-        (count restarts at 0, so the first new value replaces the mean
-        entirely); counts and spread always reset.  Zeroing the means
-        would make every similarity computed before the next update
-        collapse, which is not what fingerprint plasticity intends.
-        """
-        dims = np.asarray(dims, dtype=bool)
-        self.version += 1
-        self.counts[dims] = 0
-        if not keep_means:
-            self.means[dims] = 0.0
-        self._m2[dims] = 0.0
-
-    def copy(self) -> "OnlineVectorStats":
-        clone = OnlineVectorStats(self.n_dims)
-        clone.counts = self.counts.copy()
-        clone.means = self.means.copy()
-        clone._m2 = self._m2.copy()
-        clone.version = self.version
-        return clone
-
-    def merge(self, other: "OnlineVectorStats") -> None:
-        """Combine another accumulator into this one, per dimension.
-
-        Chan et al.'s parallel Welford combine (the vector analogue of
-        :meth:`OnlineStats.merge`): the result holds exactly the
-        mean/m2/count the pooled observation history would produce, so
-        folding a concept into a family representative preserves the
-        fingerprint moments of both members.
-        """
-        if other.n_dims != self.n_dims:
-            raise ValueError(
-                f"cannot merge {other.n_dims}-dim stats into {self.n_dims}-dim"
-            )
-        self.version += 1
-        total = self.counts + other.counts
-        mask = total > 0
-        delta = other.means - self.means
-        self._m2[mask] += (
-            other._m2[mask]
-            + delta[mask] ** 2 * self.counts[mask] * other.counts[mask] / total[mask]
-        )
-        self.means[mask] += delta[mask] * other.counts[mask] / total[mask]
-        self.counts = total
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "counts": self.counts.copy(),
-            "means": self.means.copy(),
-            "m2": self._m2.copy(),
-            "version": self.version,
-        }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        counts = np.asarray(state["counts"], dtype=np.int64)
-        if counts.shape != (self.n_dims,):
-            raise ValueError(
-                f"state holds {counts.shape[0]} dims, expected {self.n_dims}"
-            )
-        self.counts = counts.copy()
-        self.means = np.asarray(state["means"], dtype=np.float64).copy()
-        self._m2 = np.asarray(state["m2"], dtype=np.float64).copy()
-        self.version = int(state["version"])
-
-
 def minmax_scale(
     values: np.ndarray, mins: np.ndarray, maxs: np.ndarray
 ) -> np.ndarray:
@@ -371,22 +248,6 @@ class OnlineMinMax:
         np.minimum(self.mins, values, out=self.mins)
         np.maximum(self.maxs, values, out=self.maxs)
 
-    def update_many(self, values: np.ndarray) -> None:
-        """Fold a batch of vectors (rows) into the running extrema.
-
-        Min/max are order-independent, so the resulting state is
-        identical to updating row by row.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            return
-        lo = values.min(axis=0)
-        hi = values.max(axis=0)
-        if np.any(lo < self.mins) or np.any(hi > self.maxs):
-            self.version += 1
-        np.minimum(self.mins, lo, out=self.mins)
-        np.maximum(self.maxs, hi, out=self.maxs)
-
     def update_rows(
         self, values: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -422,8 +283,8 @@ class OnlineMinMax:
     def contains(self, values: np.ndarray) -> bool:
         """True when every value lies inside the observed ranges.
 
-        Exactly the condition under which :meth:`update` /
-        :meth:`update_many` with ``values`` would be a no-op.
+        Exactly the condition under which :meth:`update` with
+        ``values`` would be a no-op.
         """
         return bool(np.all(values >= self.mins) and np.all(values <= self.maxs))
 
@@ -438,24 +299,17 @@ class OnlineMinMax:
             np.asarray(values, dtype=np.float64), self.mins, self.maxs
         )
 
-    scale_many = scale
-
     def scale_std(self, stds: np.ndarray) -> np.ndarray:
-        """Express raw standard deviations in the scaled [0, 1] space."""
-        stds = np.asarray(stds, dtype=np.float64)
-        span = self.maxs - self.mins
-        out = np.zeros_like(stds)
-        ok = (span > 0) & np.isfinite(span)
-        out[ok] = stds[ok] / span[ok]
-        return out
+        """Express raw standard deviations in the scaled [0, 1] space.
 
-    def scale_std_many(self, stds: np.ndarray) -> np.ndarray:
-        """:meth:`scale_std` applied to every row of a batch (bit-equal)."""
+        ``stds`` is one ``(n_dims,)`` vector or a ``(r, n_dims)``
+        stack; each row of a stack is bit-for-bit that row alone.
+        """
         stds = np.asarray(stds, dtype=np.float64)
         span = self.maxs - self.mins
         out = np.zeros(stds.shape)
         ok = (span > 0) & np.isfinite(span)
-        out[:, ok] = stds[:, ok] / span[ok]
+        out[..., ok] = stds[..., ok] / span[ok]
         return out
 
     def state_dict(self) -> Dict[str, Any]:

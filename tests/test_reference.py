@@ -12,8 +12,10 @@ weights.  The scenarios are
 spied, to show each was taken on the way to the reference's trace.
 
 The reference builds its own copy of the Hoeffding tree
-(:class:`reference.ReferenceHoeffdingTree`), so a change to the engine's
-tree shows here too.
+(:class:`reference.ReferenceHoeffdingTree`) and keeps its concepts in
+its own store of standalone states (:class:`reference.ReferenceStore`),
+so a change to the engine's tree or to its concept storage shows here
+too.
 
 Stream seeds honour ``REPRO_SEED`` (see :mod:`equivalence`), so CI
 runs the whole matrix on three distinct streams.
@@ -74,6 +76,12 @@ FORBIDDEN = {
     "_entropies",
     "_test_then_train",
     "HoeffdingTree",
+    # The engine's concept storage: the reference keeps standalone
+    # states in its own dict (ReferenceStore).
+    "Repository",
+    "FingerprintMatrix",
+    "new_state",
+    "admit",
 }
 
 

@@ -1,13 +1,13 @@
-"""Repository eviction edge cases and mirror-store alignment.
+"""Repository eviction edge cases and storage / bank alignment.
 
 PR 4 introduced eviction protection (``protect=``) and the
 :class:`RepositoryFullError` escape hatch; this module covers the
 corners the original equivalence runs only grazed: capacity-1 pressure
 with and without protection, protection of already-evicted ids,
-eviction cascades, and — new with forest routing — that *both*
-write-through mirrors (the fingerprint matrix and the classifier bank)
-stay aligned with the surviving states through compaction, re-adds and
-whole-run LRU churn.
+eviction cascades, and that the fingerprint matrix (the storage of
+every stored state's statistics) and the classifier bank stay aligned
+with the surviving states through removals, re-adds and whole-run LRU
+churn.
 """
 
 from __future__ import annotations
@@ -190,11 +190,8 @@ class TestMirrorAlignmentAfterCompaction:
         states = repo.states()
         matrix = repo.matrix()
         assert matrix.state_ids == [s.state_id for s in states]
-        for r, s in enumerate(states):
-            assert matrix.row_of(s.state_id) == r
-            np.testing.assert_array_equal(
-                matrix.fp_means_view[r], s.fingerprint.means
-            )
+        for row, s in zip(matrix.rows, states):
+            assert np.shares_memory(s.fingerprint.means, matrix.fp_means[row])
         bank = repo.bank()
         assert bank is not None
         assert sorted(bank._plans) == sorted(s.state_id for s in states)

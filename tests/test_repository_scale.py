@@ -32,9 +32,10 @@ from hypothesis import strategies as st
 
 from repro.classifiers import HoeffdingTree
 from repro.core import FicsumConfig, Repository
+from repro.core.fingerprint import ConceptFingerprint
 from repro.core.similarity import weighted_cosine_many
 from repro.core.store import ProjectionPrefilter
-from repro.utils.stats import EwmaStats, OnlineVectorStats
+from repro.utils.stats import EwmaStats
 
 N_DIMS = 24
 SHORTLIST_K = 16
@@ -53,20 +54,6 @@ def _population(
     return members, queries
 
 
-class _MeansState:
-    """Minimal state-like carrier for prefilter population tests."""
-
-    def __init__(self, state_id: int, means: np.ndarray) -> None:
-        self.state_id = state_id
-        self.fingerprint = _MeansFingerprint(means)
-
-
-class _MeansFingerprint:
-    def __init__(self, means: np.ndarray) -> None:
-        self.means = np.asarray(means, dtype=np.float64)
-        self.version = 0
-
-
 class TestShortlistRecall:
     """The declared recall bound of the approximate prefilter."""
 
@@ -76,7 +63,6 @@ class TestShortlistRecall:
         # 32 projections x 40 queries: measured min recall 0.925 over
         # 3000 population seeds, none below the 0.9 bound.
         members, queries = _population(seed, n_queries=5)
-        states = [_MeansState(i, m) for i, m in enumerate(members)]
         prefilter = ProjectionPrefilter(N_DIMS, 32, seed=seed % 7)
         hits = 0
         for query in queries:
@@ -84,7 +70,7 @@ class TestShortlistRecall:
                 np.ascontiguousarray(members), query
             )
             winner = int(np.argmax(exact))
-            shortlist = prefilter.shortlist(states, query, SHORTLIST_K)
+            shortlist = prefilter.shortlist(members, query, SHORTLIST_K)
             hits += winner in shortlist
         # The class declares >= 90% top-1 recall on clustered
         # populations; empirically this sits at ~1.0.
@@ -92,20 +78,15 @@ class TestShortlistRecall:
 
     def test_shortlist_covers_small_populations_exactly(self):
         members, queries = _population(3, n_centers=3, per_center=4)
-        states = [_MeansState(i, m) for i, m in enumerate(members)]
         prefilter = ProjectionPrefilter(N_DIMS, 16, seed=0)
-        assert prefilter.shortlist(states, queries[0], len(states)) == list(
-            range(len(states))
-        )
-        assert prefilter.shortlist(states, queries[0], 10_000) == list(
-            range(len(states))
-        )
+        everyone = list(range(len(members)))
+        assert prefilter.shortlist(members, queries[0], len(members)) == everyone
+        assert prefilter.shortlist(members, queries[0], 10_000) == everyone
 
     def test_shortlist_returns_repository_order(self):
         members, queries = _population(11)
-        states = [_MeansState(i, m) for i, m in enumerate(members)]
         prefilter = ProjectionPrefilter(N_DIMS, 16, seed=0)
-        shortlist = prefilter.shortlist(states, queries[0], SHORTLIST_K)
+        shortlist = prefilter.shortlist(members, queries[0], SHORTLIST_K)
         assert shortlist == sorted(shortlist)
         assert len(shortlist) == SHORTLIST_K
 
@@ -115,19 +96,6 @@ class TestShortlistRecall:
         c = ProjectionPrefilter(N_DIMS, 16, seed=5)
         np.testing.assert_array_equal(a.vectors, b.vectors)
         assert not np.array_equal(a.vectors, c.vectors)
-
-    def test_sketch_memo_tracks_fingerprint_version(self):
-        members, _ = _population(2, n_centers=2, per_center=2)
-        states = [_MeansState(i, m) for i, m in enumerate(members)]
-        prefilter = ProjectionPrefilter(N_DIMS, 16, seed=0)
-        first = prefilter.state_sketches(states).copy()
-        states[0].fingerprint.means = states[0].fingerprint.means + 1.0
-        stale = prefilter.state_sketches(states)
-        np.testing.assert_array_equal(stale, first)  # version unchanged
-        states[0].fingerprint.version += 1
-        fresh = prefilter.state_sketches(states)
-        assert not np.array_equal(fresh[0], first[0])
-        np.testing.assert_array_equal(fresh[1:], first[1:])
 
     def test_declares_rpr008_contract(self):
         assert ProjectionPrefilter.approximate is True
@@ -214,16 +182,16 @@ class TestFamilies:
     def test_vector_stats_merge_equals_pooled_history(self):
         rng = np.random.default_rng(0)
         xs = rng.normal(size=(9, 5))
-        a = OnlineVectorStats(5)
-        b = OnlineVectorStats(5)
-        pooled = OnlineVectorStats(5)
+        a = ConceptFingerprint(5)
+        b = ConceptFingerprint(5)
+        pooled = ConceptFingerprint(5)
         for i, x in enumerate(xs):
-            (a if i < 4 else b).update(x)
-            pooled.update(x)
+            (a if i < 4 else b).incorporate(x)
+            pooled.incorporate(x)
         a.merge(b)
         np.testing.assert_array_equal(a.counts, pooled.counts)
         np.testing.assert_allclose(a.means, pooled.means, rtol=1e-12)
-        np.testing.assert_allclose(a.variances, pooled.variances, atol=1e-12)
+        np.testing.assert_allclose(a.stds, pooled.stds, atol=1e-12)
 
     def test_ewma_merge_is_count_weighted(self):
         a = EwmaStats()

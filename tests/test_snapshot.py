@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import pickle
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -34,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro
 from repro.classifiers import HoeffdingTree
 from repro.core import DelayedLabelAdapter
 from repro.core.repository import ConceptState, Repository
@@ -337,6 +341,75 @@ def test_snapshot_bytes_are_reproducible(tmp_path):
         expected = (first / name).read_bytes()
         assert (again / name).read_bytes() == expected, name
         assert (resaved / name).read_bytes() == expected, name
+
+
+#: Runs one HPLANE-U stream under the serve-fast configuration and
+#: snapshots it under a fixed clock to ``sys.argv[1]``.
+_SNAPSHOT_SCRIPT = """
+import sys
+from repro.core import FicsumConfig
+from repro.core.variants import make_ficsum
+from repro.serving.runner import StreamRunner
+from repro.serving.snapshot import save_system
+from repro.streams.datasets import make_dataset
+
+stream = make_dataset("HPLANE-U", seed=3, segment_length=150, n_repeats=2)
+system = make_ficsum(
+    stream.meta.n_features,
+    stream.meta.n_classes,
+    FicsumConfig(sketch_profile="fast", oracle_drift=True),
+)
+StreamRunner(system, stream, oracle_drift=True).run()
+# A stored concept with fewer retained similarity pairs than its record
+# holds: its unwritten rows are saved too.
+assert any(
+    s.sim_pairs.count < s.sim_pairs.capacity for s in system.repository.states()
+)
+save_system(system, sys.argv[1], clock=lambda: 1234.5)
+"""
+
+
+def test_snapshot_bytes_match_across_processes(tmp_path):
+    """Two processes snapshotting the same stream under a fixed clock
+    write the same ``arrays.npz``: no saved array carries memory the
+    process never wrote."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (source, env.get("PYTHONPATH", "")) if p
+    )
+    payloads = []
+    for name in ("first", "second"):
+        subprocess.run(
+            [sys.executable, "-c", _SNAPSHOT_SCRIPT, str(tmp_path / name)],
+            check=True,
+            env=env,
+            timeout=600,
+        )
+        payloads.append((tmp_path / name / ARRAYS_NAME).read_bytes())
+    assert payloads[0] == payloads[1]
+
+
+def test_restore_ignores_fingerprint_version_keys(tmp_path):
+    """Snapshots written while fingerprints kept a change counter carry
+    it under each fingerprint's ``version`` key: they still load, and
+    the resumed run is the uninterrupted one, bit for bit."""
+    reference = run_config({})
+    system, stream = build_system({})
+    runner = StreamRunner(system, stream, oracle_drift=system.config.oracle_drift)
+    runner.run(max_observations=350)
+    path = runner.save_checkpoint(tmp_path / "ckpt")
+    state, meta = read_state(path)
+    concepts = state["system"]["state"]["repository"]["states"]
+    assert len(concepts) >= 2
+    for i, concept in enumerate(concepts):
+        for key in ("fingerprint", "nonactive"):
+            assert "version" not in concept[key]
+            concept[key]["version"] = 7 * i + 3
+    write_state(path, state, meta)
+    _, fresh_stream = build_system({})
+    restored = StreamRunner.restore(path, fresh_stream)
+    assert_identical_traces(RunTrace(restored.run(), restored.system), reference)
 
 
 def test_write_state_rejects_unserializable_leaf(tmp_path):

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fingerprint import ConceptFingerprint
 from repro.utils.stats import (
     EwmaStats,
     OnlineMinMax,
     OnlineStats,
-    OnlineVectorStats,
     ReservoirSampler,
 )
 
@@ -121,14 +121,17 @@ class TestEwmaStats:
 
 
 class TestOnlineVectorStats:
+    """Per-dimension online statistics over vectors: the Welford triple
+    a :class:`ConceptFingerprint` keeps."""
+
     def test_shape_validation(self):
-        s = OnlineVectorStats(3)
+        fp = ConceptFingerprint(3)
         with pytest.raises(ValueError):
-            s.update(np.zeros(4))
+            fp.incorporate(np.zeros(4))
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
-            OnlineVectorStats(0)
+            ConceptFingerprint(0)
 
     @given(st.integers(2, 30), st.integers(2, 8))
     @settings(max_examples=30)
@@ -136,42 +139,35 @@ class TestOnlineVectorStats:
         data = np.random.default_rng(n_rows * 31 + n_dims).normal(
             size=(n_rows, n_dims)
         )
-        s = OnlineVectorStats(n_dims)
+        fp = ConceptFingerprint(n_dims)
         for row in data:
-            s.update(row)
-        np.testing.assert_allclose(s.means, data.mean(axis=0), atol=1e-10)
-        np.testing.assert_allclose(s.stds, data.std(axis=0), atol=1e-8)
-        assert s.count == n_rows
+            fp.incorporate(row)
+        np.testing.assert_allclose(fp.means, data.mean(axis=0), atol=1e-10)
+        np.testing.assert_allclose(fp.stds, data.std(axis=0), atol=1e-8)
+        assert fp.count == n_rows
 
     def test_reset_dims_keeps_means_by_default(self):
-        s = OnlineVectorStats(4)
-        s.update(np.array([1.0, 2.0, 3.0, 4.0]))
-        s.update(np.array([3.0, 4.0, 5.0, 6.0]))
-        mask = np.array([True, False, True, False])
-        s.reset_dims(mask)
-        assert s.counts[0] == 0 and s.counts[1] == 2
-        assert s.means[0] == 2.0  # mean preserved as estimate
-        assert s.stds[0] == 0.0  # spread forgotten
-
-    def test_reset_dims_zero_means(self):
-        s = OnlineVectorStats(2)
-        s.update(np.array([1.0, 1.0]))
-        s.reset_dims(np.array([True, False]), keep_means=False)
-        assert s.means[0] == 0.0 and s.means[1] == 1.0
+        fp = ConceptFingerprint(4)
+        fp.incorporate(np.array([1.0, 2.0, 3.0, 4.0]))
+        fp.incorporate(np.array([3.0, 4.0, 5.0, 6.0]))
+        fp.reset_dims(np.array([True, False, True, False]))
+        assert fp.counts[0] == 0 and fp.counts[1] == 2
+        assert fp.means[0] == 2.0  # mean preserved as estimate
+        assert fp.stds[0] == 0.0  # spread forgotten
 
     def test_update_after_reset_replaces_mean(self):
-        s = OnlineVectorStats(1)
-        s.update(np.array([10.0]))
-        s.update(np.array([10.0]))
-        s.reset_dims(np.array([True]))
-        s.update(np.array([2.0]))
-        assert s.means[0] == 2.0
+        fp = ConceptFingerprint(1)
+        fp.incorporate(np.array([10.0]))
+        fp.incorporate(np.array([10.0]))
+        fp.reset_dims(np.array([True]))
+        fp.incorporate(np.array([2.0]))
+        assert fp.means[0] == 2.0
 
     def test_variances_never_negative(self):
-        s = OnlineVectorStats(2)
+        fp = ConceptFingerprint(2)
         for _ in range(50):
-            s.update(np.array([1e-9, 1e9]))
-        assert np.all(s.variances >= 0.0)
+            fp.incorporate(np.array([1e-9, 1e9]))
+        assert np.all(fp.stds >= 0.0)
 
 
 class TestOnlineMinMax:

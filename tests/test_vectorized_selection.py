@@ -20,7 +20,7 @@ from equivalence import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import reference_weights
+from reference import reference_weights, rescaled_similarity_record
 
 from repro.classifiers import MajorityClass
 from repro.core import Ficsum, FicsumConfig
@@ -166,7 +166,7 @@ class TestScaleMany:
     def test_scale_many_matches_scale(self):
         norm = self._normalizer()
         V = RNG.normal(size=(13, 7)) * 3.0
-        batch = norm.scale_many(V)
+        batch = norm.scale(V)
         rows = np.stack([norm.scale(V[i]) for i in range(13)])
         assert np.array_equal(batch, rows)
 
@@ -174,25 +174,16 @@ class TestScaleMany:
         norm = OnlineMinMax(2)
         norm.update(np.array([0.0, 1.0]))
         norm.update(np.array([1.0, 1.0]))  # dim 1 has no spread
-        out = norm.scale_many(np.array([[0.5, 9.0], [2.0, -3.0]]))
+        out = norm.scale(np.array([[0.5, 9.0], [2.0, -3.0]]))
         assert np.array_equal(out[:, 1], [0.5, 0.5])
         assert np.array_equal(out[:, 0], [0.5, 1.0])  # clipped
 
     def test_scale_std_many_matches_scale_std(self):
         norm = self._normalizer()
         S = np.abs(RNG.normal(size=(5, 7)))
-        batch = norm.scale_std_many(S)
+        batch = norm.scale_std(S)
         rows = np.stack([norm.scale_std(S[i]) for i in range(5)])
         assert np.array_equal(batch, rows)
-
-    def test_update_many_equals_sequential(self):
-        a, b = OnlineMinMax(4), OnlineMinMax(4)
-        V = RNG.normal(size=(10, 4))
-        for row in V:
-            a.update(row)
-        b.update_many(V)
-        assert np.array_equal(a.mins, b.mins)
-        assert np.array_equal(a.maxs, b.maxs)
 
     def test_contains_and_version(self):
         norm = OnlineMinMax(3)
@@ -201,11 +192,11 @@ class TestScaleMany:
         v = norm.version
         inside = RNG.uniform(size=(4, 3))
         assert norm.contains(inside)
-        norm.update_many(inside)
+        norm.update_rows(inside)
         assert norm.version == v  # no widening, no version bump
         outside = np.array([[0.5, 0.5, 2.0]])
         assert not norm.contains(outside)
-        norm.update_many(outside)
+        norm.update_rows(outside)
         assert norm.version == v + 1
 
     @given(_stack_case())
@@ -309,6 +300,24 @@ class TestSimPairRecord:
         assert np.array_equal(A[:, 0], [2.0, 3.0, 4.0])
         assert np.array_equal(B[:, 0], [12.0, 13.0, 14.0])
 
+    @pytest.mark.parametrize("filled", [0, 2])
+    def test_unwritten_rows_are_zero(self, filled):
+        """Rows past ``count`` hold zeros, not leftover heap bytes:
+        ``state_dict`` saves every row, so snapshots would carry them."""
+        capacity, n_dims = 4, 7
+        for _ in range(20):
+            # Free same-size non-zero arrays first: an uninitialised
+            # allocation tends to reuse their memory.
+            junk = [np.full((capacity, n_dims), 7.5) for _ in range(2)]
+            junk.append(np.full(capacity, 7.5))
+            del junk
+            rec = SimPairRecord(capacity, n_dims)
+            for _ in range(filled):
+                rec.append(np.ones(n_dims), np.ones(n_dims), 0.5)
+            state = rec.state_dict()
+            for key in ("a", "b", "sims"):
+                assert not state[key][filled:].any(), key
+
     def test_zero_capacity(self):
         rec = SimPairRecord(0, 2)
         rec.append(np.zeros(2), np.zeros(2), 0.5)
@@ -333,7 +342,7 @@ class TestSimPairRecord:
             reference.append((a.copy(), b.copy(), sim))
         weights = np.abs(rng.normal(size=n_dims)) + 0.1
         sim_fn = lambda x, y: similarity(x, y, weights)  # noqa: E731
-        assert state.rescaled_similarity_record(sim_fn) == _deque_rescaled(
+        assert rescaled_similarity_record(state, sim_fn) == _deque_rescaled(
             state, reference, sim_fn
         )
 
@@ -341,7 +350,7 @@ class TestSimPairRecord:
         state = ConceptState(0, 1, MajorityClass(2))
         state.record_similarity(np.array([0.5]), np.array([0.5]), 0.0)
         state.record_similarity(np.array([0.5]), np.array([0.5]), 10.0)
-        mu, sigma = state.rescaled_similarity_record(lambda a, b: 20.0)
+        mu, sigma = rescaled_similarity_record(state, lambda a, b: 20.0)
         assert mu == pytest.approx(state.sim_stats.mean * 2.0)
 
 
@@ -386,19 +395,23 @@ class TestFingerprintMatrix:
         return repo, states
 
     def _assert_aligned(self, repo):
+        """Each stored state's statistics are views of its own row, and
+        the repository-order rows are the states' rows in order."""
         m = repo.matrix()
         states = repo.states()
         assert m.state_ids == [s.state_id for s in states]
-        for r, s in enumerate(states):
-            assert m.row_of(s.state_id) == r
-            np.testing.assert_array_equal(m.fp_means_view[r], s.fingerprint.means)
-            np.testing.assert_array_equal(m.fp_stds_view[r], s.fingerprint.stds)
-            np.testing.assert_array_equal(
-                m.fp_counts_view[r], s.fingerprint.counts
-            )
-            assert m.fp_n_view[r] == s.fingerprint.count
-            np.testing.assert_array_equal(m.na_means_view[r], s.nonactive.means)
-            assert m.na_n_view[r] == s.nonactive.count
+        assert m.rows.tolist() == m.rows_of(states)
+        assert len(set(m.rows.tolist())) == len(states)
+        for row, s in zip(m.rows, states):
+            for fp, prefix in ((s.fingerprint, "fp_"), (s.nonactive, "na_")):
+                for name in ("counts", "means", "m2"):
+                    stored = getattr(m, prefix + name)
+                    view = getattr(fp, name)
+                    assert view.base is stored
+                    assert np.shares_memory(view, stored[row])
+        np.testing.assert_array_equal(
+            m.fp_means[m.rows], np.stack([s.fingerprint.means for s in states])
+        )
 
     def test_rows_track_states(self):
         repo, _ = self._repo_with_states(5)
@@ -406,23 +419,37 @@ class TestFingerprintMatrix:
 
     def test_write_through_after_incorporate_and_reset(self):
         repo, states = self._repo_with_states(4)
-        repo.matrix()  # initial sync
+        m = repo.matrix()
         states[1].fingerprint.incorporate(np.array([9.0, 9.0, 9.0]))
         states[2].fingerprint.reset_dims(np.array([True, False, True]))
         states[3].nonactive.incorporate(np.array([-1.0, -2.0, -3.0]))
         self._assert_aligned(repo)
+        assert m.fp_counts[m.row_of(states[1].state_id)].tolist() == [4, 4, 4]
+        assert m.fp_counts[m.row_of(states[2].state_id)].tolist() == [0, 3, 0]
+        assert m.na_counts[m.row_of(states[3].state_id)].tolist() == [2, 2, 2]
 
     def test_evict_readd_compaction_alignment(self):
-        """Evict a middle row, re-add states, verify row/state alignment
-        and values survive the compaction."""
+        """Remove a middle state, re-add states, verify rows stay put,
+        freed rows are reused, and a removed state keeps its values."""
         repo, states = self._repo_with_states(6)
-        repo.matrix()
-        repo.remove(states[2].state_id)
+        m = repo.matrix()
+        before = {s.state_id: m.row_of(s.state_id) for s in states}
+        removed = states[2]
+        saved = removed.fingerprint.state_dict()
+        repo.remove(removed.state_id)
+        assert not np.shares_memory(removed.fingerprint.means, m.fp_means)
+        for key, value in saved.items():
+            np.testing.assert_array_equal(
+                getattr(removed.fingerprint, key), value
+            )
         self._assert_aligned(repo)
+        for s in repo.states():
+            assert m.row_of(s.state_id) == before[s.state_id]
         readded = repo.new_state(3, MajorityClass(2), step=99)
+        assert m.row_of(readded.state_id) == before[removed.state_id]
         readded.fingerprint.incorporate(np.array([7.0, 8.0, 9.0]))
         self._assert_aligned(repo)
-        # LRU eviction through capacity pressure also compacts.
+        # LRU eviction through capacity pressure frees rows too.
         repo.max_size = 4
         repo.new_state(3, MajorityClass(2), step=100)
         assert len(repo) == 4
@@ -433,12 +460,13 @@ class TestFingerprintMatrix:
         self._assert_aligned(repo)
 
     def test_mixed_dims_matrix_unavailable(self):
+        """The storage holds one dimensionality: a state of another is
+        refused before anything is stored."""
         repo = Repository(max_size=8)
         repo.new_state(2, MajorityClass(2), step=0)
-        repo.matrix()
-        repo.new_state(3, MajorityClass(2), step=1)
         with pytest.raises(ValueError):
-            repo.matrix()
+            repo.new_state(3, MajorityClass(2), step=1)
+        assert len(repo) == 1 and len(repo.matrix()) == 1
 
     def test_make_weights_matrix_path_identical(self):
         """Matrix-view weights equal the reference's per-state loop."""
@@ -558,7 +586,7 @@ def _plain_select(system, states, fps):
     for state, fp in zip(states, fps):
         system.normalizer.update(fp)
         sim = system._sim(state.fingerprint.means, fp)
-        mu, sigma = state.rescaled_similarity_record(system._sim)
+        mu, sigma = rescaled_similarity_record(state, system._sim)
         sigma = max(sigma, cfg.min_similarity_std * max(1.0, abs(mu)))
         accepted = abs(sim - mu) <= cfg.similarity_gate * sigma
         if accepted and system._error_gate(state, fp):
@@ -732,13 +760,12 @@ class TestVectorizedEquivalence:
         assert narrowed > 0
         system = engine.system
         assert len(system.repository) <= 3
-        # Matrix rows stayed aligned through LRU eviction in a real run.
+        # Every stored state's fingerprint is still its matrix row
+        # after LRU eviction in a real run.
         m = system.repository.matrix()
-        for r, s in enumerate(system.repository.states()):
-            assert m.state_ids[r] == s.state_id
-            np.testing.assert_array_equal(
-                m.fp_means_view[r], s.fingerprint.means
-            )
+        for row, s in zip(m.rows, system.repository.states()):
+            assert m.row_of(s.state_id) == row
+            assert np.shares_memory(s.fingerprint.means, m.fp_means[row])
 
     def test_gated_record_memo_invalidates_on_record_update(self):
         system = run_config().system
@@ -754,6 +781,6 @@ class TestVectorizedEquivalence:
             state.fingerprint.means, state.fingerprint.means, 0.123
         )
         mu_c, sigma_c = system._gated_record(state)
-        fresh_mu, fresh_sigma = state.rescaled_similarity_record(system._sim)
+        fresh_mu, fresh_sigma = rescaled_similarity_record(state, system._sim)
         floor = system.config.min_similarity_std * max(1.0, abs(fresh_mu))
         assert (mu_c, sigma_c) == (fresh_mu, max(fresh_sigma, floor))
