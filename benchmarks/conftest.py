@@ -1,10 +1,21 @@
-"""Benchmark-suite fixtures."""
+"""Benchmark-suite fixtures.
+
+BLAS/OpenMP pools are pinned to one thread before ``_harness`` imports
+numpy, as ``perfbench/run.py`` does: a product big enough to go
+multi-threaded leaves pool threads busy-waiting, which slows whatever
+pure-Python work is timed after it.
+"""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-import _harness
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import _harness  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

@@ -12,7 +12,7 @@ The paper's systems all learn online, one observation at a time:
 
 from repro.classifiers.base import Classifier
 from repro.classifiers.hoeffding_tree import HoeffdingTree
-from repro.classifiers.bank import ClassifierBank, TreePlan
+from repro.classifiers.bank import ClassifierBank
 from repro.classifiers.naive_bayes import GaussianNaiveBayes
 from repro.classifiers.majority import MajorityClass
 from repro.classifiers.knn import KnnClassifier
@@ -20,7 +20,6 @@ from repro.classifiers.knn import KnnClassifier
 __all__ = [
     "Classifier",
     "ClassifierBank",
-    "TreePlan",
     "HoeffdingTree",
     "GaussianNaiveBayes",
     "MajorityClass",

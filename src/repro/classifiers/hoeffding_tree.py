@@ -19,6 +19,12 @@ every feature × threshold in one vectorised pass.  Both are bit-equal
 to recomputing per row and walking thresholds one by one; the plain
 tree lives in ``tests/reference.py`` as the reference for that.
 
+The tree is its arrays: node tables with the root at row 0, and leaf
+blocks with one row per leaf slot holding every leaf's statistics and
+naive-Bayes terms.  Each :class:`_LeafNode` is a set of views of its
+slot, so learning, :class:`~repro.classifiers.bank.ClassifierBank`
+routing and :meth:`HoeffdingTree.state_dict` share one copy.
+
 Two extensions serve the rest of the reproduction:
 
 * :attr:`n_splits` is a monotone structural-change counter — FiCSUM's
@@ -31,7 +37,7 @@ Two extensions serve the rest of the reproduction:
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -41,19 +47,34 @@ from repro.classifiers.base import Classifier
 _MIN_VAR = 1e-9
 _SQRT2 = math.sqrt(2.0)
 
-#: What a leaf learns and pickles.  Its naive-Bayes terms are derived
-#: from these and rebuilt when a leaf is unpickled.
+#: Leaf slots a new tree allocates; the blocks double when full.
+_INITIAL_SLOTS = 4
+
+#: One row per node: a split's feature (``-1`` on a leaf), threshold
+#: and children (``-1`` on a leaf), and a leaf's slot (``-1`` on a split).
+_NODE_TABLES = ("feature", "threshold", "left", "right", "leaf_of")
+
+#: What a leaf learns and a tree saves.  The naive-Bayes terms are
+#: derived from these and rebuilt on load.
 _LEAF_STATISTICS = (
-    "class_counts",
-    "means",
-    "m2",
-    "mins",
-    "maxs",
-    "weight_at_last_attempt",
-    "depth",
-    "feature_subset",
-    "mc_correct",
-    "nb_correct",
+    "class_counts", "means", "m2", "mins", "maxs",
+    "weight_at_last_attempt", "leaf_depth", "mc_correct", "nb_correct",
+)
+
+#: The tables and blocks holding integers.
+_INTEGER_ARRAYS = ("feature", "left", "right", "leaf_of", "leaf_depth", "feature_subset")
+
+#: Constructor arguments a saved tree is rebuilt with.
+_PARAMETERS = (
+    "n_classes", "n_features", "grace_period", "split_confidence",
+    "tie_threshold", "leaf_prediction", "n_split_points", "max_depth",
+    "max_leaves", "max_features",
+)
+
+#: The leaf blocks a :class:`_LeafNode` holds as views of its row.
+_LEAF_VIEWS = (
+    "class_counts", "means", "m2", "mins", "maxs",
+    "nb_variances", "nb_log_variances", "nb_log_prior",
 )
 
 
@@ -107,66 +128,37 @@ def _entropies(counts: np.ndarray) -> np.ndarray:
 class _LeafNode:
     """A learning leaf with per-class Gaussian attribute estimators.
 
+    A leaf is a set of views of its slot in the tree's leaf blocks: the
+    array attributes (:data:`_LEAF_VIEWS` and ``feature_subset``) are
+    views of the slot's rows, and the per-leaf scalars
+    (``total_weight``, ``weight_at_last_attempt``, ``leaf_depth``,
+    ``mc_correct``, ``nb_correct``) are read and written at the slot's
+    entry of the tree's arrays, so everything a leaf learns lands in
+    the tree's arrays.
+
     Beside its statistics a leaf keeps the naive-Bayes terms that every
     score reads: the per-class variances ``nb_variances`` and their logs
     ``nb_log_variances``, the log priors ``nb_log_prior`` and the
     ``total_weight``.  Each term is one elementwise expression of the
-    statistics (:meth:`_refresh_nb_terms`), so :meth:`learn` recomputes
-    only the learned class's row and prior, and the terms stay equal to
-    a full recompute.  They are derived state: a pickled leaf carries
-    its statistics only and rebuilds the terms when it is unpickled.
+    statistics (:meth:`HoeffdingTree._refresh_nb_terms`), so
+    :meth:`learn` recomputes only the learned class's row and prior, and
+    the terms stay equal to a full recompute.
     """
 
-    __slots__ = (
-        *_LEAF_STATISTICS,
-        "nb_variances",
-        "nb_log_variances",
-        "nb_log_prior",
-        "total_weight",
-    )
+    __slots__ = ("tree", "slot", *_LEAF_VIEWS, "feature_subset")
 
-    def __init__(
-        self,
-        n_classes: int,
-        n_features: int,
-        depth: int,
-        feature_subset: Optional[np.ndarray],
-        class_counts: Optional[np.ndarray] = None,
-    ) -> None:
-        self.class_counts = (
-            np.zeros(n_classes, dtype=np.float64)
-            if class_counts is None
-            else class_counts
-        )
-        self.means = np.zeros((n_classes, n_features), dtype=np.float64)
-        self.m2 = np.zeros((n_classes, n_features), dtype=np.float64)
-        self.mins = np.full(n_features, np.inf)
-        self.maxs = np.full(n_features, -np.inf)
-        self.weight_at_last_attempt = 0.0
-        self.depth = depth
-        self.feature_subset = feature_subset
-        self.mc_correct = 0.0
-        self.nb_correct = 0.0
-        self._refresh_nb_terms()
+    def __init__(self, tree: "HoeffdingTree", slot: int) -> None:
+        self.tree = tree
+        self.slot = slot
+        self.point()
 
-    def __getstate__(self) -> tuple:
-        return None, {name: getattr(self, name) for name in _LEAF_STATISTICS}
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        self._refresh_nb_terms()
-
-    def _refresh_nb_terms(self) -> None:
-        """Recompute every naive-Bayes term from the statistics."""
-        class_counts = self.class_counts
-        counts = np.maximum(class_counts, 1.0)[:, None]
-        self.nb_variances = np.maximum(self.m2 / counts, _MIN_VAR)
-        self.nb_log_variances = np.log(self.nb_variances)
-        self.nb_log_prior = np.where(
-            class_counts > 0, np.log(np.maximum(class_counts, 1e-12)), -1e9
-        )
-        self.total_weight = float(class_counts.sum())
+    def point(self) -> None:
+        """Make the array attributes views of the slot's current rows."""
+        tree, slot = self.tree, self.slot
+        for name in _LEAF_VIEWS:
+            setattr(self, name, getattr(tree, name)[slot])
+        subsets = tree.feature_subset
+        self.feature_subset = None if subsets is None else subsets[slot]
 
     # -- learning ------------------------------------------------------
     def learn(
@@ -183,16 +175,17 @@ class _LeafNode:
         (the test step of test-then-train); they are computed here
         otherwise.
         """
+        tree, slot = self.tree, self.slot
         class_counts = self.class_counts
-        if use_nb_adaptive and self.total_weight > 0:
+        if use_nb_adaptive and tree.total_weight[slot] > 0:
             # Evaluate both leaf predictors on the incoming example
             # *before* learning from it (test-then-train at leaf level).
             if class_counts.argmax() == y:
-                self.mc_correct += 1.0
+                tree.mc_correct[slot] += 1.0
             if nb_scores is None:
                 nb_scores = self._nb_log_scores(x)
             if nb_scores.argmax() == y:
-                self.nb_correct += 1.0
+                tree.nb_correct[slot] += 1.0
         class_counts[y] += 1.0
         count = class_counts[y]
         means = self.means[y]
@@ -202,7 +195,8 @@ class _LeafNode:
         m2 += delta * (x - means)
         np.minimum(self.mins, x, out=self.mins)
         np.maximum(self.maxs, x, out=self.maxs)
-        # Row y of _refresh_nb_terms: only class y's statistics moved.
+        # Row y of the tree's _refresh_nb_terms: only class y's
+        # statistics moved.
         variances = self.nb_variances[y]
         np.maximum(m2 / max(count, 1.0), _MIN_VAR, out=variances)
         np.log(variances, out=self.nb_log_variances[y])
@@ -211,7 +205,7 @@ class _LeafNode:
             np.log(np.maximum(class_counts[y : y + 1], 1e-12), out=prior)
         else:  # a NaN count, which np.where sends to the else branch
             self.nb_log_prior[y] = -1e9
-        self.total_weight = float(class_counts.sum())
+        tree.total_weight[slot] = class_counts.sum()
 
     # -- prediction ----------------------------------------------------
     def _nb_log_scores(self, x: np.ndarray) -> np.ndarray:
@@ -234,10 +228,13 @@ class _LeafNode:
         self, x: np.ndarray, mode: str, nb_scores: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Class probabilities of ``x`` (``nb_scores`` as in :meth:`learn`)."""
+        tree, slot = self.tree, self.slot
         n_classes = len(self.class_counts)
-        if self.total_weight == 0:
+        if tree.total_weight[slot] == 0:
             return np.full(n_classes, 1.0 / n_classes)
-        use_nb = mode == "nb" or (mode == "nba" and self.nb_correct >= self.mc_correct)
+        use_nb = mode == "nb" or (
+            mode == "nba" and tree.nb_correct[slot] >= tree.mc_correct[slot]
+        )
         if use_nb:
             scores = self._nb_log_scores(x) if nb_scores is None else nb_scores
             scores = scores - scores.max()
@@ -257,11 +254,14 @@ class _LeafNode:
         it is hoisted out of the row dimension, and the NB scores come
         from :meth:`_nb_log_scores_batch`.
         """
+        tree, slot = self.tree, self.slot
         n = X.shape[0]
         n_classes = len(self.class_counts)
-        if self.total_weight == 0:
+        if tree.total_weight[slot] == 0:
             return np.full((n, n_classes), 1.0 / n_classes)
-        use_nb = mode == "nb" or (mode == "nba" and self.nb_correct >= self.mc_correct)
+        use_nb = mode == "nb" or (
+            mode == "nba" and tree.nb_correct[slot] >= tree.mc_correct[slot]
+        )
         if not use_nb:
             probs = self.class_counts.copy()
             total = probs.sum()
@@ -297,7 +297,7 @@ class _LeafNode:
         skipped.
         """
         parent_entropy = _entropy(self.class_counts)
-        total = self.total_weight
+        total = self.tree.total_weight[self.slot]
         candidates: List[tuple] = [(0.0, -1, math.nan)]
         if total <= 0:
             return candidates
@@ -346,18 +346,6 @@ class _LeafNode:
             )
         candidates.sort(key=lambda c: c[0], reverse=True)
         return candidates
-
-
-class _SplitNode:
-    """Internal binary split on ``feature <= threshold``."""
-
-    __slots__ = ("feature", "threshold", "left", "right")
-
-    def __init__(self, feature: int, threshold: float) -> None:
-        self.feature = feature
-        self.threshold = threshold
-        self.left: object = None
-        self.right: object = None
 
 
 class HoeffdingTree(Classifier):
@@ -410,45 +398,131 @@ class HoeffdingTree(Classifier):
         self.max_leaves = max_leaves
         self.max_features = max_features
         self._rng = np.random.default_rng(seed)
-        self.n_splits = 0
-        #: Monotone learning counter: advances whenever any leaf absorbs
-        #: an observation.  Together with :attr:`n_splits` it is the
-        #: dirty marker the :class:`~repro.classifiers.bank.ClassifierBank`
-        #: uses to invalidate flattened routing tables / leaf statistics
-        #: (the exact count is irrelevant, only that it moves).
-        self.n_learns = 0
-        self.n_leaves = 1
         self.feature_importances = np.zeros(n_features, dtype=np.float64)
-        self._root: object = self._new_leaf(depth=0)
+        self._empty(_INITIAL_SLOTS)
+        self._new_leaf(0, 0, 0, 0.0)
+        self._leaves.append(_LeafNode(self, 0))
+        self.n_leaves = 1
 
-    # ------------------------------------------------------------------
+    # -- storage ---------------------------------------------------------
+    @property
+    def n_nodes(self) -> int:
+        """Live rows of the node tables: every leaf and every split."""
+        return self.n_leaves + self.n_splits
+
+    def _empty(self, n_slots: int) -> None:
+        """Zeroed node tables and leaf blocks for ``n_slots`` leaves, no
+        row live."""
+        self.n_splits = 0
+        self.n_leaves = 0
+        self._leaves: List[_LeafNode] = []
+        self.feature_subset: Optional[np.ndarray] = None
+        self._resize(n_slots)
+
+    def _resize(self, n_slots: int) -> None:
+        """Reallocate the node tables for ``2 * n_slots`` nodes and the
+        leaf blocks for ``n_slots`` leaves, zero-filled, keeping the live
+        rows, and re-point every leaf's views: the only step that moves
+        them."""
+        n_classes, n_features = self.n_classes, self.n_features
+        per_class = (n_classes, n_features)
+        rows: Dict[str, tuple] = {name: () for name in _NODE_TABLES}
+        rows.update(
+            class_counts=(n_classes,),
+            nb_log_prior=(n_classes,),
+            means=per_class,
+            m2=per_class,
+            nb_variances=per_class,
+            nb_log_variances=per_class,
+            mins=(n_features,),
+            maxs=(n_features,),
+            weight_at_last_attempt=(),
+            leaf_depth=(),
+            mc_correct=(),
+            nb_correct=(),
+            total_weight=(),
+        )
+        if self.max_features is not None and self.max_features < n_features:
+            rows["feature_subset"] = (self.max_features,)
+        n_nodes, n_leaves = self.n_nodes, self.n_leaves
+        for name, row in rows.items():
+            node_table = name in _NODE_TABLES
+            grown = np.zeros(
+                ((2 if node_table else 1) * n_slots, *row),
+                dtype=np.int64 if name in _INTEGER_ARRAYS else np.float64,
+            )
+            live = n_nodes if node_table else n_leaves
+            if live:
+                grown[:live] = getattr(self, name)[:live]
+            setattr(self, name, grown)
+        for leaf in self._leaves:
+            leaf.point()
+
+    def _saved_blocks(self) -> Tuple[str, ...]:
+        if self.feature_subset is None:
+            return _LEAF_STATISTICS
+        return (*_LEAF_STATISTICS, "feature_subset")
+
     def _new_leaf(
-        self, depth: int, class_counts: Optional[np.ndarray] = None
-    ) -> _LeafNode:
-        subset = None
-        if self.max_features is not None and self.max_features < self.n_features:
-            subset = self._rng.choice(
+        self, node: int, slot: int, depth: int, class_counts: Any
+    ) -> None:
+        """Make ``node`` a fresh leaf in ``slot``, its class counts seeded."""
+        if self.feature_subset is not None:
+            self.feature_subset[slot] = self._rng.choice(
                 self.n_features, size=self.max_features, replace=False
             )
-        return _LeafNode(
-            self.n_classes, self.n_features, depth, subset, class_counts
-        )
+        self._set_node(node, -1, 0.0, -1, -1, slot)
+        self.class_counts[slot] = class_counts
+        self.means[slot] = 0.0
+        self.m2[slot] = 0.0
+        self.mins[slot] = np.inf
+        self.maxs[slot] = -np.inf
+        self.weight_at_last_attempt[slot] = 0.0
+        self.leaf_depth[slot] = depth
+        self.mc_correct[slot] = 0.0
+        self.nb_correct[slot] = 0.0
+        self._refresh_nb_terms(slot)
 
-    def _descend(
-        self, x: np.ndarray
-    ) -> Tuple[_LeafNode, Optional[_SplitNode], bool]:
-        """The leaf ``x`` reaches, the split above it and the side taken."""
-        parent: Optional[_SplitNode] = None
-        went_left = False
-        node = self._root
-        while isinstance(node, _SplitNode):
-            parent = node
-            went_left = x[node.feature] <= node.threshold
-            node = node.left if went_left else node.right
-        return node, parent, went_left
+    def _set_node(
+        self, node: int, feature: int, threshold: float, left: int, right: int,
+        slot: int,
+    ) -> None:
+        """Write row ``node`` of the node tables."""
+        self.feature[node], self.threshold[node] = feature, threshold
+        self.left[node], self.right[node] = left, right
+        self.leaf_of[node] = slot
+
+    def _refresh_nb_terms(self, slots: Any) -> None:
+        """Recompute the naive-Bayes terms of ``slots`` (one slot or a
+        slice of them) from their statistics.
+
+        Each term is one elementwise expression of the statistics, and
+        the total sums the contiguous class axis, so the terms of a
+        slice of slots equal each slot's own bit for bit.
+        """
+        class_counts = self.class_counts[slots]
+        counts = np.maximum(class_counts, 1.0)[..., None]
+        variances = np.maximum(self.m2[slots] / counts, _MIN_VAR)
+        self.nb_variances[slots] = variances
+        self.nb_log_variances[slots] = np.log(variances)
+        self.nb_log_prior[slots] = np.where(
+            class_counts > 0, np.log(np.maximum(class_counts, 1e-12)), -1e9
+        )
+        self.total_weight[slots] = class_counts.sum(axis=-1)
+
+    def _reach(self, x: np.ndarray) -> int:
+        """The leaf node ``x`` descends to."""
+        feature, node = self.feature, 0
+        while feature[node] >= 0:
+            went_left = x[feature[node]] <= self.threshold[node]
+            node = self.left[node] if went_left else self.right[node]
+        return node
+
+    def _leaf_at(self, node: int) -> _LeafNode:
+        return self._leaves[self.leaf_of[node]]
 
     def _sort_to_leaf(self, x: np.ndarray) -> _LeafNode:
-        return self._descend(x)[0]
+        return self._leaf_at(self._reach(x))
 
     def _hoeffding_bound(self, n: float) -> float:
         value_range = math.log2(max(self.n_classes, 2))
@@ -461,65 +535,69 @@ class HoeffdingTree(Classifier):
         x = np.asarray(x, dtype=np.float64)
         if not 0 <= y < self.n_classes:
             raise ValueError(f"label {y} out of range [0, {self.n_classes})")
-        leaf, parent, went_left = self._descend(x)
-        self.n_learns += 1
+        node = self._reach(x)
+        leaf = self._leaf_at(node)
         leaf.learn(x, y, use_nb_adaptive=self.leaf_prediction == "nba")
         if self._split_due(leaf):
-            self._attempt_split(leaf, parent, went_left)
+            self._attempt_split(node, leaf)
 
     def _split_due(self, leaf: _LeafNode) -> bool:
         """Has ``leaf`` gathered a grace period since its last attempt?"""
+        slot = leaf.slot
         return (
-            leaf.depth < self.max_depth
+            self.leaf_depth[slot] < self.max_depth
             and self.n_leaves < self.max_leaves
-            and leaf.total_weight - leaf.weight_at_last_attempt >= self.grace_period
+            and self.total_weight[slot] - self.weight_at_last_attempt[slot]
+            >= self.grace_period
         )
 
-    def _attempt_split(
-        self, leaf: _LeafNode, parent: Optional[_SplitNode], went_left: bool
-    ) -> bool:
-        """Split ``leaf`` when the Hoeffding bound allows; True if it did."""
-        leaf.weight_at_last_attempt = leaf.total_weight
+    def _attempt_split(self, node: int, leaf: _LeafNode) -> bool:
+        """Split ``leaf`` (at ``node``) when the Hoeffding bound allows;
+        True if it did."""
+        weight = self.total_weight[leaf.slot]
+        self.weight_at_last_attempt[leaf.slot] = weight
         if np.count_nonzero(leaf.class_counts) < 2:
             return False  # pure leaf: nothing to gain
         ranked = leaf.best_splits(self.n_split_points)
         if len(ranked) < 2 or ranked[0][1] == -1:
             return False
         best, second = ranked[0], ranked[1]
-        bound = self._hoeffding_bound(leaf.total_weight)
+        bound = self._hoeffding_bound(weight)
         if best[0] - second[0] > bound or bound < self.tie_threshold:
-            self._split_leaf(leaf, parent, went_left, best)
+            self._split_leaf(node, leaf, best)
             return True
         return False
 
-    def _split_leaf(
-        self,
-        leaf: _LeafNode,
-        parent: Optional[_SplitNode],
-        went_left: bool,
-        best: tuple,
-    ) -> None:
+    def _split_leaf(self, node: int, leaf: _LeafNode, best: tuple) -> None:
+        """Turn ``node`` into a split on ``best`` over two fresh leaves.
+
+        The left child takes over ``leaf``'s slot, so everything the
+        split takes from the leaf — the children's seeded class counts,
+        their depth and the weight credited to the feature's importance
+        — is read before any slot is written or the blocks grow.
+        """
         gain, feature, threshold = best
-        split = _SplitNode(feature, threshold)
         # Seed the children's class priors with the parent's split masses
         # so predictions don't collapse to uniform right after a split.
         cdf = _gaussian_cdf(
             np.array([[threshold]]), leaf.means[:, feature][:, None],
             np.sqrt(leaf.nb_variances[:, feature])[:, None],
         )[:, 0]
-        split.left = self._new_leaf(leaf.depth + 1, leaf.class_counts * cdf)
-        split.right = self._new_leaf(
-            leaf.depth + 1, leaf.class_counts * (1.0 - cdf)
-        )
-        if parent is None:
-            self._root = split
-        elif went_left:
-            parent.left = split
-        else:
-            parent.right = split
+        slot, new_slot = leaf.slot, self.n_leaves
+        left_counts = leaf.class_counts * cdf
+        right_counts = leaf.class_counts * (1.0 - cdf)
+        depth = self.leaf_depth[slot] + 1
+        weight = self.total_weight[slot]
+        if new_slot == len(self.total_weight):
+            self._resize(2 * new_slot)
+        left, right = self.n_nodes, self.n_nodes + 1
+        self._set_node(node, feature, threshold, left, right, -1)
+        self._new_leaf(left, slot, depth, left_counts)
+        self._new_leaf(right, new_slot, depth, right_counts)
+        self._leaves.append(_LeafNode(self, new_slot))
         self.n_splits += 1
         self.n_leaves += 1
-        self.feature_importances[feature] += gain * leaf.total_weight
+        self.feature_importances[feature] += gain * weight
 
     # ------------------------------------------------------------------
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -538,17 +616,18 @@ class HoeffdingTree(Classifier):
         groups: List[tuple] = []
         if X.shape[0] == 0:
             return groups
-        stack: List[tuple] = [(self._root, np.arange(X.shape[0]))]
+        stack: List[tuple] = [(0, np.arange(X.shape[0]))]
         while stack:
             node, idx = stack.pop()
             if idx.size == 0:
                 continue
-            if isinstance(node, _SplitNode):
-                mask = X[idx, node.feature] <= node.threshold
-                stack.append((node.left, idx[mask]))
-                stack.append((node.right, idx[~mask]))
+            feature = self.feature[node]
+            if feature >= 0:
+                mask = X[idx, feature] <= self.threshold[node]
+                stack.append((self.left[node], idx[mask]))
+                stack.append((self.right[node], idx[~mask]))
             else:
-                groups.append((node, idx))
+                groups.append((self._leaf_at(node), idx))
         return groups
 
     def predict_proba_batch(self, X: np.ndarray) -> np.ndarray:
@@ -581,10 +660,11 @@ class HoeffdingTree(Classifier):
         statistics are independent across leaves and predictions depend
         only on the owning leaf, so grouping by leaf preserves the
         per-observation semantics exactly; when a leaf splits mid-chunk
-        its remaining rows are re-routed through the new subtree.  The
-        single caveat: when the ``max_leaves`` bound is *reached inside
-        one chunk*, the order in which competing leaves claim the final
-        split slots can differ from the per-observation order.
+        its node becomes the split and its remaining rows are re-routed
+        from there.  The single caveat: when the ``max_leaves`` bound is
+        *reached inside one chunk*, the order in which competing leaves
+        claim the final split slots can differ from the per-observation
+        order.
 
         Trees with ``max_features`` random subspaces (ARF's mechanism)
         fall back to the per-observation loop: every split draws a
@@ -602,69 +682,54 @@ class HoeffdingTree(Classifier):
         if min(labels) < 0 or max(labels) >= self.n_classes:
             bad = next(v for v in labels if not 0 <= v < self.n_classes)
             raise ValueError(f"label {bad} out of range [0, {self.n_classes})")
-        # Every row below reaches some leaf's learn(); count them up
-        # front (the leaf-grouped loop bypasses self.learn).
-        self.n_learns += n
         if n == 1:
             # A lone row (every row of Ficsum.process) descends by plain
             # comparisons and needs no index arrays.
             x = X[0]
-            out[0], _ = self._test_then_train(*self._descend(x), x, labels[0])
+            out[0], _ = self._test_then_train(self._reach(x), x, labels[0])
             return out
-        stack: List[tuple] = [(self._root, None, False, np.arange(n))]
+        stack: List[tuple] = [(0, np.arange(n))]
         while stack:
-            node, parent, went_left, idx = stack.pop()
-            while isinstance(node, _SplitNode):
-                mask = X[idx, node.feature] <= node.threshold
+            node, idx = stack.pop()
+            while self.feature[node] >= 0:
+                mask = X[idx, self.feature[node]] <= self.threshold[node]
                 right_idx = idx[~mask]
                 if right_idx.size:
-                    stack.append((node.right, node, False, right_idx))
-                parent, went_left = node, True
-                node, idx = node.left, idx[mask]
+                    stack.append((self.right[node], right_idx))
+                node, idx = self.left[node], idx[mask]
             if idx.size == 0:
                 continue
             rows = idx.tolist()
             for pos, i in enumerate(rows, 1):
-                out[i], split = self._test_then_train(
-                    node, parent, went_left, X[i], labels[i]
-                )
+                out[i], split = self._test_then_train(node, X[i], labels[i])
                 if split:
-                    # The leaf became a split node: re-route the rest of
-                    # this group through the new subtree.
+                    # The leaf's node became a split node: re-route the
+                    # rest of this group from it.
                     if pos < len(rows):
-                        grown = (
-                            self._root
-                            if parent is None
-                            else (parent.left if went_left else parent.right)
-                        )
-                        stack.append((grown, parent, went_left, idx[pos:]))
+                        stack.append((node, idx[pos:]))
                     break
         return out
 
     def _test_then_train(
-        self,
-        leaf: _LeafNode,
-        parent: Optional[_SplitNode],
-        went_left: bool,
-        x: np.ndarray,
-        y: int,
+        self, node: int, x: np.ndarray, y: int
     ) -> Tuple[int, bool]:
-        """Predict ``x`` at ``leaf``, learn it, then split if due.
+        """Predict ``x`` at leaf ``node``, learn it, then split if due.
 
-        Returns the prediction and whether ``leaf`` split.
+        Returns the prediction and whether the leaf split.
         """
+        leaf = self._leaf_at(node)
         mode = self.leaf_prediction
         # Every leaf predictor but majority class reads the leaf's
         # naive-Bayes scores of a row, and the adaptive bookkeeping in
         # learn() reads them again: score once, before learning.
         scores = (
             leaf._nb_log_scores(x)
-            if mode != "mc" and leaf.total_weight > 0
+            if mode != "mc" and self.total_weight[leaf.slot] > 0
             else None
         )
         prediction = leaf.predict_proba(x, mode, scores).argmax()
         leaf.learn(x, y, mode == "nba", scores)
-        split = self._split_due(leaf) and self._attempt_split(leaf, parent, went_left)
+        split = self._split_due(leaf) and self._attempt_split(node, leaf)
         return prediction, split
 
     def change_marker(self) -> int:
@@ -674,12 +739,66 @@ class HoeffdingTree(Classifier):
     @property
     def depth(self) -> int:
         """Maximum depth of the current tree."""
-        def walk(node: object) -> int:
-            if isinstance(node, _SplitNode):
-                return 1 + max(walk(node.left), walk(node.right))
-            return 0
+        return int(self.leaf_depth[: self.n_leaves].max())
 
-        return walk(self._root)
+    # -- checkpointing ---------------------------------------------------
+    def state_dict(self) -> Dict[str, Any]:
+        """The tree as plain data: its constructor arguments, counters,
+        rng state and the live rows of its node tables and leaf
+        statistics.
+
+        The naive-Bayes terms are derived state and are not saved;
+        :meth:`load_state_dict` rebuilds them.  Pickling goes through
+        this pair, so an unpickled tree's leaves are views of its own
+        blocks.
+        """
+        n_nodes, n_leaves = self.n_nodes, self.n_leaves
+        return {
+            "parameters": {name: getattr(self, name) for name in _PARAMETERS},
+            "rng": self._rng.bit_generator.state,
+            "n_splits": self.n_splits,
+            "feature_importances": self.feature_importances.copy(),
+            "nodes": {
+                name: getattr(self, name)[:n_nodes].copy() for name in _NODE_TABLES
+            },
+            "leaves": {
+                name: getattr(self, name)[:n_leaves].copy()
+                for name in self._saved_blocks()
+            },
+        }
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        nodes, leaves = state["nodes"], state["leaves"]
+        n_splits = int(state["n_splits"])
+        n_leaves = len(leaves["class_counts"])
+        if n_leaves != n_splits + 1:
+            raise ValueError(
+                f"tree state holds {n_leaves} leaves for {n_splits} splits"
+            )
+        parameters = state["parameters"]
+        for name in _PARAMETERS:
+            setattr(self, name, parameters[name])
+        self._rng = np.random.default_rng(0)
+        self._rng.bit_generator.state = state["rng"]
+        # Zeros, then the saved values: every array of a loaded tree has
+        # numpy's own dtype instance, as a constructed tree's do, so the
+        # two pickle to the same bytes.
+        self.feature_importances = np.zeros(self.n_features)
+        self.feature_importances[:] = state["feature_importances"]
+        self._empty(max(_INITIAL_SLOTS, n_leaves))
+        for name in _NODE_TABLES:
+            getattr(self, name)[: n_leaves + n_splits] = nodes[name]
+        for name in self._saved_blocks():
+            getattr(self, name)[:n_leaves] = leaves[name]
+        self._refresh_nb_terms(slice(0, n_leaves))
+        self.n_splits, self.n_leaves = n_splits, n_leaves
+        self._leaves = [_LeafNode(self, slot) for slot in range(n_leaves)]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return self.state_dict()
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.load_state_dict(state)
 
     def __repr__(self) -> str:
         return (

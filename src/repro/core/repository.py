@@ -20,9 +20,9 @@ The repository owns the statistics of every stored concept: its
 state as ``(R, D)`` arrays, and each state's fingerprints are views of
 its row, so model selection and the dynamic weights score all stored
 concepts with batched kernels over the one copy.  The repository also
-keeps a :class:`~repro.classifiers.bank.ClassifierBank`, which
-flattens every stored Hoeffding tree's routing tables so one pass
-evaluates the active window under all stored classifiers at once.
+keeps a :class:`~repro.classifiers.bank.ClassifierBank` of the stored
+Hoeffding trees, which routes the active window through every tree's
+own node tables and leaf blocks in one pass.
 """
 
 from __future__ import annotations
@@ -389,7 +389,6 @@ class Repository:
         self._states: Dict[int, ConceptState] = {}
         self._next_id = 0
         self._matrix: Optional[FingerprintMatrix] = None
-        self._bank: Optional[ClassifierBank] = None
         self._states_list: Optional[List[ConceptState]] = None
         #: Optional eviction hook: called with ``(state_id, payload)``
         #: where ``payload`` is the victim's full serialized form —
@@ -428,7 +427,7 @@ class Repository:
         return state
 
     def _store(self, state: ConceptState) -> None:
-        """Insert ``state``: its row in the storage, its bank plan.
+        """Insert ``state`` and move its statistics into the storage.
 
         The storage takes the first state's dimensionality and refuses
         any other, before anything else changes.
@@ -438,12 +437,6 @@ class Repository:
         self._matrix.add(state)
         self._states[state.state_id] = state
         self._states_list = None
-        if self._bank is not None:
-            if ClassifierBank.supports(state.classifier):
-                self._bank.add(state.state_id, state.classifier)
-            else:
-                # Mixed-classifier repositories have no tree bank.
-                self._bank = None
 
     def _evict_if_needed(self, protect: set) -> None:
         while len(self._states) > self.max_size:
@@ -530,8 +523,6 @@ class Repository:
         self._states_list = None
         if self._matrix is not None:
             self._matrix.remove(state_id)
-        if self._bank is not None:
-            self._bank.remove(state_id)
 
     def get(self, state_id: int) -> ConceptState:
         return self._states[state_id]
@@ -560,26 +551,23 @@ class Repository:
         return self._matrix
 
     def bank(self) -> Optional[ClassifierBank]:
-        """The write-through classifier bank, or ``None``.
+        """A classifier bank of the stored trees, keyed by state id, or
+        ``None``.
 
-        Built lazily on first use and kept through membership changes
-        thereafter.  Unavailable (returns
-        ``None``) whenever any stored classifier is not a Hoeffding
-        tree — callers fall back to per-state prediction.  Plans
-        refresh themselves lazily at read time, so no explicit refresh
-        step is needed here.
+        Built from the stored states on every call, so it holds exactly
+        the trees stored now; the bank reads the trees' own arrays.
+        Unavailable (returns ``None``) whenever any stored classifier is
+        not a Hoeffding tree — callers fall back to per-state prediction.
         """
-        if self._bank is None:
-            states = self.states()
-            if not states or not all(
-                ClassifierBank.supports(s.classifier) for s in states
-            ):
-                return None
-            bank = ClassifierBank()
-            for state in states:
-                bank.add(state.state_id, state.classifier)
-            self._bank = bank
-        return self._bank
+        states = self.states()
+        if not states or not all(
+            ClassifierBank.supports(s.classifier) for s in states
+        ):
+            return None
+        bank = ClassifierBank()
+        for state in states:
+            bank.add(state.state_id, state.classifier)
+        return bank
 
     def __contains__(self, state_id: int) -> bool:
         return state_id in self._states
@@ -610,7 +598,6 @@ class Repository:
         self.evicted_dropped = int(state.get("evicted_dropped", 0))
         self._states = {}
         self._matrix = None
-        self._bank = None
         self._states_list = None
         for concept_state in state["states"]:
             self._store(ConceptState.from_state_dict(concept_state))

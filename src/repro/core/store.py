@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.repository import ConceptState
 from repro.core.similarity import weighted_cosine_many
-from repro.serving.snapshot import read_state, write_state
+from repro.serving.snapshot import DECODE_ERRORS, SnapshotError, read_state, write_state
 
 #: Fixed offset folded into the run seed so prefilter projections are
 #: decorrelated from every other seeded component of the system.
@@ -208,11 +208,18 @@ class TieredConceptStore:
         """Rebuild one archived concept from its cold artifact.
 
         Raises :class:`~repro.serving.manifest.SnapshotError` when the
-        artifact is missing or fails manifest verification: tier
-        corruption must surface, not silently shrink the repertoire.
+        artifact is missing, fails manifest verification or does not
+        decode: tier corruption must surface, not silently shrink the
+        repertoire.
         """
         state, _meta = read_state(self.path_of(state_id))
-        return ConceptState.from_state_dict(state)
+        try:
+            return ConceptState.from_state_dict(state)
+        except DECODE_ERRORS as exc:
+            raise SnapshotError(
+                f"undecodable cold artifact of state {state_id}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
 
     def __len__(self) -> int:
         return len(self._warm)

@@ -24,8 +24,10 @@ from typing import Any, Callable, Dict, Optional, Union
 
 #: Current snapshot layout version (see module docstring for policy).
 #: Version 2: ``arrays.npz`` holds one member per dtype, and rng states
-#: are plain dicts in ``state.json``.
-SCHEMA_VERSION = 2
+#: are plain dicts in ``state.json``.  Version 3: a pickled Hoeffding
+#: tree is its ``state_dict`` (node tables and leaf blocks), no longer
+#: a graph of node objects.
+SCHEMA_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 

@@ -67,7 +67,7 @@ from repro.faults.plan import FaultInjector, corrupt_snapshot
 from repro.serving.audit import AuditLog, NULL_AUDIT
 from repro.serving.manifest import MANIFEST_NAME, SnapshotError
 from repro.serving.metrics import NULL_COLLECTOR
-from repro.serving.snapshot import load_system, save_system
+from repro.serving.snapshot import DECODE_ERRORS, load_system, save_system
 from repro.streams.base import Stream
 from repro.system import AdaptiveSystem
 
@@ -490,7 +490,7 @@ class StreamRunner:
                 runner._iter.load_state_dict(extra["stream_iter"])
             if guard is not None and "guard" in extra:
                 guard.load_state_dict(extra["guard"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except DECODE_ERRORS as exc:
             raise SnapshotError(
                 f"snapshot at {path} holds an incompatible harness "
                 f"state: {exc}"

@@ -61,6 +61,16 @@ ARRAYS_NAME = "arrays.npz"
 OBJECTS_NAME = "objects.pkl"
 STATE_NAME = "state.json"
 
+#: What decoding a read state tree into objects can raise.  Every
+#: reader of decoded state turns these into :class:`SnapshotError`.
+DECODE_ERRORS = (
+    # Missing keys, mistyped or misshapen leaves.
+    KeyError, IndexError, TypeError, ValueError,
+    # A truncated or junk blob, or one naming a class or module that
+    # does not exist.
+    EOFError, AttributeError, ImportError, pickle.UnpicklingError,
+)
+
 
 # ----------------------------------------------------------------------
 # Tree codec
@@ -252,7 +262,7 @@ def system_from_payload(payload: Dict[str, Any]) -> Any:
                 int(payload["n_features"]), int(payload["n_classes"]), cfg
             )
             system.load_state_dict(payload["state"])
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except DECODE_ERRORS as exc:
             raise SnapshotError(
                 f"undecodable ficsum system payload: "
                 f"{type(exc).__name__}: {exc}"
@@ -261,8 +271,7 @@ def system_from_payload(payload: Dict[str, Any]) -> Any:
     if kind == "pickled":
         try:
             return pickle.loads(payload["blob"])
-        except (KeyError, TypeError, ValueError, EOFError,
-                pickle.UnpicklingError) as exc:
+        except DECODE_ERRORS as exc:
             raise SnapshotError(
                 f"undecodable pickled system payload: "
                 f"{type(exc).__name__}: {exc}"
@@ -307,6 +316,7 @@ __all__ = [
     "ARRAYS_NAME",
     "OBJECTS_NAME",
     "STATE_NAME",
+    "DECODE_ERRORS",
     "SnapshotError",
     "write_state",
     "read_state",

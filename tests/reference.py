@@ -362,12 +362,6 @@ class ReferenceHoeffdingTree(Classifier):
         self.max_features = max_features
         self._rng = np.random.default_rng(seed)
         self.n_splits = 0
-        #: Monotone learning counter: advances whenever any leaf absorbs
-        #: an observation.  Together with :attr:`n_splits` it is the
-        #: dirty marker the :class:`~repro.classifiers.bank.ClassifierBank`
-        #: uses to invalidate flattened routing tables / leaf statistics
-        #: (the exact count is irrelevant, only that it moves).
-        self.n_learns = 0
         self.n_leaves = 1
         self.feature_importances = np.zeros(n_features, dtype=np.float64)
         self._root: object = self._new_leaf(depth=0)
@@ -406,7 +400,6 @@ class ReferenceHoeffdingTree(Classifier):
             went_left = x[node.feature] <= node.threshold
             node = node.left if went_left else node.right
         leaf: _LeafNode = node
-        self.n_learns += 1
         leaf.learn(x, y, use_nb_adaptive=self.leaf_prediction == "nba")
         if (
             leaf.depth < self.max_depth
@@ -548,9 +541,6 @@ class ReferenceHoeffdingTree(Classifier):
         # learn() reads them again: score once, before learning.
         scored = mode != "mc"
         grace = self.grace_period
-        # Every row below reaches some leaf's learn(); count them up
-        # front (the leaf-grouped loop bypasses self.learn).
-        self.n_learns += n
         stack: List[tuple] = [(self._root, None, False, np.arange(n))]
         while stack:
             node, parent, went_left, idx = stack.pop()

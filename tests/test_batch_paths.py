@@ -14,7 +14,6 @@ import pytest
 
 from repro.classifiers import HoeffdingTree
 from repro.classifiers.base import Classifier
-from repro.classifiers.hoeffding_tree import _SplitNode
 from repro.classifiers.knn import KnnClassifier
 from repro.classifiers.majority import MajorityClass
 from repro.classifiers.naive_bayes import GaussianNaiveBayes
@@ -89,16 +88,21 @@ def test_predict_learn_batch_matches_sequential(mode):
     assert np.array_equal(t_seq.predict_batch(probe), t_batch.predict_batch(probe))
 
 
-def _leaves(tree):
-    """The tree's leaves, left to right."""
-    leaves, stack = [], [tree._root]
+def _leaf_slots(tree):
+    """The tree's leaf slots, left to right, walking its node tables."""
+    slots, stack = [], [0]
     while stack:
         node = stack.pop()
-        if isinstance(node, _SplitNode):
-            stack += [node.right, node.left]
+        if tree.feature[node] >= 0:
+            stack += [tree.right[node], tree.left[node]]
         else:
-            leaves.append(node)
-    return leaves
+            slots.append(tree.leaf_of[node])
+    return slots
+
+
+def _adaptive_counts(tree):
+    """Every leaf's ``(mc_correct, nb_correct)``, left to right."""
+    return [(tree.mc_correct[s], tree.nb_correct[s]) for s in _leaf_slots(tree)]
 
 
 @pytest.mark.parametrize("chunk", [1, 37])
@@ -131,9 +135,7 @@ def test_predict_learn_batch_chunked_sequence_matches(mode, chunk):
         )
     assert np.array_equal(expected, np.concatenate(got))
     assert t_seq.n_splits == t_batch.n_splits >= 1
-    assert [(leaf.mc_correct, leaf.nb_correct) for leaf in _leaves(t_seq)] == [
-        (leaf.mc_correct, leaf.nb_correct) for leaf in _leaves(t_batch)
-    ]
+    assert _adaptive_counts(t_seq) == _adaptive_counts(t_batch)
 
 
 def test_predict_learn_batch_max_features_falls_back_to_loop():

@@ -6,9 +6,9 @@ computation:
 
 * :class:`ClassifierBank` — property tests over random grown trees
   (fresh/empty leaves, single-class leaves, post-split trees with
-  seeded children, random-subspace trees, structure and statistics
-  version invalidation) assert the ``(R, W)`` block equals stacking
-  per-tree :meth:`predict_batch` exactly;
+  seeded children, random-subspace trees, trees learning, growing and
+  round-tripping between reads) assert the ``(R, W)`` block equals
+  stacking per-tree :meth:`predict_batch` exactly;
 * :meth:`FingerprintPipeline.extract_partial_many` — the all-candidate
   dependent-dims extraction equals sequential ``extract_partial`` (and
   the batch-reference ``extract``) including the permutation-importance
@@ -24,6 +24,8 @@ computation:
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from equivalence import (
@@ -38,7 +40,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.classifiers import ClassifierBank, HoeffdingTree, MajorityClass
-from repro.classifiers.bank import TreePlan
+from repro.classifiers.bank import _StackedForest
 from repro.evaluation.prequential import prequential_run
 from repro.metafeatures import FingerprintPipeline
 
@@ -60,6 +62,25 @@ def _grown_tree(seed, n_classes=2, n_features=4, n_train=400, max_features=None)
     for i in range(n_train):
         tree.learn(X[i], int(y[i]))
     return tree
+
+
+def _assert_node_tables(tree):
+    """The live node rows form one binary tree: every node is reached
+    once from the root, split nodes number ``n_splits``, and each live
+    leaf slot is mapped by exactly one leaf node."""
+    assert tree.n_nodes == tree.n_leaves + tree.n_splits
+    reached, slots, stack = [], [], [0]
+    while stack:
+        node = stack.pop()
+        reached.append(node)
+        if tree.feature[node] >= 0:
+            assert tree.leaf_of[node] == -1
+            stack += [tree.left[node], tree.right[node]]
+        else:
+            slots.append(tree.leaf_of[node])
+    assert sorted(reached) == list(range(tree.n_nodes))
+    assert sorted(slots) == list(range(tree.n_leaves))
+    assert (tree.feature[: tree.n_nodes] >= 0).sum() == tree.n_splits
 
 
 def _assert_bank_matches(trees, X):
@@ -148,54 +169,114 @@ class TestClassifierBank:
         _assert_bank_matches(trees, X)
 
     def test_structure_and_stats_version_invalidation(self):
-        """Plans refresh when a tree learns (stats) or splits
-        (structure) between reads — and not otherwise."""
-        tree = _grown_tree(5, n_train=300)
+        """No version counters remain: the bank stacks the tree's live
+        rows on every call, so a read right after the tree learns
+        (statistics) or splits (structure) already sees the change."""
+        tree = HoeffdingTree(2, 2, grace_period=25, leaf_prediction="mc", seed=0)
         bank = ClassifierBank()
         bank.add(0, tree)
         rng = np.random.default_rng(11)
-        X = rng.normal(size=(30, 4))
-        np.testing.assert_array_equal(
-            bank.predict_batch_many([0], X)[0], tree.predict_batch(X)
-        )
-        plan = bank._plans[0]
-        feature_table = plan.feature
-        stats_table = plan.class_counts
-        # No tree activity: both tables are reused as-is.
-        bank.predict_batch_many([0], X)
-        assert plan.feature is feature_table
-        assert plan.class_counts is stats_table
-
-        # Learning without splitting: stats re-pulled, structure kept.
-        splits = tree.n_splits
+        X = rng.normal(size=(30, 2)) * 2.0
         for _ in range(5):
-            tree.learn(rng.normal(size=4), 1)
-        assert tree.n_splits == splits
-        np.testing.assert_array_equal(
-            bank.predict_batch_many([0], X)[0], tree.predict_batch(X)
-        )
-        assert plan.feature is feature_table
-        assert plan.class_counts is not stats_table
+            tree.learn(rng.normal(size=2), 0)
+        assert np.all(bank.predict_batch_many([0], X) == 0)
 
-        # Growing a branch: the routing table itself is rebuilt.
-        while tree.n_splits == splits:
-            x = rng.normal(size=4)
+        # Learning without splitting flips the majority class.
+        for _ in range(10):
+            tree.learn(rng.normal(size=2), 1)
+        assert tree.n_splits == 0
+        read = bank.predict_batch_many([0], X)[0]
+        np.testing.assert_array_equal(read, tree.predict_batch(X))
+        assert np.all(read == 1)
+
+        # Growing a branch: the routing tables change under the bank.
+        while tree.n_splits == 0:
+            x = rng.normal(size=2)
             tree.learn(x, int(x[0] > 0))
-        np.testing.assert_array_equal(
-            bank.predict_batch_many([0], X)[0], tree.predict_batch(X)
-        )
-        assert bank._plans[0].feature is not feature_table
+        read = bank.predict_batch_many([0], X)[0]
+        np.testing.assert_array_equal(read, tree.predict_batch(X))
+        assert set(read.tolist()) == {0, 1}
 
     def test_chunked_learning_moves_the_stats_version(self):
-        """``predict_learn_batch`` bypasses ``learn()``; the learn
-        counter must advance anyway or plans would serve stale leaves."""
-        tree = _grown_tree(7, n_train=200)
-        before = tree.n_learns
+        """``predict_learn_batch`` bypasses ``learn()`` and writes the
+        leaf blocks in place; the next bank read scores those rows."""
+        tree = HoeffdingTree(2, 4, grace_period=500, leaf_prediction="mc", seed=7)
+        bank = ClassifierBank()
+        bank.add(0, tree)
         rng = np.random.default_rng(2)
-        X = rng.normal(size=(50, 4))
-        y = (X[:, 0] > 0).astype(np.int64)
-        tree.predict_learn_batch(X, y)
-        assert tree.n_learns >= before + 50
+        X = rng.normal(size=(40, 4))
+        tree.predict_learn_batch(rng.normal(size=(20, 4)), np.zeros(20, np.int64))
+        assert np.all(bank.predict_batch_many([0], X) == 0)
+        tree.predict_learn_batch(rng.normal(size=(50, 4)), np.ones(50, np.int64))
+        assert tree.n_splits == 0
+        np.testing.assert_array_equal(tree.class_counts[0], [20.0, 50.0])
+        assert tree.total_weight[0] == 70.0
+        read = bank.predict_batch_many([0], X)[0]
+        np.testing.assert_array_equal(read, tree.predict_batch(X))
+        assert np.all(read == 1)
+
+    def test_plan_covers_every_leaf(self):
+        """The tree's own node tables, which the bank stacks, cover
+        every leaf, and so does the stacked forest of two trees."""
+        trees = [_grown_tree(13, n_train=900), _grown_tree(14, n_train=900)]
+        for tree in trees:
+            assert tree.n_splits >= 1
+            _assert_node_tables(tree)
+        forest = _StackedForest(trees)
+        n_nodes = sum(t.n_nodes for t in trees)
+        n_leaves = sum(t.n_leaves for t in trees)
+        assert len(forest.feature) == n_nodes
+        assert (forest.feature >= 0).sum() == sum(t.n_splits for t in trees)
+        on_leaf = forest.feature < 0
+        assert sorted(forest.leaf_global[on_leaf]) == list(range(n_leaves))
+        assert len(forest.class_counts) == n_leaves
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_bank_reads_trees_through_learning_and_round_trips(self, seed):
+        """The bank reads the trees' own arrays.  Across a random
+        interleaving of test-then-train chunks (which grow branches) and
+        pickle / ``state_dict`` round trips over R trees, every read
+        equals stacking per-tree ``predict_batch``, and every tree's
+        node tables stay one tree over its live leaf slots."""
+        rng = np.random.default_rng(seed)
+        n_classes = int(rng.integers(2, 4))
+        n_features = int(rng.integers(2, 6))
+        params = dict(
+            n_classes=n_classes,
+            n_features=n_features,
+            grace_period=int(rng.integers(5, 30)),
+            split_confidence=0.01,
+            leaf_prediction=str(rng.choice(["mc", "nb", "nba"])),
+        )
+        trees = [HoeffdingTree(**params, seed=t) for t in range(rng.integers(1, 5))]
+        bank = ClassifierBank()
+        for key, tree in enumerate(trees):
+            bank.add(key, tree)
+        keys = list(range(len(trees)))
+        X = rng.normal(size=(int(rng.integers(1, 60)), n_features)) * 2.0
+        for _ in range(16):
+            key = int(rng.integers(len(trees)))
+            step = rng.random()
+            if step < 0.6:
+                rows = rng.normal(size=(int(rng.integers(1, 90)), n_features))
+                labels = np.digitize(
+                    rows[:, 0] + 0.5 * rows[:, -1], [-0.8, -0.2, 0.4, 1.0]
+                ) % n_classes
+                trees[key].predict_learn_batch(rows, labels)
+            elif step < 0.8:
+                trees[key] = pickle.loads(pickle.dumps(trees[key]))
+            else:
+                loaded = HoeffdingTree(**params)
+                loaded.load_state_dict(trees[key].state_dict())
+                trees[key] = loaded
+            bank.add(key, trees[key])
+            for tree in trees:
+                _assert_node_tables(tree)
+            np.testing.assert_array_equal(
+                bank.predict_batch_many(keys, X),
+                np.stack([tree.predict_batch(X) for tree in trees]),
+            )
 
     def test_leaf_prediction_modes(self):
         """mc / nb / nba leaf predictors all route through the bank."""
@@ -235,13 +316,6 @@ class TestClassifierBank:
         bank.remove(7)
         bank.remove(7)  # idempotent
         assert 7 not in bank and len(bank) == 0
-
-    def test_plan_covers_every_leaf(self):
-        tree = _grown_tree(13, n_train=900)
-        plan = TreePlan(tree)
-        assert plan.n_leaves == tree.n_leaves
-        assert plan.n_nodes == tree.n_leaves + tree.n_splits
-        assert (plan.feature >= 0).sum() == tree.n_splits
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +443,7 @@ class TestForestRoutingEquivalence:
         bank = repo.bank()
         assert bank is not None
         # Bank membership tracked LRU eviction through the whole run.
-        assert sorted(bank._plans) == sorted(s.state_id for s in repo.states())
+        assert sorted(bank._trees) == sorted(s.state_id for s in repo.states())
 
     def test_chunked_engine_composes_with_forest_routing(self):
         a = run_config()

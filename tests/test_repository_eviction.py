@@ -65,7 +65,7 @@ class TestCapacityOnePressure:
         matrix = repo.matrix()
         assert matrix.state_ids == [state.state_id]
         bank = repo.bank()
-        assert bank is not None and sorted(bank._plans) == [state.state_id]
+        assert bank is not None and sorted(bank._trees) == [state.state_id]
 
     def test_active_protected_when_capacity_allows(self):
         """With capacity > 1 FiCSUM protects the active state; under a
@@ -194,7 +194,7 @@ class TestMirrorAlignmentAfterCompaction:
             assert np.shares_memory(s.fingerprint.means, matrix.fp_means[row])
         bank = repo.bank()
         assert bank is not None
-        assert sorted(bank._plans) == sorted(s.state_id for s in states)
+        assert sorted(bank._trees) == sorted(s.state_id for s in states)
         block = bank.predict_batch_many([s.state_id for s in states], X)
         reference = np.stack(
             [s.classifier.predict_batch(X) for s in states]

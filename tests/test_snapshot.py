@@ -146,6 +146,69 @@ def test_payload_naming_removed_field_is_rejected():
         system_from_payload(payload)
 
 
+#: A protocol-0 pickle of a class the tree module does not define.
+_MISSING_CLASS_BLOB = b"crepro.classifiers.hoeffding_tree\n_NoSuchNode\n."
+
+
+@pytest.mark.parametrize("defect", ["truncated", "missing-class", "junk-detector"])
+def test_undecodable_blob_is_a_snapshot_error(defect):
+    """A classifier or detector blob that does not unpickle — truncated,
+    naming a class that does not exist, or junk — fails the load as a
+    :class:`SnapshotError`, the one type recovery paths catch."""
+    system, stream = build_system()
+    StreamRunner(system, stream, oracle_drift=True).run(max_observations=200)
+    payload = system_payload(system)
+    concept = payload["state"]["repository"]["states"][0]
+    if defect == "truncated":
+        concept["classifier"] = concept["classifier"][:-20]
+    elif defect == "missing-class":
+        concept["classifier"] = _MISSING_CLASS_BLOB
+    else:
+        payload["state"]["detector"] = b"junk"
+    with pytest.raises(SnapshotError, match="undecodable") as raised:
+        system_from_payload(payload)
+    assert raised.value.__cause__ is not None
+
+
+def test_restore_latest_walks_past_an_undecodable_newest(tmp_path):
+    """The newest checkpoint of a 150/300/450 chain has valid digests but
+    a classifier naming a missing class: restore audits the fallback,
+    resumes from 300 and finishes the uninterrupted run bit for bit."""
+    from repro.serving.audit import AuditLog, read_audit_log
+    from repro.serving.runner import checkpoint_chain
+
+    reference = run_config({})
+    system, stream = build_system({})
+    runner = StreamRunner(
+        system,
+        stream,
+        oracle_drift=system.config.oracle_drift,
+        checkpoint_path=tmp_path / "chain",
+        checkpoint_every=150,
+        keep_checkpoints=3,
+    )
+    runner.run(max_observations=470)
+    chain = checkpoint_chain(tmp_path / "chain")
+    assert [read_manifest(p)["meta"]["n_seen"] for p in chain] == [450, 300, 150]
+    state, meta = read_state(chain[0])
+    concepts = state["system"]["state"]["repository"]["states"]
+    concepts[-1]["classifier"] = _MISSING_CLASS_BLOB
+    write_state(chain[0], state, meta)
+    read_manifest(chain[0])  # the digests verify
+
+    _, fresh_stream = build_system({})
+    audit_path = tmp_path / "audit.jsonl"
+    resumed = StreamRunner.restore_latest(
+        tmp_path / "chain", fresh_stream, audit=AuditLog(audit_path)
+    )
+    assert resumed.n_seen == 300
+    fallbacks = [
+        e for e in read_audit_log(audit_path) if e["event"] == "snapshot_fallback"
+    ]
+    assert len(fallbacks) == 1 and "AttributeError" in fallbacks[0]["error"]
+    assert_identical_traces(RunTrace(resumed.run(), resumed.system), reference)
+
+
 def test_interrupt_restore_adwin_path(tmp_path):
     """Resume is exact under real (ADWIN) drift detection too."""
     overrides = {"oracle_drift": False}
@@ -283,9 +346,9 @@ def test_manifest_rejects_missing_manifest(tmp_path):
 def test_manifest_rejects_unknown_schema_version(tmp_path):
     path = _small_snapshot(tmp_path)
     manifest = json.loads((path / MANIFEST_NAME).read_text())
-    # Version 1 stored one npz member per array: its array references
-    # must never reach the version-2 unpacker.
-    for version in (1, SCHEMA_VERSION + 1):
+    # Version 1 stored one npz member per array, and version 2 pickled
+    # trees as node objects: neither may reach this reader's decoder.
+    for version in (1, SCHEMA_VERSION - 1, SCHEMA_VERSION + 1):
         manifest["schema_version"] = version
         (path / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="version"):
@@ -371,14 +434,13 @@ save_system(system, sys.argv[1], clock=lambda: 1234.5)
 
 def test_snapshot_bytes_match_across_processes(tmp_path):
     """Two processes snapshotting the same stream under a fixed clock
-    write the same ``arrays.npz``: no saved array carries memory the
-    process never wrote."""
+    write the same payload files and manifest: no saved array or pickled
+    tree carries memory the process never wrote."""
     source = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (source, env.get("PYTHONPATH", "")) if p
     )
-    payloads = []
     for name in ("first", "second"):
         subprocess.run(
             [sys.executable, "-c", _SNAPSHOT_SCRIPT, str(tmp_path / name)],
@@ -386,8 +448,9 @@ def test_snapshot_bytes_match_across_processes(tmp_path):
             env=env,
             timeout=600,
         )
-        payloads.append((tmp_path / name / ARRAYS_NAME).read_bytes())
-    assert payloads[0] == payloads[1]
+    for name in (ARRAYS_NAME, OBJECTS_NAME, STATE_NAME, MANIFEST_NAME):
+        first = (tmp_path / "first" / name).read_bytes()
+        assert (tmp_path / "second" / name).read_bytes() == first, name
 
 
 def test_restore_ignores_fingerprint_version_keys(tmp_path):

@@ -155,6 +155,17 @@ class TestCorruption:
         with pytest.raises(SnapshotError):
             store.load(state.state_id)
 
+    def test_undecodable_classifier_raises_snapshot_error(self, tmp_path):
+        """An artifact whose digests verify but whose classifier blob
+        does not unpickle (here: truncated) is a SnapshotError too."""
+        state = _stocked_state()
+        payload = state.state_dict()
+        payload["classifier"] = payload["classifier"][:-20]
+        store = TieredConceptStore(tmp_path / "tier")
+        store.store(state.state_id, payload)
+        with pytest.raises(SnapshotError, match="undecodable"):
+            store.load(state.state_id)
+
 
 def _drive(system, observations):
     """Process observations, returning the prediction trace."""

@@ -9,8 +9,10 @@ entropy.  On random streams the two must agree byte for byte:
 test-then-train predictions, ``predict_batch``,
 ``predict_proba_batch``, :meth:`ClassifierBank.predict_batch_many`
 blocks and every ranked split list an attempt computes.  Every leaf's
-statistics must equal the reference leaf's, and its stored terms a
-recompute from those statistics alone, also after a pickle round trip.
+statistics, read from the tree's arrays, must equal the reference
+leaf's, and its stored terms a recompute from those statistics alone,
+also after a pickle or ``state_dict`` round trip, from which the tree
+must learn on identically.
 
 Stream seeds honour ``REPRO_SEED`` (see :mod:`equivalence`), so CI's
 equivalence matrix draws three distinct sets of streams.
@@ -34,7 +36,13 @@ from repro.classifiers import ClassifierBank, HoeffdingTree
 from repro.classifiers import hoeffding_tree
 
 STATISTICS = ("class_counts", "means", "m2", "mins", "maxs")
-SCALARS = ("weight_at_last_attempt", "depth", "mc_correct", "nb_correct")
+#: Each leaf scalar of the reference and the tree's per-leaf array of it.
+SCALARS = (
+    ("weight_at_last_attempt", "weight_at_last_attempt"),
+    ("depth", "leaf_depth"),
+    ("mc_correct", "mc_correct"),
+    ("nb_correct", "nb_correct"),
+)
 
 
 def _bytes(values) -> bytes:
@@ -63,58 +71,72 @@ def recorded_splits(leaf_class) -> Iterator[List[list]]:
         leaf_class.best_splits = original
 
 
-def leaves(tree, split_class) -> list:
-    """The tree's leaves, left to right."""
-    found, stack = [], [tree._root]
+def leaf_slots(tree: HoeffdingTree) -> List[int]:
+    """The tree's leaf slots, left to right, walking its node tables."""
+    found, stack = [], [0]
     while stack:
         node = stack.pop()
-        if isinstance(node, split_class):
+        if tree.feature[node] >= 0:
+            stack += [tree.right[node], tree.left[node]]
+        else:
+            found.append(int(tree.leaf_of[node]))
+    return found
+
+
+def ref_leaves(ref: ReferenceHoeffdingTree) -> list:
+    """The reference tree's leaf objects, left to right."""
+    found, stack = [], [ref._root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, reference._SplitNode):
             stack += [node.right, node.left]
         else:
             found.append(node)
     return found
 
 
-def recomputed_terms(leaf) -> tuple:
+def recomputed_terms(class_counts: np.ndarray, m2: np.ndarray) -> tuple:
     """A leaf's naive-Bayes terms, computed from its statistics alone."""
-    counts = np.maximum(leaf.class_counts, 1.0)[:, None]
-    variances = np.maximum(leaf.m2 / counts, 1e-9)
+    counts = np.maximum(class_counts, 1.0)[:, None]
+    variances = np.maximum(m2 / counts, 1e-9)
     log_prior = np.where(
-        leaf.class_counts > 0,
-        np.log(np.maximum(leaf.class_counts, 1e-12)),
+        class_counts > 0,
+        np.log(np.maximum(class_counts, 1e-12)),
         -1e9,
     )
-    return variances, np.log(variances), log_prior, leaf.class_counts.sum()
+    return variances, np.log(variances), log_prior, class_counts.sum()
 
 
 def assert_leaves_match(tree: HoeffdingTree, ref: ReferenceHoeffdingTree) -> None:
-    """Same leaves with the same statistics; terms equal a recompute."""
-    got = leaves(tree, hoeffding_tree._SplitNode)
-    want = leaves(ref, reference._SplitNode)
-    assert len(got) == len(want)
-    for leaf, ref_leaf in zip(got, want):
+    """Same leaves with the same statistics, read from the tree's
+    arrays; its stored terms equal a recompute."""
+    slots = leaf_slots(tree)
+    want = ref_leaves(ref)
+    assert len(slots) == len(want)
+    assert sorted(slots) == list(range(tree.n_leaves))
+    for slot, ref_leaf in zip(slots, want):
         for name in STATISTICS:
-            assert _bytes(getattr(leaf, name)) == _bytes(getattr(ref_leaf, name)), name
-        for name in SCALARS:
-            assert getattr(leaf, name) == getattr(ref_leaf, name), name
+            got = getattr(tree, name)[slot]
+            assert _bytes(got) == _bytes(getattr(ref_leaf, name)), name
+        for name, block in SCALARS:
+            assert getattr(tree, block)[slot] == getattr(ref_leaf, name), name
         if ref_leaf.feature_subset is None:
-            assert leaf.feature_subset is None
+            assert tree.feature_subset is None
         else:
-            assert np.array_equal(leaf.feature_subset, ref_leaf.feature_subset)
-        variances, log_variances, log_prior, total = recomputed_terms(leaf)
-        assert _bytes(leaf.nb_variances) == _bytes(variances)
-        assert _bytes(leaf.nb_log_variances) == _bytes(log_variances)
-        assert _bytes(leaf.nb_log_prior) == _bytes(log_prior)
-        assert _bytes(leaf.total_weight) == _bytes(total)
-        assert _bytes(leaf.total_weight) == _bytes(ref_leaf.total_weight)
+            assert np.array_equal(tree.feature_subset[slot], ref_leaf.feature_subset)
+        class_counts = tree.class_counts[slot]
+        variances, log_variances, log_prior, total = recomputed_terms(
+            class_counts, tree.m2[slot]
+        )
+        assert _bytes(tree.nb_variances[slot]) == _bytes(variances)
+        assert _bytes(tree.nb_log_variances[slot]) == _bytes(log_variances)
+        assert _bytes(tree.nb_log_prior[slot]) == _bytes(log_prior)
+        assert _bytes(tree.total_weight[slot]) == _bytes(total)
+        assert _bytes(tree.total_weight[slot]) == _bytes(ref_leaf.total_weight)
 
 
 def assert_trees_match(tree: HoeffdingTree, ref: ReferenceHoeffdingTree) -> None:
-    assert (tree.n_splits, tree.n_leaves, tree.n_learns) == (
-        ref.n_splits,
-        ref.n_leaves,
-        ref.n_learns,
-    )
+    assert (tree.n_splits, tree.n_leaves) == (ref.n_splits, ref.n_leaves)
     assert _bytes(tree.feature_importances) == _bytes(ref.feature_importances)
     assert_leaves_match(tree, ref)
 
@@ -219,14 +241,18 @@ def test_tree_equals_reference(case):
     half = train_both(X[: n_rows // 2], y[: n_rows // 2], params, chunk)
     assert_reads_match([tree, fresh[0], half[0]], [ref, fresh[1], half[1]], probe)
 
-    # Unpickled, a tree rebuilds its terms and learns on identically.
-    restored = pickle.loads(pickle.dumps(tree))
-    assert_trees_match(restored, ref)
-    got = restored.predict_learn_batch(probe, y[n_rows:])
-    want = ref.predict_learn_batch(probe, y[n_rows:])
-    assert got.tobytes() == want.tobytes()
-    assert_trees_match(restored, ref)
-    assert_reads_match([restored], [ref], X[:n_rows])
+    # Unpickled or loaded from its state dict, a tree rebuilds its terms
+    # and learns on identically, its leaves views of its own arrays.
+    loaded = HoeffdingTree(**params)
+    loaded.load_state_dict(tree.state_dict())
+    for restored in (pickle.loads(pickle.dumps(tree)), loaded):
+        twin = pickle.loads(pickle.dumps(ref))
+        assert_trees_match(restored, twin)
+        got = restored.predict_learn_batch(probe, y[n_rows:])
+        want = twin.predict_learn_batch(probe, y[n_rows:])
+        assert got.tobytes() == want.tobytes()
+        assert_trees_match(restored, twin)
+        assert_reads_match([restored], [twin], X[:n_rows])
 
 
 @pytest.mark.parametrize("n_split_points", [1, 2, 10])
@@ -253,3 +279,5 @@ def test_many_classes_and_split_points(mode, n_classes, n_split_points):
     assert tree.n_splits >= 1
     assert_trees_match(tree, ref)
     assert_reads_match([tree], [ref], X[1200:])
+    # Loading sums every leaf's class counts as the leaf itself does.
+    assert_trees_match(pickle.loads(pickle.dumps(tree)), ref)
