@@ -6,9 +6,9 @@ R≈40, hopeless at a million stored concepts.  This bench pins the
 repository-scaling layer (``repro.core.store``):
 
 * sweeps repository size R in {100, 1 000, 10 000} of synthetically
-  populated concepts (cheap majority-class classifiers, clustered
-  fingerprint histories — no tree training, so the sweep measures
-  selection, not setup),
+  populated concepts (one-leaf Hoeffding trees that saw one
+  observation each, clustered fingerprint histories — no tree
+  training, so the sweep measures selection, not setup),
 * per R, times whole selection events (``_model_select``: candidate
   staging, fingerprint stacking, the lazily gated walk every selection
   runs) in two modes — the exact full scan and the approximate
@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 from _harness import SCALE, render_table, save_bench_json, save_table
 
-from repro.classifiers import MajorityClass
+from repro.classifiers import HoeffdingTree
 from repro.core import Ficsum, FicsumConfig, TieredConceptStore
 from repro.core.similarity import weighted_cosine_many
 from repro.core.store import ProjectionPrefilter
@@ -66,10 +66,10 @@ def build_system(R: int, *, ann: bool, exact: bool) -> Ficsum:
 
     Identical population for every mode at a given R: clustered
     fingerprint histories incorporated directly (normaliser warmed on
-    the same values), similarity/error records, majority-class
-    classifiers (no tree bank — the prediction block stacks one
-    ``predict_batch`` per candidate, the honest big-R fan-out), a full
-    active window.
+    the same values), similarity/error records, one-leaf Hoeffding
+    trees (FiCSUM stores only trees; the repository's bank stacks all R
+    of them for every prediction block, the honest big-R fan-out), a
+    full active window.
     """
     cfg = FicsumConfig(
         window_size=W,
@@ -87,7 +87,7 @@ def build_system(R: int, *, ann: bool, exact: bool) -> Ficsum:
     centers = rng.normal(scale=2.0, size=(R, system.n_dims))
     states = [system._active]
     for r in range(1, R):
-        clf = MajorityClass(2)
+        clf = HoeffdingTree(2, N_FEATURES, seed=r)
         clf.learn(np.zeros(N_FEATURES), r % 2)
         states.append(
             system.repository.new_state(
@@ -121,8 +121,7 @@ def build_system(R: int, *, ann: bool, exact: bool) -> Ficsum:
 
 
 def _selection_event(system: Ficsum):
-    """One whole selection event, with fresh memo/extraction keys."""
-    system._step += 1
+    """One whole selection event."""
     return system._model_select()
 
 

@@ -123,24 +123,14 @@ def build_system(R: int) -> Ficsum:
 
 
 def _stack_event(system: Ficsum, candidates):
-    """One stacking phase on a fresh window identity.
-
-    The step bump gives each event a fresh shared-extraction key, so
-    every event pays what a real selection pays: one shared pass plus
-    the dependent dimensions of the whole block.
-    """
-    system._step += 1
+    """One stacking phase: what a real selection pays, one shared pass
+    plus the dependent dimensions of the whole block."""
     xa, ya, _ = system.window.arrays()
     return system._stack_window_fingerprints(xa, ya, candidates)
 
 
 def _selection_event(system: Ficsum, candidates, fps):
-    """One selection phase: weight refresh + gates/argmax on the stack.
-
-    The step bump gives each event fresh memo keys, exactly as real
-    drift-time selections see them.
-    """
-    system._step += 1
+    """One selection phase: weight refresh + gates/argmax on the stack."""
     system._refresh_weights()
     return system._select_from_fingerprints(candidates, fps)
 

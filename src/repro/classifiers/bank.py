@@ -91,40 +91,26 @@ class _StackedForest:
 
 
 class ClassifierBank:
-    """The stored Hoeffding trees, keyed by state id.
+    """Hoeffding trees keyed by state id.
 
-    The repository adds and removes a state's tree whenever it stores
-    or drops the state.  :meth:`predict_batch_many` is the one read
-    path: it stacks the requested trees' live rows on every call, so
-    whatever the trees learned or grew before the call is what it
-    scores, and nothing is kept in sync.
+    :meth:`~repro.core.repository.Repository.bank` adds every stored
+    tree to a fresh bank per call.  :meth:`predict_batch_many` is the
+    one read path: it stacks the requested trees' live rows on every
+    call, so whatever the trees learned or grew before the call is what
+    it scores, and nothing is kept in sync.
     """
 
     def __init__(self) -> None:
         self._trees: Dict[int, HoeffdingTree] = {}
 
-    # -- membership ----------------------------------------------------
-    @staticmethod
-    def supports(classifier: Classifier) -> bool:
-        """Can this classifier join the bank?"""
-        return isinstance(classifier, HoeffdingTree)
-
     def add(self, key: int, classifier: Classifier) -> None:
+        """Add a tree; any other classifier raises ``TypeError``."""
         if not isinstance(classifier, HoeffdingTree):
             raise TypeError(
                 f"ClassifierBank holds Hoeffding trees, got "
                 f"{type(classifier).__name__}"
             )
         self._trees[key] = classifier
-
-    def remove(self, key: int) -> None:
-        self._trees.pop(key, None)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._trees
-
-    def __len__(self) -> int:
-        return len(self._trees)
 
     # -- the one-pass read path -----------------------------------------
     def predict_batch_many(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import pickle
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,13 +35,14 @@ from repro.classifiers import HoeffdingTree
 from repro.classifiers.base import Classifier
 from repro.core.config import FicsumConfig
 from repro.core.repository import ConceptState, Repository, rescale_record
-from repro.core.similarity import sim_fast, sim_pairs_many
+from repro.core.similarity import sim_fast, sim_many, sim_pairs_many
 from repro.core.store import ProjectionPrefilter, TieredConceptStore
 from repro.core.weighting import make_weights
 from repro.detectors import Adwin
-from repro.metafeatures import FingerprintPipeline, WindowExtractionCache
+from repro.metafeatures import FingerprintPipeline
 from repro.serving.audit import NULL_AUDIT, AuditLog
 from repro.serving.metrics import NULL_COLLECTOR, StatsCollector
+from repro.serving.snapshot import system_from_payload, system_payload
 from repro.system import AdaptiveSystem
 from repro.utils.stats import OnlineMinMax, minmax_scale
 from repro.utils.windows import ObservationWindow
@@ -103,7 +104,6 @@ class Ficsum(AdaptiveSystem):
         self._classifier_seed = cfg.seed
         self._step = 0
         self._weights = np.ones(self.n_dims)
-        self._weights_version = 0
         # Big-R selection layer: cold-tier rehydration staging and,
         # with ann_exact=False, the random-projection shortlist.
         self._prefilter: Optional[ProjectionPrefilter] = (
@@ -114,11 +114,6 @@ class Ficsum(AdaptiveSystem):
             else None
         )
         self._tier_store: Optional[TieredConceptStore] = None
-        # Per-step memo of gated similarity records, keyed by everything
-        # a re-expression reads: the state's record version, the
-        # normaliser's range version and the weights version.
-        self._gated_cache: dict = {}
-        self._gated_cache_step = -1
         #: Model-selection events run so far (bench/regression metadata).
         self.selection_events = 0
         self._active = self.repository.new_state(
@@ -144,10 +139,6 @@ class Ficsum(AdaptiveSystem):
         # the front, so the structure is a deque with O(1) key lookup
         # (never rebuilt, unlike a per-step dict comprehension).
         self._fa_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        # Shared-window extraction: classifier-independent dimensions
-        # computed once per window identity and reused across every
-        # candidate state (model selection, re-check, repository step).
-        self._extract_cache = WindowExtractionCache(self.pipeline)
         self._switch_step = 0
         self._warmup_obs = int(cfg.drift_warmup_windows * cfg.window_size)
         self._freeze_streak = 0
@@ -503,8 +494,10 @@ class Ficsum(AdaptiveSystem):
         the gated accept/reject machinery needs the stationary
         similarity records, whose re-expression under current weights
         reads supervised statistics that are frozen (and would be
-        stale) during an outage.  Switching only happens when another
-        concept scores strictly above the active one, and is counted
+        stale) during an outage.  Every candidate is scored with one
+        batched scale and one similarity kernel; the first strictly
+        greatest similarity wins.  Switching only happens when it
+        scores strictly above the active concept, and is counted
         separately (``outage_selections``) from gated selection.
         """
         mask = self._outage_dims
@@ -527,24 +520,19 @@ class Ficsum(AdaptiveSystem):
         fp = np.where(mask, fp, 0.0)
         weights = self._weights * mask
         scaled_fp = self.normalizer.scale(fp)
-        best: Optional[ConceptState] = None
-        best_sim = -np.inf
-        active_sim: Optional[float] = None
-        for state in candidates:
-            sim = sim_fast(
-                self.normalizer.scale(state.fingerprint.means),
-                scaled_fp,
-                weights,
-            )
-            if state.state_id == self._active.state_id:
-                active_sim = sim
-            if sim > best_sim:
-                best, best_sim = state, sim
+        sims = sim_many(
+            self.normalizer.scale(self._stored_means(candidates)), scaled_fp, weights
+        )
         self.metrics.inc("outage.checks")
-        if (
-            best is None
-            or best.state_id == self._active.state_id
-            or (active_sim is not None and best_sim <= active_sim)
+        if np.isnan(scaled_fp * weights).any():
+            # Every similarity to this window is NaN, which beats
+            # nothing (the batched kernel reports such rows as 0).
+            return
+        ids = [state.state_id for state in candidates]
+        row = int(np.argmax(sims))  # the first of equal maxima
+        active_id = self._active.state_id
+        if ids[row] == active_id or (
+            active_id in ids and sims[row] <= sims[ids.index(active_id)]
         ):
             return
         self.outage_selections += 1
@@ -552,11 +540,11 @@ class Ficsum(AdaptiveSystem):
         self.audit.log(
             "outage_selection",
             self._step,
-            from_state=self._active.state_id,
-            to_state=best.state_id,
-            similarity=float(best_sim),
+            from_state=active_id,
+            to_state=ids[row],
+            similarity=float(sims[row]),
         )
-        self._set_active(best)
+        self._set_active(candidates[row])
 
     @property
     def _in_warmup(self) -> bool:
@@ -583,7 +571,6 @@ class Ficsum(AdaptiveSystem):
             self.config.weighting, self._active, self.repository.states(),
             self.normalizer, self.repository.matrix(),
         )
-        self._weights_version += 1
 
     def _fingerprint_step(self) -> None:
         cfg = self.config
@@ -690,51 +677,25 @@ class Ficsum(AdaptiveSystem):
         :meth:`_gated_records_many`."""
         norm = self.normalizer
         mus, sigmas = self._gated_records_many(
-            [state], norm.mins[None], norm.maxs[None], [norm.version]
+            [state], norm.mins[None], norm.maxs[None]
         )
         return float(mus[0]), float(sigmas[0])
 
-    def _gated_cache_for_step(self) -> dict:
-        """The gated-record memo, cleared at step boundaries."""
-        if self._gated_cache_step != self._step:
-            self._gated_cache.clear()
-            self._gated_cache_step = self._step
-        return self._gated_cache
-
     def _gated_records_many(
-        self,
-        states: List[ConceptState],
-        mins: np.ndarray,
-        maxs: np.ndarray,
-        versions: Sequence[int],
+        self, states: List[ConceptState], mins: np.ndarray, maxs: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Gated (mu, sigma) of each state, state ``i`` in range ``i``.
 
         Row ``i`` of ``mins``/``maxs`` is the normaliser range state
-        ``i`` is judged in and ``versions[i]`` its range version.  All
-        retained sim-pairs of all memo-miss states are re-expressed
-        under the current weighting with one scale + similarity kernel,
-        each pair in its state's range; the per-state reductions then
-        run :func:`rescale_record`, as a per-pair loop would.
-        Memoised per (state, step) on the record, range and weights
-        versions, so a hit returns exactly what recomputation would.
+        ``i`` is judged in.  All retained sim-pairs of all states are
+        re-expressed under the current weighting with one scale +
+        similarity kernel, each pair in its state's range; the
+        per-state reductions then run :func:`rescale_record`, as a
+        per-pair loop would.  Nothing is memoised: the weights change
+        at every fingerprint step and the range widens on most of them.
         """
-        n = len(states)
-        mus = np.empty(n)
-        sigmas = np.empty(n)
-        cache = self._gated_cache_for_step()
-        misses = []
-        for i, state in enumerate(states):
-            key = (state.record_version, int(versions[i]), self._weights_version)
-            hit = cache.get(state.state_id)
-            if hit is not None and hit[0] == key:
-                mus[i], sigmas[i] = hit[1], hit[2]
-            else:
-                misses.append((i, state, key, state.sim_pairs.views()))
-        if not misses:
-            return mus, sigmas
-        pairs = [p for *_, p in misses]
-        rows = np.repeat([i for i, *_ in misses], [len(p[2]) for p in pairs])
+        pairs = [state.sim_pairs.views() for state in states]
+        rows = np.repeat(np.arange(len(states)), [len(p[2]) for p in pairs])
         sims_all = np.empty(0)
         if len(rows):
             sims_all = self._pair_similarities(
@@ -745,18 +706,18 @@ class Ficsum(AdaptiveSystem):
             )
         univariate = self.n_dims == 1
         min_std = self.config.min_similarity_std
+        mus = np.empty(len(states))
+        sigmas = np.empty(len(states))
         offset = 0
-        for i, state, key, (_, _, old) in misses:
+        for i, (state, (_, _, old)) in enumerate(zip(states, pairs)):
             mu, sigma = state.sim_stats.mean, state.sim_stats.std
             span = len(old)
             if span:
                 sims = sims_all[offset : offset + span]
                 offset += span
                 mu, sigma = rescale_record(mu, sigma, sims, old, univariate)
-            floor = min_std * max(1.0, abs(mu))
-            sigma = max(sigma, floor)
-            mus[i], sigmas[i] = mu, sigma
-            cache[state.state_id] = (key, mu, sigma)
+            mus[i] = mu
+            sigmas[i] = max(sigma, min_std * max(1.0, abs(mu)))
         return mus, sigmas
 
     def _candidate_states(self) -> List[ConceptState]:
@@ -899,26 +860,19 @@ class Ficsum(AdaptiveSystem):
     ) -> np.ndarray:
         """(R, D) stack of the window's fingerprint under each candidate.
 
-        One ``(R, W)`` prediction block, then one shared-window
-        extraction call: the repository's
+        One ``(R, W)`` prediction block: the repository's
         :class:`~repro.classifiers.bank.ClassifierBank` routes the
         window through every stored tree in one mask descent + one NB
-        kernel; a repository holding non-tree classifiers has no bank,
-        so the block stacks each state's ``predict_batch`` instead.
-        The classifier-independent dimensions come from the extraction
-        cache (once per window identity, ``self._step``) and
-        ``extract_partial_many`` computes every candidate's dependent
-        dimensions over the block.
+        kernel.  Then one ``extract_shared`` pass computes the
+        classifier-independent dimensions, and ``extract_partial_many``
+        computes every candidate's dependent dimensions over the block.
         """
-        bank = self.repository.bank()
-        if bank is not None:
-            preds_block = bank.predict_batch_many(
-                [s.state_id for s in states], xa
-            )
-        else:
-            preds_block = np.stack([s.classifier.predict_batch(xa) for s in states])
-        return self._extract_cache.extract_many(
-            self._step, xa, ya, preds_block, [s.classifier for s in states]
+        preds_block = self.repository.bank().predict_batch_many(
+            [s.state_id for s in states], xa
+        )
+        shared = self.pipeline.extract_shared(xa, ya)
+        return self.pipeline.extract_partial_many(
+            xa, ya, preds_block, [s.classifier for s in states], shared=shared
         )
 
     def _pair_similarities(
@@ -970,14 +924,14 @@ class Ficsum(AdaptiveSystem):
         O(log R) batched calls rather than R single ones.
         """
         gate = self.config.similarity_gate
-        mins, maxs, versions = self.normalizer.update_rows(fps)
+        mins, maxs = self.normalizer.update_rows(fps)
         sims = self._score_stack(states, fps, mins, maxs)
         order = np.argsort(-sims, kind="stable")
         start = 0
         while start < len(order):
             block = order[start : 2 * start + 1]
             mus, sigmas = self._gated_records_many(
-                [states[i] for i in block], mins[block], maxs[block], versions[block]
+                [states[i] for i in block], mins[block], maxs[block]
             )
             for i in block[np.abs(sims[block] - mus) <= gate * sigmas]:
                 if self._error_gate(states[i], fps[i]):
@@ -1106,7 +1060,7 @@ class Ficsum(AdaptiveSystem):
             return
         xa, ya, _ = self.window.arrays()
         fps = self._stack_window_fingerprints(xa, ya, others)
-        mins, maxs, versions = self.normalizer.update_rows(fps)
+        mins, maxs = self.normalizer.update_rows(fps)
         for state, fp in zip(others, fps):
             state.nonactive.incorporate(fp)
         if not self.config.track_discrimination:
@@ -1116,9 +1070,7 @@ class Ficsum(AdaptiveSystem):
             return
         states = [others[i] for i in tracked]
         sims = self._score_stack(states, fps[tracked], mins[tracked], maxs[tracked])
-        mus, sigmas = self._gated_records_many(
-            states, mins[tracked], maxs[tracked], versions[tracked]
-        )
+        mus, sigmas = self._gated_records_many(states, mins[tracked], maxs[tracked])
         fp = self._window_fingerprint(xa, ya, active)
         sim = self._sim(active.fingerprint.means, fp)
         mu, sigma = self._gated_record(active)
@@ -1133,12 +1085,9 @@ class Ficsum(AdaptiveSystem):
     def state_dict(self) -> Dict[str, Any]:
         """Every mutable value a resumed run reads, captured verbatim.
 
-        Pure caches are deliberately absent: the per-step gated-record
-        memo and shared-window extraction cache are keyed on the step
-        counter (snapshots are taken between observations, so future
-        events use later keys), and the repository rebuilds its
-        fingerprint matrix and classifier bank from the restored
-        states.
+        The repository rebuilds its fingerprint matrix from the
+        restored states; pickling a ``Ficsum`` goes through this pair
+        (see :meth:`__reduce__`).
         """
         fa_keys = np.fromiter(self._fa_cache.keys(), dtype=np.int64)
         if len(self._fa_cache):
@@ -1149,7 +1098,6 @@ class Ficsum(AdaptiveSystem):
             "step": self._step,
             "classifier_seed": self._classifier_seed,
             "weights": self._weights.copy(),
-            "weights_version": self._weights_version,
             "selection_events": self.selection_events,
             "active_state_id": self._active.state_id,
             "change_marker": self._change_marker,
@@ -1180,7 +1128,6 @@ class Ficsum(AdaptiveSystem):
         self._step = int(state["step"])
         self._classifier_seed = int(state["classifier_seed"])
         self._weights = np.asarray(state["weights"], dtype=np.float64).copy()
-        self._weights_version = int(state["weights_version"])
         self.selection_events = int(state["selection_events"])
         self._change_marker = int(state["change_marker"])
         pending = state["pending_recheck"]
@@ -1199,28 +1146,33 @@ class Ficsum(AdaptiveSystem):
         self._fa_cache = OrderedDict(
             (int(k), fa_values[i].copy()) for i, k in enumerate(fa_keys)
         )
-        # Outage keys default to the pre-outage-era values so snapshots
-        # written before this mode existed keep loading (no layout
-        # change for them — the schema version stays put).
-        self._label_outage = bool(state.get("label_outage", False))
-        self.outage_selections = int(state.get("outage_selections", 0))
+        self._label_outage = bool(state["label_outage"])
+        self.outage_selections = int(state["outage_selections"])
         self._outage_window = ObservationWindow(
             self.config.window_size, self.n_features
         )
-        if "outage_window" in state:
-            self._outage_window.load_state_dict(state["outage_window"])
+        self._outage_window.load_state_dict(state["outage_window"])
         self.pipeline.load_state_dict(state["pipeline"])
         self.normalizer.load_state_dict(state["normalizer"])
         self.window.load_state_dict(state["window"])
         self.repository.load_state_dict(state["repository"])
         self._active = self.repository.get(int(state["active_state_id"]))
         self.detector = pickle.loads(state["detector"])
-        # Per-step memos restart empty; they are keyed on the (restored)
-        # step counter, so every future lookup misses exactly as the
-        # uninterrupted run's would at a new step.
-        self._gated_cache = {}
-        self._gated_cache_step = -1
-        self._extract_cache.invalidate()
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Dict[str, Any]]]:
+        """Pickle (and deep-copy) as the snapshot payload.
+
+        The live object holds views into shared storage: the rolling
+        accumulators' sums are rows of one array, and every stored
+        fingerprint is a view of its repository matrix row.  Pickling
+        the object graph would copy each view on its own and sever it
+        from its storage.  The payload of
+        :func:`~repro.serving.snapshot.system_payload` (constructor
+        context + :meth:`state_dict`) rebuilds the system through the
+        constructor and :meth:`load_state_dict`, which re-creates those
+        views.  Observability sinks and a tier store are not carried.
+        """
+        return system_from_payload, (system_payload(self),)
 
     def __repr__(self) -> str:
         return (

@@ -19,10 +19,10 @@ The repository owns the statistics of every stored concept: its
 :class:`FingerprintMatrix` holds both fingerprints of every stored
 state as ``(R, D)`` arrays, and each state's fingerprints are views of
 its row, so model selection and the dynamic weights score all stored
-concepts with batched kernels over the one copy.  The repository also
-keeps a :class:`~repro.classifiers.bank.ClassifierBank` of the stored
-Hoeffding trees, which routes the active window through every tree's
-own node tables and leaf blocks in one pass.
+concepts with batched kernels over the one copy.  :meth:`Repository.bank`
+builds a :class:`~repro.classifiers.bank.ClassifierBank` of the stored
+Hoeffding trees on every call, which routes the active window through
+every tree's own node tables and leaf blocks in one pass.
 """
 
 from __future__ import annotations
@@ -178,9 +178,6 @@ class ConceptState:
         # re-evaluating them under the current weighting scheme measures
         # how the scheme has shifted since the record was written.
         self.sim_pairs = SimPairRecord(sim_record_samples, n_dims)
-        # Bumped whenever the similarity record changes — memoised
-        # re-expressions of the record key on it.
-        self.record_version = 0
         self.last_active_step = 0
         # Concepts folded into this state as a family (self included):
         # 1 for a standalone concept, grows via :meth:`absorb`.
@@ -190,12 +187,10 @@ class ConceptState:
         self, concept_means: np.ndarray, window_fp: np.ndarray, sim: float
     ) -> None:
         """Log one stationary similarity observation and its pair."""
-        self.record_version += 1
         self.sim_stats.update(sim)
         self.sim_pairs.append(concept_means, window_fp, sim)
 
     def reset_similarity_record(self) -> None:
-        self.record_version += 1
         self.sim_stats = EwmaStats(alpha=self.sim_record_decay)
 
     def absorb(self, other: "ConceptState") -> None:
@@ -207,7 +202,6 @@ class ConceptState:
         moments Chan-combine exactly, the similarity/error records take
         the count-weighted fold, and counters/recency take the union.
         """
-        self.record_version += 1
         self.fingerprint.merge(other.fingerprint)
         self.nonactive.merge(other.nonactive)
         self.sim_stats.merge(other.sim_stats)
@@ -232,7 +226,6 @@ class ConceptState:
             "sim_stats": self.sim_stats.state_dict(),
             "error_stats": self.error_stats.state_dict(),
             "sim_pairs": self.sim_pairs.state_dict(),
-            "record_version": self.record_version,
             "last_active_step": self.last_active_step,
             "family_size": self.family_size,
         }
@@ -246,10 +239,8 @@ class ConceptState:
         self.sim_stats.load_state_dict(state["sim_stats"])
         self.error_stats.load_state_dict(state["error_stats"])
         self.sim_pairs.load_state_dict(state["sim_pairs"])
-        self.record_version = int(state["record_version"])
         self.last_active_step = int(state["last_active_step"])
-        # Pre-family snapshots keep loading: absent key means standalone.
-        self.family_size = int(state.get("family_size", 1))
+        self.family_size = int(state["family_size"])
 
     @classmethod
     def from_state_dict(cls, state: Dict[str, Any]) -> "ConceptState":
@@ -550,22 +541,16 @@ class Repository:
             raise ValueError("an empty repository has no fingerprint matrix")
         return self._matrix
 
-    def bank(self) -> Optional[ClassifierBank]:
-        """A classifier bank of the stored trees, keyed by state id, or
-        ``None``.
+    def bank(self) -> ClassifierBank:
+        """A classifier bank of the stored trees, keyed by state id.
 
         Built from the stored states on every call, so it holds exactly
         the trees stored now; the bank reads the trees' own arrays.
-        Unavailable (returns ``None``) whenever any stored classifier is
-        not a Hoeffding tree — callers fall back to per-state prediction.
+        Raises ``TypeError`` when a stored classifier is not a
+        Hoeffding tree (:meth:`ClassifierBank.add` refuses it).
         """
-        states = self.states()
-        if not states or not all(
-            ClassifierBank.supports(s.classifier) for s in states
-        ):
-            return None
         bank = ClassifierBank()
-        for state in states:
+        for state in self.states():
             bank.add(state.state_id, state.classifier)
         return bank
 
@@ -579,10 +564,9 @@ class Repository:
     def state_dict(self) -> Dict[str, Any]:
         """Serialized repository: stored states in insertion order.
 
-        The :class:`FingerprintMatrix` and the
-        :class:`~repro.classifiers.bank.ClassifierBank` are not
-        serialized: each state's statistics travel in its own state
-        dict, and loading re-inserts the states in the same order.
+        The :class:`FingerprintMatrix` is not serialized: each state's
+        statistics travel in its own state dict, and loading re-inserts
+        the states in the same order.
         """
         return {
             "max_size": self.max_size,
@@ -594,8 +578,7 @@ class Repository:
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         self.max_size = int(state["max_size"])
         self._next_id = int(state["next_id"])
-        # Pre-tiering snapshots lack the counter: nothing was tracked.
-        self.evicted_dropped = int(state.get("evicted_dropped", 0))
+        self.evicted_dropped = int(state["evicted_dropped"])
         self._states = {}
         self._matrix = None
         self._states_list = None

@@ -33,7 +33,6 @@ from repro.metafeatures.pipeline import (
     FingerprintPipeline,
     FingerprintSchema,
     SourceInfo,
-    WindowExtractionCache,
     source_info,
 )
 from repro.metafeatures.rolling import ErrorDistanceTracker, RollingWindowStats
@@ -60,7 +59,6 @@ __all__ = [
     "source_info",
     "FingerprintPipeline",
     "FingerprintSchema",
-    "WindowExtractionCache",
     "RollingWindowStats",
     "ErrorDistanceTracker",
     "empirical_mode_decomposition",

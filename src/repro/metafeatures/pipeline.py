@@ -40,10 +40,10 @@ Three extraction paths share one schema:
   re-labelling the same window, so they are computed once, and only
   the preds/errors/error-distance dimensions (plus classifier-backed
   components such as the permutation importance) are computed for the
-  whole ``(R, w)`` prediction block at once.
-  :class:`WindowExtractionCache` keys the shared part on window
-  identity.  Both halves run the same row kernels over sub-matrices of
-  the same row layout, so every candidate row is bit-for-bit equal to
+  whole ``(R, w)`` prediction block at once.  A caller computes the
+  shared part once per candidate stack and passes it in.  Both halves
+  run the same row kernels over sub-matrices of the same row layout,
+  so every candidate row is bit-for-bit equal to
   :meth:`~FingerprintPipeline.extract`.
 """
 
@@ -803,67 +803,6 @@ class FingerprintPipeline:
         return values
 
 
-class WindowExtractionCache:
-    """Shares classifier-independent extraction work across one window.
-
-    Model selection, the post-drift re-check and the repository step
-    all fingerprint the *same* active window under stored concepts'
-    classifiers — only the predicted-label-derived dimensions differ
-    between candidates.  This cache keys the shared (classifier-
-    independent) part on a caller-supplied window identity (FiCSUM uses
-    its observation counter): the first extraction for a key pays one
-    :meth:`FingerprintPipeline.extract_shared` pass, every further
-    extraction for the same key pays only the dependent dimensions.
-
-    ``n_shared_computes`` / ``n_partial_extracts`` count the work done
-    (shared passes / candidate rows), so tests can assert the
-    O(R × full-extract) → O(full-extract + R × dependent-dims)
-    restructuring actually holds.
-    """
-
-    def __init__(self, pipeline: FingerprintPipeline) -> None:
-        self.pipeline = pipeline
-        self._key: Optional[object] = None
-        self._shared: Optional[np.ndarray] = None
-        self.n_shared_computes = 0
-        self.n_partial_extracts = 0
-
-    def invalidate(self) -> None:
-        """Drop the cached shared part.
-
-        Only needed by callers that *reuse* a key for different window
-        contents; with unique-per-window keys (FiCSUM keys on its
-        monotone observation counter) the key change itself invalidates.
-        """
-        self._key = None
-        self._shared = None
-
-    def extract_many(
-        self,
-        key: object,
-        window_x: np.ndarray,
-        labels: np.ndarray,
-        preds_block: np.ndarray,
-        classifiers: Optional[Sequence[Optional[Classifier]]] = None,
-    ) -> np.ndarray:
-        """Fingerprint one window under many candidates, sharing work.
-
-        One shared pass per window identity, one
-        :meth:`FingerprintPipeline.extract_partial_many` for the whole
-        ``(R, w)`` prediction block.  Row ``r`` is bit-for-bit
-        ``pipeline.extract(window_x, labels, preds_block[r],
-        classifiers[r])``, whatever the key history.
-        """
-        if key != self._key:
-            self._shared = self.pipeline.extract_shared(window_x, labels)
-            self._key = key
-            self.n_shared_computes += 1
-        self.n_partial_extracts += len(preds_block)
-        return self.pipeline.extract_partial_many(
-            window_x, labels, preds_block, classifiers, shared=self._shared
-        )
-
-
 __all__ = [
     "SOURCE_SETS",
     "SourceInfo",
@@ -871,5 +810,4 @@ __all__ = [
     "source_info",
     "FingerprintSchema",
     "FingerprintPipeline",
-    "WindowExtractionCache",
 ]

@@ -26,8 +26,9 @@ from typing import Any, Callable, Dict, Optional, Union
 #: Version 2: ``arrays.npz`` holds one member per dtype, and rng states
 #: are plain dicts in ``state.json``.  Version 3: a pickled Hoeffding
 #: tree is its ``state_dict`` (node tables and leaf blocks), no longer
-#: a graph of node objects.
-SCHEMA_VERSION = 3
+#: a graph of node objects.  Version 4: concept states, the framework
+#: and the normaliser drop the change counters that keyed per-step memos.
+SCHEMA_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 

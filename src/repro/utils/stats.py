@@ -232,10 +232,6 @@ class OnlineMinMax:
         self.n_dims = n_dims
         self.mins = np.full(n_dims, np.inf)
         self.maxs = np.full(n_dims, -np.inf)
-        # Bumped whenever the observed range actually widens.  Scaled
-        # values are a pure function of (input, mins, maxs), so caches
-        # of scaled-space quantities stay valid while the version does.
-        self.version = 0
 
     @property
     def initialised(self) -> bool:
@@ -243,41 +239,30 @@ class OnlineMinMax:
 
     def update(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
-        if np.any(values < self.mins) or np.any(values > self.maxs):
-            self.version += 1
         np.minimum(self.mins, values, out=self.mins)
         np.maximum(self.maxs, values, out=self.maxs)
 
-    def update_rows(
-        self, values: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def update_rows(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Fold a ``(r, n_dims)`` stack in row order, keeping every prefix.
 
-        Returns ``(mins, maxs, versions)``: row ``i`` holds the extrema
-        after rows ``0..i`` and the range version after row ``i`` — what
-        :meth:`update` called row by row holds at that row, so scoring
-        row ``i`` against ``(mins[i], maxs[i])`` is the sequential
-        update-then-score loop.  Min and max are exact, so the
-        accumulated extrema are bit-equal to the loop's, and so are the
-        final ``mins``, ``maxs`` and ``version``.  An empty stack is a
-        no-op.
+        Returns ``(mins, maxs)``: row ``i`` holds the extrema after rows
+        ``0..i`` — what :meth:`update` called row by row holds at that
+        row, so scoring row ``i`` against ``(mins[i], maxs[i])`` is the
+        sequential update-then-score loop.  Min and max are exact, so
+        the accumulated extrema are bit-equal to the loop's, and so are
+        the final ``mins`` and ``maxs``.  An empty stack is a no-op.
         """
         values = np.asarray(values, dtype=np.float64)
         if not len(values):
             empty = np.empty((0, self.n_dims))
-            return empty, empty, np.empty(0, dtype=np.int64)
+            return empty, empty
         extended = np.concatenate([self.mins[None], values])
         mins = np.minimum.accumulate(extended, axis=0)
         extended[0] = self.maxs
         maxs = np.maximum.accumulate(extended, axis=0)
-        widened = np.any(values < mins[:-1], axis=1) | np.any(
-            values > maxs[:-1], axis=1
-        )
-        versions = self.version + np.cumsum(widened)
         self.mins[:] = mins[-1]
         self.maxs[:] = maxs[-1]
-        self.version = int(versions[-1])
-        return mins[1:], maxs[1:], versions
+        return mins[1:], maxs[1:]
 
     # Unused by the engine; kept because perfbench/tracing.py wraps it.
     def contains(self, values: np.ndarray) -> bool:
@@ -313,11 +298,7 @@ class OnlineMinMax:
         return out
 
     def state_dict(self) -> Dict[str, Any]:
-        return {
-            "mins": self.mins.copy(),
-            "maxs": self.maxs.copy(),
-            "version": self.version,
-        }
+        return {"mins": self.mins.copy(), "maxs": self.maxs.copy()}
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         mins = np.asarray(state["mins"], dtype=np.float64)
@@ -327,7 +308,6 @@ class OnlineMinMax:
             )
         self.mins = mins.copy()
         self.maxs = np.asarray(state["maxs"], dtype=np.float64).copy()
-        self.version = int(state["version"])
 
 
 class ReservoirSampler(Generic[T]):

@@ -210,20 +210,6 @@ def scenario_reference(name: str) -> RunTrace:
     return run_reference(overrides, **build_kwargs)
 
 
-def disable_extraction_cache(system: AdaptiveSystem) -> None:
-    """Instrument: every candidate stack recomputes the window's
-    classifier-independent dimensions, as if the engine had no
-    :class:`~repro.metafeatures.pipeline.WindowExtractionCache`."""
-    cache = system._extract_cache
-    cached_extract_many = cache.extract_many
-
-    def uncached_extract_many(*args, **kwargs):
-        cache.invalidate()
-        return cached_extract_many(*args, **kwargs)
-
-    cache.extract_many = uncached_extract_many
-
-
 def run_config_observed(
     overrides: Optional[Dict[str, object]] = None,
     *,

@@ -1,4 +1,4 @@
-"""Shared-window partial extraction: exactness, caching, FiCSUM wiring.
+"""Shared-window partial extraction: exactness and FiCSUM wiring.
 
 The model-selection hot path relies on three facts pinned here:
 
@@ -6,27 +6,22 @@ The model-selection hot path relies on three facts pinned here:
   bit-for-bit, for every source set;
 * only the dimensions flagged ``classifier_dependent`` vary across
   candidate classifiers (the shared part really is shared);
-* FiCSUM's model selection / re-check / repository step compute the
-  classifier-independent dimensions exactly once per window (spy test)
-  and behave identically with the cache's reuse defeated.
+* FiCSUM's model selection / re-check / repository step never run a
+  full extraction, compute the classifier-independent dimensions
+  exactly once per candidate stack, and hand each stack's whole
+  candidate block from the classifier bank to one block extraction
+  (spy tests).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 import pytest
-from equivalence import (
-    assert_identical_traces,
-    build_system,
-    disable_extraction_cache,
-    run_config,
-)
+from equivalence import build_system
 
-from repro.classifiers import HoeffdingTree
+from repro.classifiers import ClassifierBank, HoeffdingTree
 from repro.evaluation.prequential import prequential_run
-from repro.metafeatures import FingerprintPipeline, WindowExtractionCache
+from repro.metafeatures import FingerprintPipeline
 from repro.registry import METAFEATURES
 
 W, D = 75, 6
@@ -137,115 +132,88 @@ def test_batch_scalar_rows_matches_batch_scalar():
                 )
 
 
-def test_window_extraction_cache_counters(window):
-    X, ys, preds, tree = window
-    pipe = FingerprintPipeline(D)
-    cache = WindowExtractionCache(pipe)
-    reference = FingerprintPipeline(D)
-
-    fp1 = cache.extract_many(10, X, ys, preds[None], [tree])
-    fp2 = cache.extract_many(10, X, ys, np.stack([preds, preds]), [tree, tree])
-    assert cache.n_shared_computes == 1
-    assert cache.n_partial_extracts == 3
-    # The cache replays the exact sequence three full extractions would
-    # produce (the permutation-importance rng advances per candidate,
-    # so the reference must advance in lockstep).
-    assert np.array_equal(fp1[0], reference.extract(X, ys, preds, tree))
-    for row in fp2:
-        assert np.array_equal(row, reference.extract(X, ys, preds, tree))
-
-    cache.extract_many(11, X, ys, preds[None], [tree])
-    assert cache.n_shared_computes == 2
-    cache.invalidate()
-    cache.extract_many(11, X, ys, preds[None], [tree])
-    assert cache.n_shared_computes == 3
-
-
 def _spy_on_extraction(system):
-    """Instrument a system's pipeline + cache; returns the call log."""
+    """Instrument a system's pipeline; returns the call log.
+
+    Every ``extract_partial_many`` call must complete its stack from
+    the vector the ``extract_shared`` call just before it returned.
+    """
     pipe = system.pipeline
-    cache = system._extract_cache
-    calls = {"full": 0, "shared": 0, "keys": [], "block_rows": 0}
+    calls = {"full": 0, "shared": [], "blocks": [], "block_rows": 0}
 
     original_extract = pipe.extract
     original_shared = pipe.extract_shared
-    original_cache_many = cache.extract_many
+    original_many = pipe.extract_partial_many
 
     def spy_extract(*args, **kwargs):
         calls["full"] += 1
         return original_extract(*args, **kwargs)
 
     def spy_shared(*args, **kwargs):
-        calls["shared"] += 1
-        return original_shared(*args, **kwargs)
+        shared = original_shared(*args, **kwargs)
+        calls["shared"].append(shared)
+        return shared
 
-    def spy_cache_many(key, window_x, labels, preds_block, *args, **kwargs):
-        calls["keys"].append(key)
+    def spy_many(window_x, labels, preds_block, *args, shared=None, **kwargs):
+        assert calls["shared"] and shared is calls["shared"][-1]
+        calls["blocks"].append(preds_block)
         calls["block_rows"] += len(preds_block)
-        return original_cache_many(
-            key, window_x, labels, preds_block, *args, **kwargs
+        return original_many(
+            window_x, labels, preds_block, *args, shared=shared, **kwargs
         )
 
     pipe.extract = spy_extract
     pipe.extract_shared = spy_shared
-    cache.extract_many = spy_cache_many
+    pipe.extract_partial_many = spy_many
     return calls
 
 
-def test_ficsum_computes_shared_dims_once_per_window():
-    """Spy test: model selection and the repository step never run
-    full extraction, and the classifier-independent dimensions are
-    computed exactly once per window even when one window is
-    fingerprinted by several calls (the repository step's candidate
-    block plus the discrimination sample's active state)."""
+def test_ficsum_computes_shared_dims_once_per_stack():
+    """Spy test: model selection, the re-check and the repository step
+    never run full extraction, and each candidate stack pays exactly
+    one shared pass, whose vector its block extraction completes."""
     system, stream = build_system()
-    cache = system._extract_cache
     calls = _spy_on_extraction(system)
 
     prequential_run(system, stream, oracle_drift=True)
 
     assert len(system.repository) >= 2  # several candidate states existed
-    assert calls["keys"], "model selection / repository step never ran"
+    assert calls["blocks"], "model selection / repository step never ran"
     # Full extraction is gone from the hot path entirely.
     assert calls["full"] == 0
-    # The shared (classifier-independent) part: exactly once per window.
-    per_window = Counter(calls["keys"])
-    assert calls["shared"] == len(per_window)
-    assert cache.n_shared_computes == len(per_window)
-    # At least one window was fingerprinted by several calls, which is
-    # precisely the redundancy the cache removes.
-    assert max(per_window.values()) >= 2
+    # The shared (classifier-independent) part: exactly once per stack.
+    assert len(calls["shared"]) == len(calls["blocks"])
 
 
-def test_ficsum_forest_routing_shares_the_same_cache():
-    """The whole candidate block goes through one ``extract_many``
-    per stack, the shared part is still computed exactly once per
-    window, and the work counters account for every candidate in the
-    block."""
+def test_ficsum_forest_routing_feeds_one_block_per_stack(monkeypatch):
+    """Spy test: each candidate stack is routed through the classifier
+    bank once, and the prediction block it returns reaches one block
+    extraction whole, one row per candidate, so the candidate fan-out
+    arrives as fewer extraction calls than fingerprinted candidates."""
     system, stream = build_system()
-    cache = system._extract_cache
     calls = _spy_on_extraction(system)
+    routed = []
+    original_predict = ClassifierBank.predict_batch_many
+
+    def spy_predict(self, keys, X):
+        block = original_predict(self, keys, X)
+        assert block.shape == (len(keys), len(X))
+        routed.append(block)
+        return block
+
+    monkeypatch.setattr(ClassifierBank, "predict_batch_many", spy_predict)
 
     prequential_run(system, stream, oracle_drift=True)
 
     assert len(system.repository) >= 2
-    assert calls["keys"], "model selection / repository step never ran"
+    assert calls["blocks"], "model selection / repository step never ran"
     assert calls["full"] == 0
-    per_window = Counter(calls["keys"])
-    assert calls["shared"] == len(per_window)
-    assert cache.n_shared_computes == len(per_window)
-    # The candidate fan-out arrives as blocks: fewer cache calls than
-    # fingerprinted candidates, but every candidate is accounted for.
-    assert cache.n_partial_extracts == calls["block_rows"]
-    assert cache.n_partial_extracts > len(calls["keys"])
-
-
-def test_ficsum_cache_disabled_is_equivalent():
-    """The cache is an execution detail: a run that recomputes the
-    shared dimensions for every stack is the cached run."""
-    cached = run_config()
-    uncached = run_config(instrument=disable_extraction_cache)
-    assert_identical_traces(cached, uncached)
-    on, off = cached.system._extract_cache, uncached.system._extract_cache
-    assert off.n_partial_extracts == on.n_partial_extracts
-    assert off.n_shared_computes > on.n_shared_computes
+    # One bank routing per stack, and the stack's extraction receives
+    # exactly the block that routing returned.
+    assert len(routed) == len(calls["blocks"])
+    for block, received in zip(routed, calls["blocks"]):
+        assert received is block
+    # Every fingerprinted candidate is a row of some block, and blocks
+    # carry several candidates.
+    assert calls["block_rows"] == sum(len(block) for block in routed)
+    assert calls["block_rows"] > len(calls["blocks"])

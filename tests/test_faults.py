@@ -26,6 +26,7 @@ import pytest
 
 from equivalence import RunTrace, assert_identical_traces, build_system
 from repro.cli import main as cli_main
+from repro.core.similarity import sim_fast
 from repro.experiments import (
     Engine,
     ExperimentSpec,
@@ -247,6 +248,41 @@ def clean_total() -> int:
     return make_runner().run().n_observations
 
 
+def loop_outage_choice(system) -> int:
+    """The state an outage check switches to (the active one when it
+    keeps it), decided by a per-state ``sim_fast`` loop.
+
+    The degraded selection as it read before its candidates were
+    scored in one batch: the first strictly greatest masked
+    similarity, taken only when it beats the active concept's.
+    """
+    active_id = system.active_state_id
+    mask = system._outage_dims
+    candidates = [
+        s for s in system.repository.states() if s.fingerprint.count >= 2
+    ]
+    if not mask.any() or len(candidates) < 2:
+        return active_id
+    xa, ya, la = system._outage_window.arrays()
+    rng_state = system.pipeline._rng.bit_generator.state
+    fp = system.pipeline.extract(xa, ya, la, system._active.classifier)
+    system.pipeline._rng.bit_generator.state = rng_state
+    scaled_fp = system.normalizer.scale(np.where(mask, fp, 0.0))
+    weights = system._weights * mask
+    best, best_sim, active_sim = None, -np.inf, None
+    for state in candidates:
+        sim = sim_fast(
+            system.normalizer.scale(state.fingerprint.means), scaled_fp, weights
+        )
+        if state.state_id == active_id:
+            active_sim = sim
+        if sim > best_sim:
+            best, best_sim = state, sim
+    if best is None or (active_sim is not None and best_sim <= active_sim):
+        return active_id
+    return best.state_id
+
+
 class TestRunnerFaults:
     #: ``None`` runs per observation; the ``Chunked`` twin runs chunks.
     CHUNK_SIZE = None
@@ -349,6 +385,26 @@ class TestLabelOutage:
         runner.system.attach_observability(metrics=metrics)
         runner.run()
         assert metrics.counters.get("outage.checks", 0) > 0
+
+    def test_batched_outage_selection_matches_state_loop(self):
+        """Every outage check of a stream whose outage spans a concept
+        boundary picks the state the per-state loop picks, and at least
+        one check switches."""
+        runner = self.runner(self.outage_plan((430, 600)))
+        system = runner.system
+        batched = system._outage_selection
+        switches = []
+
+        def checked():
+            before, expected = system.active_state_id, loop_outage_choice(system)
+            batched()
+            assert system.active_state_id == expected
+            switches.append(expected != before)
+
+        system._outage_selection = checked
+        runner.run()
+        assert len(switches) > 0 and any(switches)
+        assert system.outage_selections == sum(switches)
 
     def assert_incapable_system_drops(self, window):
         from repro.evaluation.runner import prepare_run

@@ -17,9 +17,7 @@ computation:
   candidate stacks and the run is the plain Algorithm 1 of
   ``tests/reference.py`` observation for observation (ADWIN detection,
   the univariate ER variant, the full Table I component set, eviction
-  pressure, the extraction cache's reuse defeated); a repository
-  holding a non-tree classifier transparently stacks per-state
-  ``predict_batch`` rows instead.
+  pressure); a repository holding a non-tree classifier is refused.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import pytest
 from equivalence import (
     assert_identical_traces,
     build_system,
-    disable_extraction_cache,
     run_config,
     run_scenario,
     scenario_reference,
@@ -297,7 +294,6 @@ class TestClassifierBank:
         bank = ClassifierBank()
         with pytest.raises(TypeError):
             bank.add(0, MajorityClass(2))
-        assert not ClassifierBank.supports(MajorityClass(2))
 
     def test_rejects_mismatched_tree_shapes(self):
         bank = ClassifierBank()
@@ -310,12 +306,10 @@ class TestClassifierBank:
         bank = ClassifierBank()
         tree = _grown_tree(1)
         bank.add(7, tree)
-        assert 7 in bank and len(bank) == 1
         assert bank.predict_batch_many([], np.zeros((5, 4))).shape == (0, 5)
         assert bank.predict_batch_many([7], np.zeros((0, 4))).shape == (1, 0)
-        bank.remove(7)
-        bank.remove(7)  # idempotent
-        assert 7 not in bank and len(bank) == 0
+        with pytest.raises(KeyError):
+            bank.predict_batch_many([8], np.zeros((5, 4)))
 
 
 # ----------------------------------------------------------------------
@@ -386,16 +380,15 @@ class TestExtractPartialMany:
 
 
 # ----------------------------------------------------------------------
-# FiCSUM wiring: the bank path is taken, runs match the reference, the
-# non-tree fallback matches
+# FiCSUM wiring: the bank path is taken, runs match the reference, a
+# non-tree classifier is refused
 # ----------------------------------------------------------------------
-def _assert_routed_run_matches_reference(monkeypatch, scenario, instrument=None):
+def _assert_routed_run_matches_reference(monkeypatch, scenario):
     """Run a scenario with the bank spied: it routed the candidate
     stacks, and the run is the reference's.  Returns the engine's
-    trace and the bank's call count.  (Whether a scenario's stacks
-    fan out to several candidates depends on the stream seed; the
-    default run's fan-outs are pinned by
-    ``test_forest_path_actually_taken``.)"""
+    trace.  (Whether a scenario's stacks fan out to several candidates
+    depends on the stream seed; the default run's fan-outs are pinned
+    by ``test_forest_path_actually_taken``.)"""
     reference = scenario_reference(scenario)
     calls = {"n": 0}
     original_many = ClassifierBank.predict_batch_many
@@ -405,10 +398,10 @@ def _assert_routed_run_matches_reference(monkeypatch, scenario, instrument=None)
         return original_many(self, keys, X)
 
     monkeypatch.setattr(ClassifierBank, "predict_batch_many", spy_many)
-    engine = run_scenario(scenario, instrument=instrument)
+    engine = run_scenario(scenario)
     assert calls["n"] > 0
     assert_identical_traces(engine, reference)
-    return engine, calls["n"]
+    return engine
 
 
 class TestForestRoutingEquivalence:
@@ -427,22 +420,12 @@ class TestForestRoutingEquivalence:
         exactly as the reference's per-candidate extraction."""
         _assert_routed_run_matches_reference(monkeypatch, "table1-shapley")
 
-    def test_without_extraction_cache(self, monkeypatch):
-        """Routing does not lean on the cache's reuse: with the shared
-        dimensions recomputed for every stack the run is unchanged."""
-        engine, n_stacks = _assert_routed_run_matches_reference(
-            monkeypatch, "oracle-recurring", instrument=disable_extraction_cache
-        )
-        # One shared pass per banked stack: nothing was reused.
-        assert engine.system._extract_cache.n_shared_computes == n_stacks
-
     def test_under_eviction_pressure(self, monkeypatch):
-        engine, _ = _assert_routed_run_matches_reference(monkeypatch, "eviction")
+        engine = _assert_routed_run_matches_reference(monkeypatch, "eviction")
         repo = engine.system.repository
         assert len(repo) <= 3
+        # The bank holds exactly the trees LRU eviction left stored.
         bank = repo.bank()
-        assert bank is not None
-        # Bank membership tracked LRU eviction through the whole run.
         assert sorted(bank._trees) == sorted(s.state_id for s in repo.states())
 
     def test_chunked_engine_composes_with_forest_routing(self):
@@ -476,21 +459,19 @@ class TestForestRoutingEquivalence:
         assert bank_calls["rows"] > bank_calls["n"]  # real fan-outs batched
         assert system.selection_events > 0
 
-    def test_non_tree_repository_falls_back_to_loop(self):
-        """A repository holding any non-tree classifier has no bank;
-        the stack transparently uses per-state ``predict_batch`` rows
-        and equals the banked stack."""
+    def test_non_tree_repository_is_refused(self):
+        """FiCSUM stores only Hoeffding trees, and candidate stacks have
+        one prediction path: a non-tree classifier in the repository
+        makes stacking raise, and removing it restores the stack."""
         trace = run_config(max_observations=400)
         system = trace.system
         repo = system.repository
-        assert repo.bank() is not None
         xa, ya, _ = system.window.arrays()
         states = list(repo.states())
-        banked = system._stack_window_fingerprints(xa, ya, states)
+        before = system._stack_window_fingerprints(xa, ya, states)
         intruder = repo.new_state(system.n_dims, MajorityClass(2), step=0)
-        assert repo.bank() is None
-        fallback = system._stack_window_fingerprints(xa, ya, states)
-        np.testing.assert_array_equal(fallback, banked)
-        # Removing the intruder restores the bank.
+        with pytest.raises(TypeError, match="Hoeffding trees"):
+            system._stack_window_fingerprints(xa, ya, states)
         repo.remove(intruder.state_id)
-        assert repo.bank() is not None
+        after = system._stack_window_fingerprints(xa, ya, states)
+        np.testing.assert_array_equal(after, before)

@@ -51,7 +51,6 @@ FORBIDDEN = {
     "matrix",
     "bank",
     "ClassifierBank",
-    "WindowExtractionCache",
     "extract_shared",
     "extract_partial",
     "extract_partial_many",

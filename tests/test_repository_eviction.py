@@ -64,8 +64,7 @@ class TestCapacityOnePressure:
         (state,) = repo.states()
         matrix = repo.matrix()
         assert matrix.state_ids == [state.state_id]
-        bank = repo.bank()
-        assert bank is not None and sorted(bank._trees) == [state.state_id]
+        assert sorted(repo.bank()._trees) == [state.state_id]
 
     def test_active_protected_when_capacity_allows(self):
         """With capacity > 1 FiCSUM protects the active state; under a
@@ -156,12 +155,6 @@ class TestEvictedDroppedAccounting:
         restored = Repository(1)
         restored.load_state_dict(repo.state_dict())
         assert restored.evicted_dropped == 2
-        # Pre-counter payloads (no key) default to zero drops.
-        legacy = repo.state_dict()
-        del legacy["evicted_dropped"]
-        fresh = Repository(1)
-        fresh.load_state_dict(legacy)
-        assert fresh.evicted_dropped == 0
 
     def test_observed_run_counts_drops_without_tier_store(self):
         """Without a tiered store every observed eviction is a drop:
@@ -193,7 +186,6 @@ class TestMirrorAlignmentAfterCompaction:
         for row, s in zip(matrix.rows, states):
             assert np.shares_memory(s.fingerprint.means, matrix.fp_means[row])
         bank = repo.bank()
-        assert bank is not None
         assert sorted(bank._trees) == sorted(s.state_id for s in states)
         block = bank.predict_batch_many([s.state_id for s in states], X)
         reference = np.stack(
@@ -224,12 +216,14 @@ class TestMirrorAlignmentAfterCompaction:
         self._assert_mirrors_aligned(repo, X)
 
     def test_mixed_classifier_disables_bank_only(self):
-        """A non-tree classifier kills the bank but not the matrix."""
+        """A non-tree classifier makes the bank refuse the repository,
+        but not the matrix."""
         repo, _ = self._repo_with_trees(3)
-        assert repo.bank() is not None
         repo.new_state(3, MajorityClass(2), step=50)
-        assert repo.bank() is None
-        assert repo.matrix() is not None  # matrix only cares about dims
+        with pytest.raises(TypeError, match="Hoeffding trees"):
+            repo.bank()
+        matrix = repo.matrix()  # the matrix only cares about dims
+        assert matrix.state_ids == [s.state_id for s in repo.states()]
 
     def test_whole_run_alignment_under_lru_churn(self):
         """A real eviction-pressure run leaves both mirrors aligned."""

@@ -238,12 +238,6 @@ class TestFamilies:
         restored = Repository(40)
         restored.load_state_dict(repo.state_dict())
         assert restored.get(0).family_size == 2
-        # Pre-family payloads (no key) default to standalone.
-        legacy = repo.get(0).state_dict()
-        del legacy["family_size"]
-        from repro.core import ConceptState
-
-        assert ConceptState.from_state_dict(legacy).family_size == 1
 
     def test_system_repertoire_saturates(self):
         base = run_config({})

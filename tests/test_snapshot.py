@@ -16,6 +16,7 @@ payload.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import os
@@ -310,6 +311,51 @@ def test_delayed_label_adapter_roundtrip_with_queued_labels(tmp_path):
         assert twin.process(x.copy(), y) == adapter.process(x, y)
     assert twin.n_labels_delivered == adapter.n_labels_delivered
     assert twin.n_labels_dropped == adapter.n_labels_dropped
+
+
+def _views_intact(system) -> bool:
+    """Every stored fingerprint is a view of its repository matrix row,
+    and the rolling accumulators' sums are rows of their one array."""
+    matrix = system.repository.matrix()
+    for state in system.repository.states():
+        row = matrix.row_of(state.state_id)
+        for fp, means in (
+            (state.fingerprint, matrix.fp_means),
+            (state.nonactive, matrix.na_means),
+        ):
+            if not np.shares_memory(fp.means, means[row]):
+                return False
+    rolling = system.pipeline._rolling
+    return np.shares_memory(rolling._s1, rolling._sums)
+
+
+def test_pickled_ficsum_keeps_its_views(tmp_path):
+    """A ``DelayedLabelAdapter`` around a ``Ficsum`` is saved as one
+    pickle, and ``copy.deepcopy`` pickles as well: both rebuild the
+    ``Ficsum`` from its snapshot payload, so the copies keep their
+    views of shared storage and continue the run bit for bit."""
+    system, stream = build_system(
+        {"oracle_drift": False}, dataset="STAGGER", seed=1
+    )
+    adapter = DelayedLabelAdapter(system, delay=5)
+    data = list(stream)
+    for x, y, _ in data[:600]:
+        adapter.process(x, y)
+    assert system_payload(adapter)["kind"] == "pickled"
+    save_system(adapter, tmp_path / "adapter")
+    restored, _, _ = load_system(tmp_path / "adapter")
+    twins = (restored, copy.deepcopy(adapter))
+    for twin in twins:
+        assert _views_intact(twin.system)
+    for x, y, _ in data[600:]:
+        prediction = adapter.process(x, y)
+        for twin in twins:
+            assert twin.process(x.copy(), y) == prediction
+            assert twin.active_state_id == adapter.active_state_id
+    for twin in twins:
+        assert twin.system.drift_points == system.drift_points
+        np.testing.assert_array_equal(twin.system.weights, system.weights)
+        assert _views_intact(twin.system)
 
 
 # ---------------------------------------------------------------------

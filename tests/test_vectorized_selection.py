@@ -135,25 +135,22 @@ def _assert_fold_matches_loop(warm, stack, probe):
     for row in warm:
         folded.update(row)
         looped.update(row)
-    mins, maxs, versions = folded.update_rows(stack)
-    loop_mins, loop_maxs, loop_versions, loop_stack, loop_probe = [], [], [], [], []
+    mins, maxs = folded.update_rows(stack)
+    loop_mins, loop_maxs, loop_stack, loop_probe = [], [], [], []
     for row, extra in zip(stack, probe):
         looped.update(row)
         loop_mins.append(looped.mins.copy())
         loop_maxs.append(looped.maxs.copy())
-        loop_versions.append(looped.version)
         loop_stack.append(looped.scale(row))
         loop_probe.append(looped.scale(extra))
     assert _bits(mins) == _bits(loop_mins)
     assert _bits(maxs) == _bits(loop_maxs)
-    assert versions.tolist() == loop_versions
     if len(stack):
         assert _bits(minmax_scale(stack, mins, maxs)) == _bits(loop_stack)
         assert _bits(minmax_scale(probe, mins, maxs)) == _bits(loop_probe)
     assert _bits(folded.mins) == _bits(looped.mins)
     assert _bits(folded.maxs) == _bits(looped.maxs)
-    assert folded.version == looped.version
-    return mins, maxs, versions
+    return mins, maxs
 
 
 class TestScaleMany:
@@ -186,23 +183,25 @@ class TestScaleMany:
         assert np.array_equal(batch, rows)
 
     def test_contains_and_version(self):
+        """``contains`` holds exactly when folding leaves the range as
+        it is."""
         norm = OnlineMinMax(3)
         norm.update(np.zeros(3))
         norm.update(np.ones(3))
-        v = norm.version
         inside = RNG.uniform(size=(4, 3))
         assert norm.contains(inside)
         norm.update_rows(inside)
-        assert norm.version == v  # no widening, no version bump
+        assert np.array_equal(norm.mins, np.zeros(3))
+        assert np.array_equal(norm.maxs, np.ones(3))
         outside = np.array([[0.5, 0.5, 2.0]])
         assert not norm.contains(outside)
         norm.update_rows(outside)
-        assert norm.version == v + 1
+        assert np.array_equal(norm.maxs, [1.0, 1.0, 2.0])
 
     @given(_stack_case())
     @settings(max_examples=150, deadline=None)
     def test_update_rows_matches_update_loop(self, case):
-        """Prefix extrema, versions, per-row scaling and the final
+        """Prefix extrema, per-row scaling and the final
         normaliser are bit-for-bit the row-by-row update + scale loop."""
         warm, stack, probe = case
         # Spans down to 5e-324 overflow the division to inf, which both
@@ -214,20 +213,17 @@ class TestScaleMany:
         norm = OnlineMinMax(3)
         norm.update(np.array([0.0, 1.0, 2.0]))
         before = norm.state_dict()
-        mins, maxs, versions = norm.update_rows(np.empty((0, 3)))
+        mins, maxs = norm.update_rows(np.empty((0, 3)))
         assert mins.shape == maxs.shape == (0, 3)
-        assert versions.shape == (0,)
         after = norm.state_dict()
         assert _bits(after["mins"]) == _bits(before["mins"])
         assert _bits(after["maxs"]) == _bits(before["maxs"])
-        assert after["version"] == before["version"]
 
     def test_update_rows_first_fold_into_uninitialised(self):
         stack = np.array([[1.0, 5.0], [2.0, 5.0], [0.0, 5.0]])
-        mins, maxs, versions = _assert_fold_matches_loop(
-            np.empty((0, 2)), stack, stack
-        )
-        assert np.array_equal(versions, [1, 2, 3])
+        mins, maxs = _assert_fold_matches_loop(np.empty((0, 2)), stack, stack)
+        assert np.array_equal(mins[:, 0], [1.0, 1.0, 0.0])
+        assert np.array_equal(maxs[:, 0], [1.0, 2.0, 2.0])
         # The first row's range is a point: every dimension is constant.
         assert np.array_equal(minmax_scale(stack[:1], mins[:1], maxs[:1]), [[0.5, 0.5]])
 
@@ -251,9 +247,7 @@ class TestScaleMany:
                 [1.5, 0.0, 2.0],
             ]
         )
-        mins, maxs, versions = _assert_fold_matches_loop(warm, stack, stack)
-        # Two warm-up widenings, then one per widening stack row.
-        assert np.array_equal(versions, [2, 3, 3, 4, 4])
+        mins, maxs = _assert_fold_matches_loop(warm, stack, stack)
         assert np.array_equal(maxs[:, 0], [1.0, 2.0, 2.0, 2.0, 2.0])
         assert np.array_equal(mins[:, 1], [0.0, 0.0, 0.0, -1.0, -1.0])
 
@@ -492,10 +486,12 @@ def _walk_population(R: int, **overrides):
     """A system holding R synthetic concepts and a candidate stack.
 
     Built like ``bench_repository_scale.build_system``: clustered
-    fingerprint histories, similarity and error records, majority-class
-    classifiers.  In the stack, rows ``R // 3`` and ``R // 2`` widen the
-    normaliser's range mid-stack, and state ``R // 2 + 1`` duplicates
-    state ``R // 2`` (history and stack row), so the two tie exactly.
+    fingerprint histories, similarity and error records; the
+    classifiers are majority-class ones, since the walk scores a given
+    stack and never predicts.  In the stack, rows ``R // 3`` and
+    ``R // 2`` widen the normaliser's range mid-stack, and state
+    ``R // 2 + 1`` duplicates state ``R // 2`` (history and stack row),
+    so the two tie exactly.
     """
     cfg = FicsumConfig(
         window_size=40,
@@ -605,7 +601,6 @@ def _assert_walk_matches_loop(system, fps):
     assert (picked is None) == (expected is None)
     assert _bits(walk.normalizer.mins) == _bits(loop.normalizer.mins)
     assert _bits(walk.normalizer.maxs) == _bits(loop.normalizer.maxs)
-    assert walk.normalizer.version == loop.normalizer.version
     if expected is None:
         return None
     assert picked.state_id == expected.state_id
@@ -628,11 +623,12 @@ class TestGatedWalk:
     @pytest.mark.parametrize("R", [3, 17, 200])
     def test_population_widens_mid_stack(self, R):
         system, fps = _walk_population(R)
-        mins, maxs, versions = copy.deepcopy(system.normalizer).update_rows(fps)
+        mins, maxs = copy.deepcopy(system.normalizer).update_rows(fps)
         # Some row before the last is scored in a narrower range than
         # the final one, and the widening happens at interior rows.
         assert np.any(mins[:-1] > mins[-1]) or np.any(maxs[:-1] < maxs[-1])
-        assert versions[R // 3] > versions[R // 3 - 1]
+        c = R // 3
+        assert np.any(mins[c] < mins[c - 1]) or np.any(maxs[c] > maxs[c - 1])
         sims = _loop_sims(system, fps)
         assert sims[R // 2] == sims[R // 2 + 1]
 
