@@ -40,7 +40,6 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from repro.classifiers.base import Classifier
 
@@ -85,9 +84,13 @@ def _gaussian_cdf(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarra
     last bits on some inputs, which would move split thresholds' masses
     and the priors a split seeds.
     """
+    # scipy is imported where it is used, so importing the engine does
+    # not load it; the first split attempt does.
+    from scipy.special import erf
+
     std = np.maximum(std, 1e-9)
     z = (x - mean) / (std * _SQRT2)
-    return 0.5 * (1.0 + _erf(z))
+    return 0.5 * (1.0 + erf(z))
 
 
 def _entropy(counts: np.ndarray) -> float:

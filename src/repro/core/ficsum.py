@@ -526,7 +526,7 @@ class Ficsum(AdaptiveSystem):
         self.metrics.inc("outage.checks")
         if np.isnan(scaled_fp * weights).any():
             # Every similarity to this window is NaN, which beats
-            # nothing (the batched kernel reports such rows as 0).
+            # nothing (``np.argmax`` would take the first NaN as best).
             return
         ids = [state.state_id for state in candidates]
         row = int(np.argmax(sims))  # the first of equal maxima
@@ -555,17 +555,17 @@ class Ficsum(AdaptiveSystem):
     # Step III-A: fingerprints, incorporation, drift detection
     # ------------------------------------------------------------------
     def _sim(self, raw_a: np.ndarray, raw_b: np.ndarray) -> float:
-        # Trusted kernel: both inputs are fingerprint vectors freshly
+        # One scale call for both rows (each row is bit-for-bit that
+        # vector scaled alone).  Trusted kernel: both rows are freshly
         # scaled into [0, 1], so the validating wrapper is skipped.
-        scaled_a = self.normalizer.scale(raw_a)
-        scaled_b = self.normalizer.scale(raw_b)
-        return sim_fast(scaled_a, scaled_b, self._weights)
+        scaled = self.normalizer.scale(np.stack((raw_a, raw_b)))
+        return sim_fast(scaled[0], scaled[1], self._weights)
 
     def _refresh_weights(self) -> None:
         """Recompute the dynamic weights (Step III-B).
 
         Every stored concept's statistics are read from the
-        repository's fingerprint matrix (one batched scale per term).
+        repository's fingerprint matrix, in one gathered block.
         """
         self._weights = make_weights(
             self.config.weighting, self._active, self.repository.states(),
@@ -605,7 +605,12 @@ class Ficsum(AdaptiveSystem):
             and self._active.sim_stats.count >= 3
             and not self._in_warmup
         ):
-            drift_sim = self._sim(self._active.fingerprint.means, fp_active)
+            # What _sim computes, keeping the scaled pair for the
+            # univariate detector input below.
+            scaled = self.normalizer.scale(
+                np.stack((self._active.fingerprint.means, fp_active))
+            )
+            drift_sim = sim_fast(scaled[0], scaled[1], self._weights)
             # The detector monitors how *abnormal* the similarity is
             # relative to the concept's recorded stationary distribution
             # (mu_c, sigma_c): under stationarity the z-deviation stays
@@ -618,10 +623,8 @@ class Ficsum(AdaptiveSystem):
                 # The univariate (ER) similarity 1/|M-P| is heavy-tailed
                 # and unusable as a z-score; its underlying |M-P| is the
                 # natural bounded detector input (stationary: ~0).
-                scaled = self.normalizer.scale(
-                    self._active.fingerprint.means
-                ) - self.normalizer.scale(fp_active)
-                alert = self.detector.update(min(1.0, float(abs(scaled[0]))))
+                gap = abs(scaled[0, 0] - scaled[1, 0])
+                alert = self.detector.update(min(1.0, float(gap)))
             else:
                 alert = self.detector.update(z / (1.0 + z))
             if z > 1.0 and self._active.sim_stats.count >= 10:

@@ -125,8 +125,6 @@ class ConceptFingerprint:
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        # Snapshots written before the repository stored the statistics
-        # also carry a change counter under "version"; it is not read.
         counts = np.asarray(state["counts"], dtype=np.int64)
         if counts.shape != self.counts.shape:
             raise ValueError(

@@ -122,6 +122,17 @@ def sim_fast(
 # ----------------------------------------------------------------------
 # Batched trusted kernels: all candidates in one call
 # ----------------------------------------------------------------------
+def _cosines(dots: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``dots / norms``, with 0 where the norm product is ``< _NORM_EPS``.
+
+    The zero test is :func:`cosine_kernel`'s, so a row whose norm
+    product is NaN or infinite gets the quotient the scalar kernel
+    returns (NaN for a NaN row), not 0.
+    """
+    small = norms < _NORM_EPS
+    return np.where(small, 0.0, dots / np.where(small, 1.0, norms))
+
+
 def weighted_cosine_many(
     A: np.ndarray, b: np.ndarray, weights: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -134,11 +145,7 @@ def weighted_cosine_many(
         A = A * weights
         b = b * weights
     norms = np.sqrt(_vecdot(A, A)) * np.linalg.norm(b)
-    dots = _vecdot(A, b)
-    out = np.zeros(A.shape[0])
-    ok = norms >= _NORM_EPS
-    out[ok] = dots[ok] / norms[ok]
-    return out
+    return _cosines(_vecdot(A, b), norms)
 
 
 def weighted_cosine_pairs(
@@ -153,11 +160,7 @@ def weighted_cosine_pairs(
         A = A * weights
         B = B * weights
     norms = np.sqrt(_vecdot(A, A)) * np.sqrt(_vecdot(B, B))
-    dots = _vecdot(A, B)
-    out = np.zeros(A.shape[0])
-    ok = norms >= _NORM_EPS
-    out[ok] = dots[ok] / norms[ok]
-    return out
+    return _cosines(_vecdot(A, B), norms)
 
 
 def inverse_difference_many(a: np.ndarray, b) -> np.ndarray:

@@ -21,10 +21,12 @@ Each fingerprint dimension ``mi`` gets weight ``w_mi = w_sigma * w_d``:
     detection.
 
 All statistics enter in the normalised [0, 1] fingerprint space so the
-two Fisher terms are comparable across dimensions.  The stored
-concepts' statistics are read from the repository's
-:class:`~repro.core.repository.FingerprintMatrix`, gathered in
-repository order, one batched scale per term.
+two Fisher terms are comparable across dimensions.  A weight refresh
+reads the repository's
+:class:`~repro.core.repository.FingerprintMatrix` once: the concept and
+non-active statistics of every stored concept, gathered in repository
+order as one block, go through one standard-deviation pass and one
+batched scale, and every term is a slice of that block.
 """
 
 from __future__ import annotations
@@ -48,73 +50,6 @@ _SIGMA_EPS = 0.05
 _WEIGHT_CAP = 1e3
 
 
-def sigma_weights(scaled_stds: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``w_sigma = 1 / sigma`` with an epsilon guard.
-
-    Dimensions with fewer than 2 incorporated fingerprints have no
-    measured deviation yet and get weight 1 (neutral).
-    """
-    out = np.ones_like(scaled_stds)
-    measured = counts >= 2
-    out[measured] = 1.0 / np.maximum(scaled_stds[measured], _SIGMA_EPS)
-    return np.minimum(out, _WEIGHT_CAP)
-
-
-def inter_concept_variation_matrix(
-    matrix: "FingerprintMatrix", normalizer: OnlineMinMax
-) -> np.ndarray:
-    """``v_s``: Fisher score of dimension means across stored concepts.
-
-    ``v_s = std_S(mu_S) / max_S(sigma_S)`` per dimension, computed over
-    the stored concepts with trained fingerprints (repository order).
-    Needs at least two such concepts; otherwise every dimension gets a
-    neutral 1.
-    """
-    rows = matrix.rows
-    trained = rows[matrix.fp_counts[rows].max(axis=1) >= 2]
-    if len(trained) < 2:
-        return np.ones(normalizer.n_dims)
-    means = normalizer.scale(matrix.fp_means[trained])
-    stds = normalizer.scale_std(
-        welford_stds(matrix.fp_counts[trained], matrix.fp_m2[trained])
-    )
-    between = means.std(axis=0)
-    within = np.maximum(stds.max(axis=0), _SIGMA_EPS)
-    return np.minimum(between / within, _WEIGHT_CAP)
-
-
-def intra_classifier_variation_matrix(
-    matrix: "FingerprintMatrix", normalizer: OnlineMinMax
-) -> np.ndarray:
-    """``v_sc``: self vs non-active behaviour gap per stored classifier.
-
-    For each stored concept ``S`` with both a trained self fingerprint
-    ``F_S`` and a trained non-active fingerprint ``F_SC`` (its
-    classifier's behaviour on other concepts' observations), the
-    dimension-wise deviation between the two means relative to the
-    non-active sigma — averaged over such concepts.  Neutral 1 when no
-    concept qualifies.
-    """
-    rows = matrix.rows
-    both = rows[
-        (matrix.fp_counts[rows].max(axis=1) >= 2)
-        & (matrix.na_counts[rows].max(axis=1) >= 2)
-    ]
-    if not len(both):
-        return np.ones(normalizer.n_dims)
-    mu_self = normalizer.scale(matrix.fp_means[both])
-    mu_cross = normalizer.scale(matrix.na_means[both])
-    sigma_cross = np.maximum(
-        normalizer.scale_std(
-            welford_stds(matrix.na_counts[both], matrix.na_m2[both])
-        ),
-        _SIGMA_EPS,
-    )
-    # std of the two-point set {mu_self, mu_cross} is |diff| / 2.
-    ratios = np.abs(mu_self - mu_cross) / (2.0 * sigma_cross)
-    return np.minimum(np.mean(ratios, axis=0), _WEIGHT_CAP)
-
-
 def make_weights(
     mode: str,
     active_state: "ConceptState",
@@ -126,24 +61,73 @@ def make_weights(
 
     ``mode`` selects the ablation: "full", "sigma", "fisher" or "none".
     Cosine similarity is invariant to a global rescaling of the weight
-    vector, so no normalisation is applied.  ``states`` are the
-    repository's stored concepts, in order, and ``matrix`` is the
-    repository's storage of their statistics, which the Fisher terms
-    read.
+    vector, so no normalisation is applied.
+
+    ``matrix`` is the repository's storage of its stored concepts'
+    statistics, and ``active_state`` one of those concepts (eviction
+    protects the active one); ``states`` is the repository's state list,
+    which the weights do not read.  The concept (``F_S``) and
+    non-active (``F_SC``) rows of every stored concept form one
+    ``(2R, D)`` block in repository order, scaled once.  In that scaled
+    space, with ``eps`` the sigma floor and ``cap`` the weight cap:
+
+    * ``w_sigma = min(1 / max(sigma_c, eps), cap)`` from the active
+      concept's row; neutral 1 on dimensions with fewer than two
+      incorporations.
+    * ``v_s = min(std_S(mu_S) / max(max_S(sigma_S), eps), cap)``, the
+      Fisher score of the dimension means across the concepts with a
+      trained fingerprint (two or more incorporations); neutral 1 with
+      fewer than two such concepts.
+    * ``v_sc = min(mean_S(|mu_S - mu_SC| / (2 max(sigma_SC, eps))), cap)``
+      over the concepts trained on both sides: how far each classifier's
+      behaviour on other concepts' observations sits from its
+      self-behaviour (the std of the two-point set ``{mu_S, mu_SC}`` is
+      ``|mu_S - mu_SC| / 2``); neutral 1 when no concept qualifies.
+
+    Every reduction runs over the same rows in the same order as a loop
+    over the stored concepts would, and everything else is elementwise,
+    so the weights are bit for bit that loop's.
     """
     n_dims = normalizer.n_dims
     if mode == "none":
         return np.ones(n_dims)
-    fingerprint = active_state.fingerprint
-    w_sigma = sigma_weights(
-        normalizer.scale_std(fingerprint.stds), fingerprint.counts
+    rows = matrix.rows
+    n = len(rows)
+    counts = np.concatenate((matrix.fp_counts[rows], matrix.na_counts[rows]))
+    stds = normalizer.scale_std(
+        welford_stds(
+            counts, np.concatenate((matrix.fp_m2[rows], matrix.na_m2[rows]))
+        )
+    )
+    active = matrix.state_ids.index(active_state.state_id)
+    w_sigma = np.minimum(
+        np.where(
+            counts[active] >= 2,
+            1.0 / np.maximum(stds[active], _SIGMA_EPS),
+            1.0,
+        ),
+        _WEIGHT_CAP,
     )
     if mode == "sigma":
         return w_sigma
-    w_d = np.maximum(
-        inter_concept_variation_matrix(matrix, normalizer),
-        intra_classifier_variation_matrix(matrix, normalizer),
-    )
+    fp_means, na_means = normalizer.scale(
+        np.concatenate((matrix.fp_means[rows], matrix.na_means[rows]))
+    ).reshape(2, n, n_dims)
+    fp_stds, na_stds = stds.reshape(2, n, n_dims)
+    fp_trained, na_trained = (counts.max(axis=1) >= 2).reshape(2, n)
+    v_s = np.ones(n_dims)
+    if np.count_nonzero(fp_trained) >= 2:
+        between = fp_means[fp_trained].std(axis=0)
+        within = np.maximum(fp_stds[fp_trained].max(axis=0), _SIGMA_EPS)
+        v_s = np.minimum(between / within, _WEIGHT_CAP)
+    v_sc = np.ones(n_dims)
+    both = fp_trained & na_trained
+    if both.any():
+        ratios = np.abs(fp_means[both] - na_means[both]) / (
+            2.0 * np.maximum(na_stds[both], _SIGMA_EPS)
+        )
+        v_sc = np.minimum(np.mean(ratios, axis=0), _WEIGHT_CAP)
+    w_d = np.maximum(v_s, v_sc)
     if mode == "fisher":
         return w_d
     return np.minimum(w_sigma * w_d, _WEIGHT_CAP)

@@ -302,11 +302,6 @@ class FingerprintPipeline:
     def function_names(self) -> Tuple[str, ...]:
         return self.schema.function_names
 
-    @property
-    def incremental_functions(self) -> Tuple[str, ...]:
-        """The selected components served by rolling accumulators."""
-        return tuple(c.name for c in self.components if c.incremental)
-
     # ------------------------------------------------------------------
     # Incremental path
     # ------------------------------------------------------------------
@@ -343,24 +338,17 @@ class FingerprintPipeline:
         """Slide the accumulators over every queued row; runs before
         every read of the accumulators.
 
-        Several rows go through the accumulators' block updates
+        The queue goes through the accumulators' block updates
         (:meth:`RollingWindowStats.push_many` /
         :meth:`ErrorDistanceTracker.push_many`), which are pinned bit
-        for bit to their scalar loops, and a single row through the
-        scalar updates themselves (no block set-up), so a read sees
-        exactly the state an eager per-observation slide would have
-        built.
+        for bit to their scalar loops for blocks of any size, so a read
+        sees exactly the state an eager per-observation slide would
+        have built.
         """
         q = self._queued
         if not q:
             return
         self._queued = 0
-        if q == 1:
-            row = self._queue[0]
-            self._rolling.push(row)
-            if self._error_tracker is not None:
-                self._error_tracker.push(bool(row[-1]))
-            return
         block = self._queue[:q]
         self._rolling.push_many(block)
         if self._error_tracker is not None:

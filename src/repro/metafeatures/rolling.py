@@ -608,18 +608,6 @@ class GapStats:
         if self._since_refresh >= max(len(values), 8):
             self._refresh()
 
-    def push_many(self, values) -> None:
-        """Push a sequence of values (block-API completeness).
-
-        The refresh cadence depends on the running sequence length, and
-        the deque-based plain-float algebra is already cheaper than a
-        numpy round-trip for the short gap sequences this accumulator
-        sees — so this is a documented loop over :meth:`push`, not a
-        vectorised kernel (identical state evolution by construction).
-        """
-        for value in values:
-            self.push(float(value))
-
     def popleft(self) -> None:
         """Evict the oldest value (its error left the window)."""
         self._gen += 1

@@ -198,6 +198,21 @@ class EwmaStats:
         return f"EwmaStats(count={self.count}, mean={self.mean:.4g}, std={self.std:.4g})"
 
 
+def _usable_span(
+    mins: np.ndarray, maxs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ok, span)`` of the range ``[mins, maxs]``.
+
+    ``ok`` marks the dimensions with a positive, finite spread; ``span``
+    is the spread there and 1 elsewhere, a divisor that never warns.
+    Zero, infinite, NaN and uninitialised (``inf`` to ``-inf``) ranges
+    are all unusable.
+    """
+    span = maxs - mins
+    ok = (span > 0) & np.isfinite(span)
+    return ok, np.where(ok, span, 1.0)
+
+
 def minmax_scale(
     values: np.ndarray, mins: np.ndarray, maxs: np.ndarray
 ) -> np.ndarray:
@@ -205,15 +220,14 @@ def minmax_scale(
 
     ``mins``/``maxs`` are one shared ``(n_dims,)`` range or one range
     per row of a ``(r, n_dims)`` batch (e.g. the prefixes of
-    :meth:`OnlineMinMax.update_rows`).  Dimensions with no finite
+    :meth:`OnlineMinMax.update_rows`).  Dimensions with no usable
     spread map to 0.5 (an uninformative midpoint), so constant
     dimensions never dominate cosine similarity.  Every operation is
     elementwise, so each output row is bit-for-bit that row scaled
     alone.
     """
-    span = maxs - mins
-    ok = (span > 0) & np.isfinite(span)
-    out = np.where(ok, (values - mins) / np.where(ok, span, 1.0), 0.5)
+    ok, span = _usable_span(mins, maxs)
+    out = np.where(ok, (values - mins) / span, 0.5)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -289,13 +303,11 @@ class OnlineMinMax:
 
         ``stds`` is one ``(n_dims,)`` vector or a ``(r, n_dims)``
         stack; each row of a stack is bit-for-bit that row alone.
+        Dimensions without a usable range (see :func:`minmax_scale`)
+        get 0.
         """
-        stds = np.asarray(stds, dtype=np.float64)
-        span = self.maxs - self.mins
-        out = np.zeros(stds.shape)
-        ok = (span > 0) & np.isfinite(span)
-        out[..., ok] = stds[..., ok] / span[ok]
-        return out
+        ok, span = _usable_span(self.mins, self.maxs)
+        return np.where(ok, np.asarray(stds, dtype=np.float64) / span, 0.0)
 
     def state_dict(self) -> Dict[str, Any]:
         return {"mins": self.mins.copy(), "maxs": self.maxs.copy()}

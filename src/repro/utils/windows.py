@@ -253,7 +253,3 @@ class DelayedWindowPair(Generic[T]):
     @property
     def buffer_full(self) -> bool:
         return self.buffer.full
-
-    @property
-    def active_full(self) -> bool:
-        return self.active.full

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import rescaled_similarity_record
+from reference import (
+    inter_concept_variation,
+    intra_classifier_variation,
+    rescaled_similarity_record,
+)
 
 from repro.classifiers import MajorityClass
-from repro.core.fingerprint import ConceptFingerprint
+from repro.core import fingerprint as fingerprint_module
+from repro.core import weighting
+from repro.core.fingerprint import ConceptFingerprint, welford_stds
 from repro.core.repository import ConceptState, Repository
 from repro.core.similarity import (
     UNIVARIATE_SIM_CAP,
@@ -18,12 +26,7 @@ from repro.core.similarity import (
     similarity,
     weighted_cosine_similarity,
 )
-from repro.core.weighting import (
-    inter_concept_variation_matrix,
-    intra_classifier_variation_matrix,
-    make_weights,
-    sigma_weights,
-)
+from repro.core.weighting import make_weights
 from repro.utils.stats import OnlineMinMax
 
 unit_vectors = st.lists(
@@ -131,48 +134,124 @@ def _repository(*fingerprints, n_dims=2):
     return repo
 
 
+def _unit_normalizer(n_dims=2):
+    """A normaliser whose range is [0, 1] in every dimension."""
+    norm = OnlineMinMax(n_dims)
+    norm.update(np.zeros(n_dims))
+    norm.update(np.ones(n_dims))
+    return norm
+
+
+def _fisher(repo, norm):
+    states = repo.states()
+    return make_weights("fisher", states[0], states, norm, repo.matrix())
+
+
 class TestWeighting:
+    """Each weight term through ``make_weights``' modes, and the
+    Fisher terms also through the per-state loops of the reference."""
+
     def test_sigma_weights_inverse(self):
-        stds = np.array([0.5, 0.1, 0.05])
-        counts = np.array([10, 10, 10])
-        w = sigma_weights(stds, counts)
+        # Scaled deviations 0.5, 0.1 and 0.05 (the sigma floor).
+        repo = _repository([[0.0, 0.4, 0.45], [1.0, 0.6, 0.55]], n_dims=3)
+        states = repo.states()
+        w = make_weights(
+            "sigma", states[0], states, _unit_normalizer(3), repo.matrix()
+        )
         assert w[0] < w[1] <= w[2]
         assert w[0] == pytest.approx(2.0)
 
     def test_sigma_weights_neutral_for_untrained(self):
-        w = sigma_weights(np.array([0.5, 0.5]), np.array([1, 10]))
+        norm = _unit_normalizer()
+        repo = _repository([[0.0, 0.0], [1.0, 1.0]], [[0.3, 0.7]])
+        trained, fresh = states = repo.states()
+        args = (states, norm, repo.matrix())
+        np.testing.assert_array_equal(make_weights("sigma", fresh, *args), 1.0)
+        # Dimension 0 restarts its count; dimension 1 keeps two.
+        trained.fingerprint.reset_dims(np.array([True, False]))
+        w = make_weights("sigma", trained, *args)
         assert w[0] == 1.0
         assert w[1] == pytest.approx(2.0)
 
     def test_inter_concept_boosts_separating_dim(self):
-        norm = OnlineMinMax(2)
-        norm.update(np.array([0.0, 0.0]))
-        norm.update(np.array([1.0, 1.0]))
+        norm = _unit_normalizer()
         # dim 0 separates the concepts; dim 1 identical
         repo = _repository([[0.1, 0.5], [0.12, 0.52]], [[0.9, 0.5], [0.88, 0.52]])
-        v_s = inter_concept_variation_matrix(repo.matrix(), norm)
+        v_s = inter_concept_variation(repo.states(), norm)
         assert v_s[0] > 3 * v_s[1]
+        # No non-active fingerprint is trained, so v_sc is neutral.
+        fisher = _fisher(repo, norm)
+        np.testing.assert_array_equal(fisher, np.maximum(v_s, 1.0))
+        assert fisher[0] > 3 * fisher[1]
 
     def test_inter_concept_neutral_with_one_state(self):
-        norm = OnlineMinMax(2)
-        norm.update(np.zeros(2))
-        norm.update(np.ones(2))
-        repo = _repository([[0.1, 0.5], [0.2, 0.5]])
-        np.testing.assert_allclose(
-            inter_concept_variation_matrix(repo.matrix(), norm), 1.0
+        norm = _unit_normalizer()
+        # The second concept has one incorporation: it is not trained.
+        repo = _repository([[0.1, 0.5], [0.2, 0.5]], [[0.9, 0.1]])
+        np.testing.assert_array_equal(
+            inter_concept_variation(repo.states(), norm), 1.0
         )
+        np.testing.assert_array_equal(_fisher(repo, norm), 1.0)
 
     def test_intra_classifier_boosts_moving_dim(self):
-        norm = OnlineMinMax(2)
-        norm.update(np.zeros(2))
-        norm.update(np.ones(2))
+        norm = _unit_normalizer()
         repo = _repository([[0.1, 0.5], [0.12, 0.5]])
         state = repo.states()[0]
         # non-active behaviour differs strongly on dim 0 only
         state.nonactive.incorporate(np.array([0.9, 0.5]))
         state.nonactive.incorporate(np.array([0.92, 0.52]))
-        v_sc = intra_classifier_variation_matrix(repo.matrix(), norm)
+        v_sc = intra_classifier_variation(repo.states(), norm)
         assert v_sc[0] > 3 * v_sc[1]
+        # One trained concept, so v_s is neutral.
+        fisher = _fisher(repo, norm)
+        np.testing.assert_array_equal(fisher, np.maximum(v_sc, 1.0))
+        assert fisher[0] > 3 * fisher[1]
+
+    def test_intra_classifier_neutral_without_nonactive(self):
+        norm = _unit_normalizer()
+        repo = _repository([[0.1, 0.5], [0.12, 0.5]])
+        repo.states()[0].nonactive.incorporate(np.array([0.9, 0.5]))
+        np.testing.assert_array_equal(
+            intra_classifier_variation(repo.states(), norm), 1.0
+        )
+        np.testing.assert_array_equal(_fisher(repo, norm), 1.0)
+
+    @pytest.mark.parametrize(
+        "mode, reads", [("full", 1), ("fisher", 1), ("sigma", 1), ("none", 0)]
+    )
+    def test_one_read_of_the_repository_per_refresh(self, mode, reads):
+        """One standard-deviation pass, one ``scale_std`` and at most one
+        ``scale`` per refresh, however many concepts are stored."""
+        norm = _unit_normalizer()
+        repo = _repository(
+            *[[[0.2 * i, 0.5], [0.2 * i + 0.03, 0.52]] for i in range(4)]
+        )
+        for state in repo.states():
+            state.nonactive.incorporate(np.array([0.9, 0.5]))
+            state.nonactive.incorporate(np.array([0.92, 0.53]))
+        states = repo.states()
+        calls = {"welford_stds": 0, "scale_std": 0, "scale": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        stds = counted("welford_stds", welford_stds)
+        with mock.patch.object(
+            fingerprint_module, "welford_stds", stds
+        ), mock.patch.object(weighting, "welford_stds", stds), mock.patch.object(
+            OnlineMinMax, "scale_std", counted("scale_std", OnlineMinMax.scale_std)
+        ), mock.patch.object(
+            OnlineMinMax, "scale", counted("scale", OnlineMinMax.scale)
+        ):
+            make_weights(mode, states[1], states, norm, repo.matrix())
+        scales = reads if mode in ("full", "fisher") else 0
+        assert calls == {
+            "welford_stds": reads, "scale_std": reads, "scale": scales,
+        }
 
     def test_make_weights_modes(self):
         norm = OnlineMinMax(2)

@@ -117,6 +117,24 @@ class TestCoOccurrenceF1:
         )
 
 
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout;
+    return what it printed."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    return result.stdout.strip()
+
+
 class TestStats:
     def test_streaming_imports_leave_scipy_stats_unloaded(self):
         """The significance tests and RCD import scipy.stats when called:
@@ -127,19 +145,20 @@ class TestStats:
             "import repro.evaluation.prequential\n"
             "print('scipy.stats' in sys.modules)\n"
         )
-        src = str(Path(repro.__file__).resolve().parents[1])
-        path = os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        assert _fresh_interpreter(code) == "False"
+
+    def test_engine_leaves_scipy_unloaded(self):
+        """The Hoeffding tree imports scipy.special at its first split
+        attempt: importing the engine and building a system loads no
+        scipy module."""
+        code = (
+            "import sys\n"
+            "import repro.core\n"
+            "from repro.core import Ficsum\n"
+            "Ficsum(3, 2)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
-        )
-        assert result.stdout.strip() == "False"
+        assert _fresh_interpreter(code) == "[]"
 
     def test_average_ranks_higher_better(self):
         scores = np.array([[0.9, 0.5, 0.1], [0.8, 0.6, 0.2]])

@@ -59,8 +59,6 @@ FORBIDDEN = {
     "contains",
     "sim_pairs_many",
     "make_weights",
-    "inter_concept_variation_matrix",
-    "intra_classifier_variation_matrix",
     "_gated_record",
     "_fold_queue",
     "StreamRunner",

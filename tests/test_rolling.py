@@ -325,17 +325,6 @@ class TestBlockPush:
             assert scalar.stats.mean() == blocked.stats.mean()
             assert scalar.stats.acf(1) == blocked.stats.acf(1)
 
-    def test_gap_stats_push_many_matches_push(self, rng):
-        scalar = GapStats()
-        blocked = GapStats()
-        gaps = rng.integers(1, 30, size=50).astype(np.float64)
-        for g in gaps:
-            scalar.push(float(g))
-        blocked.push_many(gaps)
-        assert scalar.values().tolist() == blocked.values().tolist()
-        assert scalar.mean() == blocked.mean()
-        assert scalar.kurtosis() == blocked.kurtosis()
-
     def test_pipeline_push_many_matches_push(self, rng):
         """The chunk entry point: same state, same fingerprints."""
         w, d = 20, 3

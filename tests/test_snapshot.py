@@ -499,28 +499,6 @@ def test_snapshot_bytes_match_across_processes(tmp_path):
         assert (tmp_path / "second" / name).read_bytes() == first, name
 
 
-def test_restore_ignores_fingerprint_version_keys(tmp_path):
-    """Snapshots written while fingerprints kept a change counter carry
-    it under each fingerprint's ``version`` key: they still load, and
-    the resumed run is the uninterrupted one, bit for bit."""
-    reference = run_config({})
-    system, stream = build_system({})
-    runner = StreamRunner(system, stream, oracle_drift=system.config.oracle_drift)
-    runner.run(max_observations=350)
-    path = runner.save_checkpoint(tmp_path / "ckpt")
-    state, meta = read_state(path)
-    concepts = state["system"]["state"]["repository"]["states"]
-    assert len(concepts) >= 2
-    for i, concept in enumerate(concepts):
-        for key in ("fingerprint", "nonactive"):
-            assert "version" not in concept[key]
-            concept[key]["version"] = 7 * i + 3
-    write_state(path, state, meta)
-    _, fresh_stream = build_system({})
-    restored = StreamRunner.restore(path, fresh_stream)
-    assert_identical_traces(RunTrace(restored.run(), restored.system), reference)
-
-
 def test_write_state_rejects_unserializable_leaf(tmp_path):
     # Object and structured (void) arrays cannot share a member keyed
     # by ``dtype.str``; each bad leaf follows an array already packed.

@@ -32,6 +32,7 @@ from repro.core.repository import (
     SimPairRecord,
 )
 from repro.core.similarity import (
+    cosine_kernel,
     inverse_difference_many,
     inverse_difference_similarity,
     sim_many,
@@ -89,6 +90,33 @@ class TestBatchedKernels:
         out = inverse_difference_many(a, 0.5)
         assert out[0] == out[1] == 1e3
         assert out[2] == inverse_difference_similarity(0.3, 0.5)
+
+    def test_non_finite_rows_match_scalar(self):
+        """A NaN or infinite row scores what the scalar kernel gives it
+        (NaN, not 0); a zero row still scores 0."""
+        b = np.array([0.1, 0.3, 0.4])
+        A = np.array(
+            [
+                [0.2, np.nan, 0.5],
+                [np.inf, 0.3, 0.5],
+                [-np.inf, np.inf, 0.0],
+                [0.0, 0.0, 0.0],
+                [0.2, 0.7, 0.5],
+            ]
+        )
+        B = np.tile(b, (len(A), 1))
+        B[4, 1] = np.nan
+        for w in (None, np.ones(3), np.array([0.0, 1.0, 2.0])):
+            with np.errstate(invalid="ignore"):
+                many = weighted_cosine_many(A, b, w)
+                pairs = weighted_cosine_pairs(A, B, w)
+                expected_many = [cosine_kernel(a, b, w) for a in A]
+                expected_pairs = [cosine_kernel(a, c, w) for a, c in zip(A, B)]
+            # NaN-aware: NaNs must sit at the same rows.
+            np.testing.assert_array_equal(many, expected_many)
+            np.testing.assert_array_equal(pairs, expected_pairs)
+            assert np.isnan(many[0]) and np.isnan(pairs[4])
+            assert many[3] == pairs[3] == 0.0
 
     def test_sim_pairs_many_matches_scalar(self):
         A = RNG.uniform(size=(8, 12))
@@ -153,6 +181,23 @@ def _assert_fold_matches_loop(warm, stack, probe):
     return mins, maxs
 
 
+def _minmax_scale_copy(values, mins, maxs):
+    """``minmax_scale`` with its own range test."""
+    span = maxs - mins
+    ok = (span > 0) & np.isfinite(span)
+    out = np.where(ok, (values - mins) / np.where(ok, span, 1.0), 0.5)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _scale_std_copy(stds, mins, maxs):
+    """``OnlineMinMax.scale_std`` with its own range test."""
+    span = maxs - mins
+    out = np.zeros(stds.shape)
+    ok = (span > 0) & np.isfinite(span)
+    out[..., ok] = stds[..., ok] / span[ok]
+    return out
+
+
 class TestScaleMany:
     def _normalizer(self, d=7):
         norm = OnlineMinMax(d)
@@ -181,6 +226,35 @@ class TestScaleMany:
         batch = norm.scale_std(S)
         rows = np.stack([norm.scale_std(S[i]) for i in range(5)])
         assert np.array_equal(batch, rows)
+
+    def test_scaling_pinned_on_unusable_spans(self):
+        """``minmax_scale`` and ``scale_std`` share one range test; on
+        zero, infinite, NaN and uninitialised spans both still give,
+        bit for bit, the expressions that each tested its range on its
+        own (copied below)."""
+        rng = np.random.default_rng(7)
+        specials = np.array(
+            [0.0, -0.0, 0.3, 1.0, 1.0 + 2**-52, 4.0, -3.0, 1e308, -1e308,
+             5e-324, np.inf, -np.inf, np.nan]
+        )
+        with np.errstate(all="ignore"):
+            for _ in range(50):
+                mins, maxs, values, stds = rng.choice(specials, size=(4, 3, 9))
+                # Row 0 is uninitialised; row 1 has zero spans.
+                mins[0], maxs[0] = np.inf, -np.inf
+                maxs[1] = mins[1]
+                norm = OnlineMinMax(9)
+                for row in range(3):
+                    norm.mins, norm.maxs = mins[row].copy(), maxs[row].copy()
+                    for v in (values, values[row]):
+                        expected = _minmax_scale_copy(v, mins[row], maxs[row])
+                        assert _bits(norm.scale(v)) == _bits(expected)
+                    for v in (stds, stds[row]):
+                        expected = _scale_std_copy(v, mins[row], maxs[row])
+                        assert _bits(norm.scale_std(v)) == _bits(expected)
+                assert _bits(minmax_scale(values, mins, maxs)) == _bits(
+                    _minmax_scale_copy(values, mins, maxs)
+                )
 
     def test_contains_and_version(self):
         """``contains`` holds exactly when folding leaves the range as
