@@ -77,20 +77,104 @@ _LEAF_VIEWS = (
 )
 
 
-def _gaussian_cdf(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """Vectorised normal CDF via ``scipy.special.erf``.
+# Cephes ``ndtr.c`` (S. L. Moshier): the coefficient tables of the
+# rational approximations behind ``erf`` and ``erfc``, highest power
+# first.  ``_ERF_U``, ``_ERFC_Q`` and ``_ERFC_S`` omit their leading 1.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1,
+    2.23200534594684319226e3, 7.00332514112805075473e3,
+    5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2,
+    4.59432382970980127987e3, 2.26290000613890934246e4,
+    4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1,
+    7.46321056442269912687e0, 4.86371970985681366614e1,
+    1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3,
+    5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1,
+    3.54937778887819891062e2, 9.75708501743205489753e2,
+    1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0,
+    5.01905042251180477414e0, 6.16021097993053585195e0,
+    7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0,
+    1.20489539808096656605e1, 1.70814450747565897222e1,
+    9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+#: Cephes ``MAXLOG``: ``exp(-x*x)`` is taken as 0 once ``x*x`` exceeds it.
+_MAXLOG = 7.09782712893383996843e2
 
-    ``math.erf`` is no substitute: it differs from scipy's erf in the
-    last bits on some inputs, which would move split thresholds' masses
-    and the priors a split seeds.
+
+def _polevl(x: np.ndarray, coef: Tuple[float, ...]) -> np.ndarray:
+    """Cephes ``polevl``: Horner's rule, ``ans = ans * x + c``."""
+    ans = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef: Tuple[float, ...]) -> np.ndarray:
+    """Cephes ``p1evl``: :func:`_polevl` with an implicit leading 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(z: np.ndarray) -> np.ndarray:
+    """Cephes ``erf``, the one ``scipy.special.erf`` evaluates, bit for bit.
+
+    Every operation is the one Cephes performs, in the same order, so
+    every rounding is the same.  ``|z| <= 1`` takes
+    ``|z| T(z²) / U(z²)``.  Above 1, ``erf = 1 - erfc`` with
+    ``erfc = exp(-z²) P(|z|) / Q(|z|)`` below 8, ``R / S`` from 8 on,
+    and 0 once ``z²`` exceeds :data:`_MAXLOG`.  ``exp`` is libm's,
+    taken through :func:`math.exp` one value at a time as Cephes takes
+    it: numpy's vectorised ``exp`` differs from libm in the last bit on
+    some inputs.  ``copysign`` restores the sign, so ``erf(-0.0)`` is
+    ``-0.0``, and NaN passes through.
     """
-    # scipy is imported where it is used, so importing the engine does
-    # not load it; the first split attempt does.
-    from scipy.special import erf
+    x = np.abs(z)
+    out = np.where(x > 1.0, 1.0, x)
+    small = x <= 1.0
+    xs = x[small]
+    sq = xs * xs
+    out[small] = xs * _polevl(sq, _ERF_T) / _p1evl(sq, _ERF_U)
+    # x * x overflows past ~1.3e154, far past MAXLOG.
+    with np.errstate(over="ignore"):
+        tail = (x > 1.0) & (x * x <= _MAXLOG)
+    xt = x[tail]
+    near = xt < 8.0
+    p = np.where(near, _polevl(xt, _ERFC_P), _polevl(xt, _ERFC_R))
+    q = np.where(near, _p1evl(xt, _ERFC_Q), _p1evl(xt, _ERFC_S))
+    e = np.array([math.exp(-s) for s in (xt * xt).tolist()])
+    out[tail] = 1.0 - e * p / q
+    return np.copysign(out, z)
 
+
+def _gaussian_cdf(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """Vectorised normal CDF through :func:`_erf`.
+
+    :func:`_erf` gives ``scipy.special.erf``'s bits without loading
+    scipy, so a stream process never imports it.  ``math.erf`` is no
+    substitute: on some inputs its last bits are not scipy's, which
+    would move split thresholds' masses and the priors a split seeds.
+    """
     std = np.maximum(std, 1e-9)
     z = (x - mean) / (std * _SQRT2)
-    return 0.5 * (1.0 + erf(z))
+    return 0.5 * (1.0 + _erf(z))
 
 
 def _entropy(counts: np.ndarray) -> float:

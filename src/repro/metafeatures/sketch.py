@@ -126,8 +126,9 @@ class SubsampledImfEntropy(MetaFeature):
     batch_scalar_rows = batch_rows
 
 
-# Not checkpoint state: the projection matrices are seed-derived pure
-# functions of (mode, length), memoised only to skip regeneration.
+# Not checkpoint state: the sign patterns and projection matrices are
+# seed-derived pure functions of (mode, length), memoised only to skip
+# regeneration.
 class ProjectionEntropy(MetaFeature):  # repro-lint: disable=RPR002
     """Energy entropy of a pseudo-random projection of the detail signal.
 
@@ -160,6 +161,7 @@ class ProjectionEntropy(MetaFeature):  # repro-lint: disable=RPR002
         self.mode = mode
         self.name = f"imf{mode}_entropy_proj"
         self.exact_reference = f"imf{mode}_entropy"
+        self._signs: Dict[int, np.ndarray] = {}
         self._vectors: Dict[int, np.ndarray] = {}
 
     def detail(self, seq: np.ndarray) -> np.ndarray:
@@ -170,22 +172,42 @@ class ProjectionEntropy(MetaFeature):  # repro-lint: disable=RPR002
         smooth = 0.5 * (seq[:-1] + seq[1:])
         return np.diff(smooth)
 
+    def signs(self, length: int) -> np.ndarray:
+        """The ``(k, length)`` sign pattern for a length (True is +)."""
+        signs = self._signs.get(length)
+        if signs is None:
+            rng = np.random.default_rng(7_654_321 + 1_000 * self.mode + length)
+            signs = rng.integers(0, 2, size=(self.n_projections, length)) == 1
+            self._signs[length] = signs
+        return signs
+
+    def matrix(self, length: int) -> np.ndarray:
+        """The ``(k, length)`` projection matrix: ``±1/sqrt(length)``."""
+        c = 1.0 / np.sqrt(length)
+        return np.where(self.signs(length), c, -c)
+
     def vectors(self, length: int) -> np.ndarray:
-        """The ``(k, length)`` fixed projection matrix for a length."""
+        """:meth:`matrix`, memoised for :meth:`batch_rows`.
+
+        Every row of a window has the window's detail length, so this
+        memo holds one matrix per window size.
+        """
         vecs = self._vectors.get(length)
         if vecs is None:
-            rng = np.random.default_rng(7_654_321 + 1_000 * self.mode + length)
-            signs = rng.integers(0, 2, size=(self.n_projections, length))
-            vecs = (2.0 * signs - 1.0) / np.sqrt(length)
-            self._vectors[length] = vecs
+            vecs = self._vectors[length] = self.matrix(length)
         return vecs
 
     def project(self, seq: np.ndarray) -> np.ndarray:
-        """The ``k`` sketch coefficients of one sequence's detail."""
+        """The ``k`` sketch coefficients of one sequence's detail.
+
+        Error-gap sequences come in nearly every length below the
+        window's, so only their sign patterns are memoised (one byte an
+        entry instead of eight) and the matrix is built per call.
+        """
         detail = self.detail(seq)
         if detail.size < 2:
             return np.zeros(self.n_projections)
-        return self.vectors(detail.size) @ detail
+        return self.matrix(detail.size) @ detail
 
     def batch_scalar(self, seq: np.ndarray) -> float:
         return imf_energy_entropy(self.project(seq))

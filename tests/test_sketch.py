@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from equivalence import (
+    SCENARIOS,
     RunTrace,
     assert_equivalent_configs,
     assert_identical_traces,
@@ -243,6 +244,47 @@ class TestSketchBounds:
                 assert rows[i] == pytest.approx(
                     comp.batch_scalar(matrix[i]), rel=1e-12, abs=1e-12
                 ), comp.name
+
+
+# ----------------------------------------------------------------------
+# Projection memo
+# ----------------------------------------------------------------------
+def _projection_matrix(mode: int, length: int) -> np.ndarray:
+    """The projection matrix as first defined: ``(2 s - 1) / sqrt(n)``."""
+    rng = np.random.default_rng(7_654_321 + 1_000 * mode + length)
+    signs = rng.integers(0, 2, size=(ProjectionEntropy.n_projections, length))
+    return (2.0 * signs - 1.0) / np.sqrt(length)
+
+
+class TestProjectionMemo:
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_both_paths_give_the_defined_sketches(self, mode, rng):
+        """:meth:`project` builds its matrix per call from a sign
+        pattern; :meth:`batch_rows` reads a memoised matrix.  Both are
+        byte for byte the matrix as first defined, for every length."""
+        comp = ProjectionEntropy(mode)
+        for length in range(2, 200):
+            defined = _projection_matrix(mode, length)
+            seq = rng.normal(size=length + mode)
+            assert comp.project(seq).tobytes() == (
+                defined @ comp.detail(seq)
+            ).tobytes()
+            assert comp.vectors(length).tobytes() == defined.tobytes()
+
+    def test_float_memo_holds_window_lengths_only(self, monkeypatch):
+        """After a ``serve-fast`` stream the float matrices are the
+        window's detail lengths; the error-gap lengths keep sign
+        patterns only."""
+        comps = [METAFEATURES.get(f"imf{mode}_entropy_proj") for mode in (1, 2)]
+        for comp in comps:
+            monkeypatch.setattr(comp, "_vectors", {})
+            monkeypatch.setattr(comp, "_signs", {})
+        overrides, kwargs = SCENARIOS["serve-fast"]
+        run_config(overrides, **kwargs)
+        w = FicsumConfig().window_size
+        for comp in comps:
+            assert sorted(comp._vectors) == [w - comp.mode]
+            assert len(comp._signs) > 10
 
 
 # ----------------------------------------------------------------------
