@@ -107,7 +107,6 @@ def main(argv=None) -> int:
             "fingerprint_throughput",
             "system_throughput",
             "selection_throughput",
-            "repository_scale",
             "snapshot",
         ],
     )

@@ -1,11 +1,12 @@
-"""The built-in invariant rules (RPR001–RPR006).
+"""The built-in invariant rules (RPR001–RPR007).
 
 Each rule statically enforces a contract the dynamic harness can only
 spot-check: determinism of state-bearing modules, ``state_dict`` /
 ``load_state_dict`` symmetry, trusted-kernel hygiene, the absence of
 fast-path toggles, registry-metadata completeness of
-meta-feature components, and fault-handling hygiene (injection routes
-through :mod:`repro.faults`, broad handlers never swallow silently).
+meta-feature components, fault-handling hygiene (injection routes
+through :mod:`repro.faults`, broad handlers never swallow silently)
+and the accuracy declarations of sketch components.
 Rules register through
 :func:`~repro.analysis.core.register_rule` exactly like systems and
 meta-features register through theirs; adding a rule is one class and
@@ -718,60 +719,6 @@ class SketchDeclarationRule(LintRule):
             )
 
 
-@register_rule
-class ShortlistDeclarationRule(LintRule):
-    """RPR008: shortlist/approximate scoring paths declare their recall.
-
-    A shortlist trades exactness for speed: candidates outside it are
-    never exactly scored, so a missed true argmax is invisible at run
-    time.  Mirroring RPR007 for sketches, any class that declares
-    ``approximate = True`` or exposes a ``shortlist`` method must
-    declare a ``recall_bound`` (the measured shortlist recall and where
-    it is pinned) and an ``exact_reference`` (the exact path / config
-    toggle the approximation stands in for), so every approximate
-    scoring path stays inside the accuracy accounting and the
-    equivalence story.
-    """
-
-    id = "RPR008"
-    contract = (
-        "classes declaring approximate=True or a shortlist method must "
-        "declare recall_bound and exact_reference"
-    )
-    scope = ("core", "tests")
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for module in ctx.group(*self.scope):
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef):
-                    yield from self._check_class(module, node)
-
-    def _check_class(
-        self, module: SourceModule, cls: ast.ClassDef
-    ) -> Iterator[Finding]:
-        is_approx = _class_flags(cls).get("approximate") is True
-        has_shortlist = _method(cls, "shortlist") is not None
-        if not (is_approx or has_shortlist):
-            return
-        trigger = "approximate=True" if is_approx else "a shortlist method"
-        if not _declares_str_attr(cls, "recall_bound"):
-            yield self.finding(
-                module,
-                cls,
-                f"{cls.name} declares {trigger} without a recall_bound "
-                "stating the measured shortlist recall and where it is "
-                "pinned",
-            )
-        if not _declares_str_attr(cls, "exact_reference"):
-            yield self.finding(
-                module,
-                cls,
-                f"{cls.name} declares {trigger} without an "
-                "exact_reference naming the exact path or toggle it "
-                "approximates",
-            )
-
-
 def _subclasses_metafeature(cls: ast.ClassDef) -> bool:
     for base in cls.bases:
         if isinstance(base, ast.Name) and base.id == "MetaFeature":
@@ -833,5 +780,4 @@ __all__ = [
     "RegistryMetadataRule",
     "FaultHygieneRule",
     "SketchDeclarationRule",
-    "ShortlistDeclarationRule",
 ]

@@ -13,9 +13,6 @@ Commands
 ``report``   aggregate saved artifacts into a mean (std) table
 ``snapshot`` run a system partway and write a versioned state snapshot
 ``inspect``  summarise a snapshot's manifest (schema, hashes, meta)
-``repo``     list a tiered concept store's cold artifacts (evicted
-             concept states archived by ``TieredConceptStore``), with
-             optional sha256 verification
 ``metrics``  run with the stats collector / audit log attached and
              print the observability summary
 ``lint``     run the static invariant checker (RPR rules) over the
@@ -40,7 +37,6 @@ Examples
     repro snapshot --system ficsum --dataset STAGGER \
                    --observations 5000 --out snap.ckpt
     repro inspect snap.ckpt
-    repro repo tier-store/ --verify
     repro metrics --system ficsum --dataset STAGGER --observations 5000
     repro lint src tests benchmarks
     repro lint --list-rules
@@ -216,18 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     inspect.add_argument(
         "--no-verify", action="store_true",
         help="skip the per-file SHA-256 integrity check",
-    )
-
-    repo = sub.add_parser(
-        "repo", help="inspect a tiered concept-store directory"
-    )
-    repo.add_argument(
-        "root", type=Path, help="tier-store root (cold state artifacts)"
-    )
-    repo.add_argument(
-        "--verify", action="store_true",
-        help="also run the per-file SHA-256 integrity check on every "
-             "cold artifact (corrupt artifacts are listed and exit 1)",
     )
 
     metrics = sub.add_parser(
@@ -565,51 +549,6 @@ def _cmd_inspect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _cmd_repo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.serving.manifest import SnapshotError, read_manifest
-
-    root = args.root
-    if not root.is_dir():
-        print(f"error: no tier store at {root}", file=sys.stderr)
-        return 1
-    artifacts = sorted(p for p in root.iterdir() if p.name.startswith("state-"))
-    print(f"tier store : {root}")
-    print(f"artifacts  : {len(artifacts)}")
-    corrupt: List[str] = []
-    total = 0
-    for path in artifacts:
-        try:
-            manifest = read_manifest(path, verify=args.verify)
-        except SnapshotError as exc:
-            corrupt.append(path.name)
-            print(f"  {path.name:16s} CORRUPT: {exc}")
-            continue
-        meta = manifest.get("meta", {})
-        files = manifest.get("files", {})
-        size = sum(info["size"] for info in files.values())
-        total += size
-        print(
-            f"  {path.name:16s} state_id={meta.get('state_id', '?'):>4} "
-            f"evicted_at_step={meta.get('evicted_at_step', '?'):>8} "
-            f"{size:>8d} bytes"
-        )
-    print(f"total      : {total} bytes")
-    if corrupt:
-        integrity = f"FAILED ({len(corrupt)} corrupt)"
-    elif args.verify:
-        integrity = "verified (sha256)"
-    else:
-        integrity = "manifests only"
-    print(f"integrity  : {integrity}")
-    if corrupt:
-        print(
-            f"error: {len(corrupt)} corrupt artifact(s): {', '.join(corrupt)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_metrics(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.evaluation.runner import prepare_run
     from repro.serving.audit import AuditLog
@@ -781,8 +720,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_snapshot(args, parser)
     if args.command == "inspect":
         return _cmd_inspect(args, parser)
-    if args.command == "repo":
-        return _cmd_repo(args, parser)
     if args.command == "metrics":
         return _cmd_metrics(args, parser)
     if args.command == "lint":

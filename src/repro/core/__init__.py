@@ -18,7 +18,6 @@ from repro.core.repository import (
     Repository,
     RepositoryFullError,
 )
-from repro.core.store import ProjectionPrefilter, TieredConceptStore
 from repro.core.ficsum import Ficsum
 from repro.core.delayed_labels import DelayedLabelAdapter
 from repro.core.variants import (
@@ -38,8 +37,6 @@ __all__ = [
     "FingerprintMatrix",
     "Repository",
     "RepositoryFullError",
-    "ProjectionPrefilter",
-    "TieredConceptStore",
     "Ficsum",
     "DelayedLabelAdapter",
     "make_ficsum",

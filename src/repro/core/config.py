@@ -68,38 +68,6 @@ class FicsumConfig:
         (the supplementary perfect-detection experiment).
     max_repository_size:
         Stored concepts beyond this evict the least recently used.
-    ann_prefilter:
-        Enable the big-R selection layer
-        (:class:`~repro.core.store.ProjectionPrefilter`) in front of the
-        exact selection every run uses (each candidate scored, the
-        acceptance gates walked lazily in descending-similarity order).
-        It adds candidate staging: concepts archived in an attached
-        :class:`~repro.core.store.TieredConceptStore` whose sketch makes
-        the shortlist are rehydrated to compete, and with
-        ``ann_exact=False`` the candidate list is cut to a shortlist.
-        With the default ``ann_exact=True`` selection stays bit-for-bit
-        the full scan's (the *provable-exactness* mode).
-    ann_exact:
-        When ``False`` (requires ``ann_prefilter``), candidates are
-        first shortlisted to ``ann_shortlist_k`` by seed-deterministic
-        random-projection sketches of their fingerprint means, and only
-        the shortlist is fingerprinted and exactly reranked.  This
-        skips per-candidate window extraction — the dominant selection
-        cost at large R — but is approximate: shortlist recall is
-        declared and measured, not guaranteed (lint rule RPR008).
-    ann_shortlist_k:
-        Shortlist size of the approximate prefilter (and the
-        rehydration budget of an attached tiered store).
-    ann_projections:
-        Sketch width (number of ±1/√D projections) of the prefilter.
-    family_radius:
-        When positive, concepts whose raw fingerprint-mean cosine
-        reaches this radius are merged into a *family* representative
-        at repository-maintenance checkpoints, with member counts and
-        distribution statistics folded in — repertoire growth saturates
-        at the number of genuinely distinct concepts.  0 (default)
-        disables merging; this is a semantic knob, not a fast path, so
-        no bit-for-bit equivalence holds when enabled.
     sim_record_samples:
         Retained fingerprint pairs per concept used to re-express stale
         similarity records under the current weighting (Section IV).
@@ -135,17 +103,11 @@ class FicsumConfig:
     source_set: str = "all"
     sketch_profile: str = "exact"
     weighting: str = "full"
-    # Semantic switches, not fast paths: flipping them changes results
-    # by design (ann_exact=False is the approximate shortlist).
+    # Semantic switches, not fast paths: flipping them changes results.
     plasticity: bool = True  # repro-lint: disable=RPR004
     second_selection: bool = True  # repro-lint: disable=RPR004
     oracle_drift: bool = False
     max_repository_size: int = 40
-    ann_prefilter: bool = False
-    ann_exact: bool = True  # repro-lint: disable=RPR004
-    ann_shortlist_k: int = 16
-    ann_projections: int = 16
-    family_radius: float = 0.0
     sim_record_samples: int = 4
     sim_record_decay: float = 0.05
     adwin_delta: float = 0.002
@@ -196,22 +158,6 @@ class FicsumConfig:
         if self.max_repository_size < 1:
             raise ValueError(
                 f"max_repository_size must be >= 1, got {self.max_repository_size}"
-            )
-        if self.ann_shortlist_k < 1:
-            raise ValueError(
-                f"ann_shortlist_k must be >= 1, got {self.ann_shortlist_k}"
-            )
-        if self.ann_projections < 1:
-            raise ValueError(
-                f"ann_projections must be >= 1, got {self.ann_projections}"
-            )
-        if not self.ann_exact and not self.ann_prefilter:
-            raise ValueError(
-                "ann_exact=False has no meaning without ann_prefilter=True"
-            )
-        if not 0.0 <= self.family_radius <= 1.0:
-            raise ValueError(
-                f"family_radius must be in [0, 1], got {self.family_radius}"
             )
 
     @property

@@ -36,7 +36,6 @@ from repro.classifiers.base import Classifier
 from repro.core.config import FicsumConfig
 from repro.core.repository import ConceptState, Repository, rescale_record
 from repro.core.similarity import sim_fast, sim_many, sim_pairs_many
-from repro.core.store import ProjectionPrefilter, TieredConceptStore
 from repro.core.weighting import make_weights
 from repro.detectors import Adwin
 from repro.metafeatures import FingerprintPipeline
@@ -104,16 +103,6 @@ class Ficsum(AdaptiveSystem):
         self._classifier_seed = cfg.seed
         self._step = 0
         self._weights = np.ones(self.n_dims)
-        # Big-R selection layer: cold-tier rehydration staging and,
-        # with ann_exact=False, the random-projection shortlist.
-        self._prefilter: Optional[ProjectionPrefilter] = (
-            ProjectionPrefilter(
-                self.n_dims, cfg.ann_projections, seed=cfg.seed
-            )
-            if cfg.ann_prefilter
-            else None
-        )
-        self._tier_store: Optional[TieredConceptStore] = None
         #: Model-selection events run so far (bench/regression metadata).
         self.selection_events = 0
         self._active = self.repository.new_state(
@@ -176,58 +165,26 @@ class Ficsum(AdaptiveSystem):
     ) -> None:
         """Wire a metrics collector and/or audit log into the framework.
 
-        Also hooks :attr:`Repository.on_evict` so evictions are counted
-        and logged with the victim's id, chaining (not replacing) any
-        consumer already on the hook.  Without a tiered store the
-        eviction destroys the payload, so the drop itself is counted
-        (``repository.evicted_dropped``) and audited — silent concept
-        loss must be observable.
+        Also sets :attr:`Repository.on_evict`, so every eviction is
+        counted (``repository.evictions``) and audited with the victim's
+        id and last active step — silent concept loss must be
+        observable.
         """
         if metrics is not None:
             self.metrics = metrics
         if audit is not None:
             self.audit = audit
-        previous = self.repository.on_evict
 
-        def _on_evict(state_id: int, payload: Dict[str, Any]) -> None:
+        def _on_evict(victim: ConceptState) -> None:
             self.metrics.inc("repository.evictions")
-            dropped = self._tier_store is None
-            if dropped:
-                # The hook consumed the payload only to log it; the
-                # state itself is still destroyed.
-                self.repository.evicted_dropped += 1
-                self.metrics.inc("repository.evicted_dropped")
             self.audit.log(
                 "eviction",
                 self._step,
-                state_id=state_id,
-                last_active_step=int(payload["last_active_step"]),
-                dropped=dropped,
+                state_id=victim.state_id,
+                last_active_step=victim.last_active_step,
             )
-            if previous is not None:
-                previous(state_id, payload)
 
         self.repository.on_evict = _on_evict
-
-    def attach_tier_store(self, store: TieredConceptStore) -> None:
-        """Chain a warm/cold tier onto the repository's eviction hook.
-
-        Evicted states are serialized into the store's cold artifacts
-        instead of being destroyed; when the ANN prefilter is enabled,
-        cold concepts whose warm sketch makes a selection shortlist are
-        transparently rehydrated back into the repository.  Chains any
-        hook already attached (observability logging keeps running).
-        """
-        self._tier_store = store
-        previous = self.repository.on_evict
-
-        def _tier_evict(state_id: int, payload: Dict[str, Any]) -> None:
-            store.store(state_id, payload, step=self._step)
-            self.metrics.inc("repository.tiered")
-            if previous is not None:
-                previous(state_id, payload)
-
-        self.repository.on_evict = _tier_evict
 
     # ------------------------------------------------------------------
     def _new_detector(self) -> Adwin:
@@ -366,29 +323,11 @@ class Ficsum(AdaptiveSystem):
         if self._step % cfg.repository_period == 0 and self.window.full:
             with self.metrics.timer("phase.repository_step"):
                 self._repository_step()
-            if cfg.family_radius > 0.0:
-                self._compact_families()
         if self._pending_recheck is not None and self._step >= self._pending_recheck:
             self._pending_recheck = None
             if cfg.second_selection:
                 with self.metrics.timer("phase.second_selection"):
                     self._second_selection()
-
-    def _compact_families(self) -> None:
-        """Periodic family merging (``family_radius`` > 0).
-
-        Runs at repository-maintenance checkpoints; the active concept
-        is never absorbed (it may absorb others).  Merges are audited —
-        the absorbed repertoire is observable, not silently gone.
-        """
-        merged = self.repository.compact_families(
-            self.config.family_radius, protect=(self._active.state_id,)
-        )
-        for kept, absorbed in merged:
-            self.metrics.inc("repository.family_merges")
-            self.audit.log(
-                "family_merge", self._step, kept=kept, absorbed=absorbed
-            )
 
     def signal_drift(self) -> None:
         """Oracle drift notification (perfect-detection experiment)."""
@@ -736,8 +675,8 @@ class Ficsum(AdaptiveSystem):
         """The active window's fingerprint under ``state``'s classifier.
 
         The single-candidate case of :meth:`_stack_window_fingerprints`;
-        callers run at most once per event (re-check, prefilter query,
-        discrimination sample).
+        callers run at most once per event (re-check, discrimination
+        sample).
         """
         return self._stack_window_fingerprints(xa, ya, [state])[0]
 
@@ -766,97 +705,10 @@ class Ficsum(AdaptiveSystem):
         with self.metrics.timer("selection.latency"):
             xa, ya, _ = self.window.arrays()
             candidates = self._candidate_states()
-            if self._prefilter is not None:
-                candidates = self._prefilter_candidates(xa, ya, candidates)
             if not candidates:
                 return None
             fps = self._stack_window_fingerprints(xa, ya, candidates)
             return self._select_from_fingerprints(candidates, fps)
-
-    def _prefilter_candidates(
-        self, xa: np.ndarray, ya: np.ndarray, candidates: List[ConceptState]
-    ) -> List[ConceptState]:
-        """Big-R candidate staging: rehydration plus optional shortlist.
-
-        With a tiered store attached, cold concepts whose warm sketch
-        would make the shortlist are first rehydrated into the
-        repository (so they compete in this very selection).  With
-        ``ann_exact`` (the default) the candidate list then passes
-        through unchanged to the exact gated walk every selection runs
-        (:meth:`_select_from_fingerprints`).  In approximate mode the
-        list is cut to the ``ann_shortlist_k`` sketch-nearest
-        candidates *before* any per-candidate window fingerprinting —
-        skipping that extraction is where the large-R speedup comes
-        from — returned in repository order so downstream tie-breaking
-        matches the full scan's.
-        """
-        cfg = self.config
-        query: Optional[np.ndarray] = None
-        if self._tier_store is not None and len(self._tier_store):
-            query = self._window_fingerprint(xa, ya, self._active)
-            if self._rehydrate_from_tier(candidates, query):
-                candidates = self._candidate_states()
-        if cfg.ann_exact or len(candidates) <= cfg.ann_shortlist_k:
-            return candidates
-        if query is None:
-            query = self._window_fingerprint(xa, ya, self._active)
-        keep = self._prefilter.shortlist(
-            self._stored_means(candidates), query, cfg.ann_shortlist_k
-        )
-        self.metrics.inc(
-            "selection.prefiltered", len(candidates) - len(keep)
-        )
-        return [candidates[i] for i in keep]
-
-    def _rehydrate_from_tier(
-        self, candidates: List[ConceptState], query: np.ndarray
-    ) -> int:
-        """Admit cold concepts whose sketch makes the combined shortlist.
-
-        Hot candidates and warm (cold-tier) entries are sketch-scored
-        together; warm entries landing in the top ``ann_shortlist_k``
-        are loaded from their manifest-verified artifacts (corruption
-        raises :class:`~repro.serving.manifest.SnapshotError` — never a
-        silently missing concept) and re-admitted under eviction
-        protection for this selection.  Returns the number admitted.
-        """
-        store, prefilter = self._tier_store, self._prefilter
-        ids, means = store.warm_entries()
-        if not ids:
-            return 0
-        query_sketch = prefilter.sketch(query)
-        hot = prefilter.scores(
-            prefilter.sketch_rows(self._stored_means(candidates)), query_sketch
-        )
-        warm = prefilter.scores(prefilter.sketch_rows(means), query_sketch)
-        combined = np.concatenate([hot, warm])
-        k = min(self.config.ann_shortlist_k, len(combined))
-        if k < len(combined):
-            top = np.argpartition(-combined, k - 1)[:k]
-        else:
-            top = np.arange(len(combined))
-        admitted = 0
-        protect = {self._active.state_id}
-        for j in sorted(int(t) for t in top):
-            if j < len(hot):
-                continue
-            if len(protect) >= self.repository.max_size:
-                # Every admission this selection stays protected, and
-                # the repository cannot hold more protected concepts
-                # than its capacity — admitting further shortlisted
-                # cold states would leave nothing evictable.  They
-                # stay warm and compete again next selection.
-                break
-            sid = int(ids[j - len(hot)])
-            state = store.load(sid)
-            store.forget(sid)
-            self.repository.admit(state, protect=protect)
-            protect.add(sid)
-            store.rehydrated += 1
-            admitted += 1
-            self.metrics.inc("tier.rehydrated")
-            self.audit.log("rehydration", self._step, state_id=sid)
-        return admitted
 
     def _stack_window_fingerprints(
         self, xa: np.ndarray, ya: np.ndarray, states: List[ConceptState]
@@ -1173,7 +1025,7 @@ class Ficsum(AdaptiveSystem):
         :func:`~repro.serving.snapshot.system_payload` (constructor
         context + :meth:`state_dict`) rebuilds the system through the
         constructor and :meth:`load_state_dict`, which re-creates those
-        views.  Observability sinks and a tier store are not carried.
+        views.  Observability sinks are not carried.
         """
         return system_from_payload, (system_payload(self),)
 

@@ -90,27 +90,6 @@ class ConceptFingerprint:
         self.counts[mask] = 0
         self.m2[mask] = 0.0
 
-    def merge(self, other: "ConceptFingerprint") -> None:
-        """Fold another concept fingerprint into this one (family merge).
-
-        Chan et al.'s parallel Welford combine per dimension: the result
-        holds exactly the moments the pooled incorporation history would
-        produce.
-        """
-        if other.n_dims != self.n_dims:
-            raise ValueError(
-                f"cannot merge {other.n_dims}-dim stats into {self.n_dims}-dim"
-            )
-        total = self.counts + other.counts
-        mask = total > 0
-        delta = other.means - self.means
-        self.m2[mask] += (
-            other.m2[mask]
-            + delta[mask] ** 2 * self.counts[mask] * other.counts[mask] / total[mask]
-        )
-        self.means[mask] += delta[mask] * other.counts[mask] / total[mask]
-        self.counts[:] = total
-
     def copy(self) -> "ConceptFingerprint":
         """A standalone copy that owns its arrays."""
         clone = ConceptFingerprint(self.n_dims)

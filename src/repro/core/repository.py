@@ -23,6 +23,12 @@ concepts with batched kernels over the one copy.  :meth:`Repository.bank`
 builds a :class:`~repro.classifiers.bank.ClassifierBank` of the stored
 Hoeffding trees on every call, which routes the active window through
 every tree's own node tables and leaf blocks in one pass.
+
+The repository is bounded: inserting a state past ``max_size`` evicts
+the least recently active state that is not protected.  An evicted
+state is destroyed; :attr:`Repository.evicted_dropped` counts it, and
+the :attr:`Repository.on_evict` hook sees it first, which is where the
+framework's observability counts and audits it.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ import numpy as np
 from repro.classifiers.bank import ClassifierBank
 from repro.classifiers.base import Classifier
 from repro.core.fingerprint import ConceptFingerprint
-from repro.core.similarity import weighted_cosine_many
 from repro.utils.stats import EwmaStats
 
 class RepositoryFullError(RuntimeError):
@@ -179,9 +184,6 @@ class ConceptState:
         # how the scheme has shifted since the record was written.
         self.sim_pairs = SimPairRecord(sim_record_samples, n_dims)
         self.last_active_step = 0
-        # Concepts folded into this state as a family (self included):
-        # 1 for a standalone concept, grows via :meth:`absorb`.
-        self.family_size = 1
 
     def record_similarity(
         self, concept_means: np.ndarray, window_fp: np.ndarray, sim: float
@@ -192,24 +194,6 @@ class ConceptState:
 
     def reset_similarity_record(self) -> None:
         self.sim_stats = EwmaStats(alpha=self.sim_record_decay)
-
-    def absorb(self, other: "ConceptState") -> None:
-        """Fold another concept into this one as a family member.
-
-        The representative keeps its classifier and retained pairs (a
-        family serves one model); the distributional records merge so
-        the family still describes the pooled behaviour — fingerprint
-        moments Chan-combine exactly, the similarity/error records take
-        the count-weighted fold, and counters/recency take the union.
-        """
-        self.fingerprint.merge(other.fingerprint)
-        self.nonactive.merge(other.nonactive)
-        self.sim_stats.merge(other.sim_stats)
-        self.error_stats.merge(other.error_stats)
-        self.family_size += other.family_size
-        self.last_active_step = max(
-            self.last_active_step, other.last_active_step
-        )
 
     def state_dict(self) -> Dict[str, Any]:
         """Complete serialized form of the stored concept.
@@ -227,7 +211,6 @@ class ConceptState:
             "error_stats": self.error_stats.state_dict(),
             "sim_pairs": self.sim_pairs.state_dict(),
             "last_active_step": self.last_active_step,
-            "family_size": self.family_size,
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
@@ -240,7 +223,6 @@ class ConceptState:
         self.error_stats.load_state_dict(state["error_stats"])
         self.sim_pairs.load_state_dict(state["sim_pairs"])
         self.last_active_step = int(state["last_active_step"])
-        self.family_size = int(state["family_size"])
 
     @classmethod
     def from_state_dict(cls, state: Dict[str, Any]) -> "ConceptState":
@@ -381,15 +363,13 @@ class Repository:
         self._next_id = 0
         self._matrix: Optional[FingerprintMatrix] = None
         self._states_list: Optional[List[ConceptState]] = None
-        #: Optional eviction hook: called with ``(state_id, payload)``
-        #: where ``payload`` is the victim's full serialized form —
-        #: consumers (audit logs, warm/cold tiers) receive the state
-        #: instead of it being silently destroyed.
-        self.on_evict: Optional[Callable[[int, Dict[str, Any]], None]] = None
-        #: Evictions whose payload had no consumer: with no ``on_evict``
-        #: hook attached the serialized state is destroyed outright.
-        #: Counted (and surfaced through metrics/audit by the framework)
-        #: so silent concept loss is observable instead of invisible.
+        #: Optional eviction hook, called with the victim just before
+        #: it leaves (the framework's observability counts and audits
+        #: it there).
+        self.on_evict: Optional[Callable[[ConceptState], None]] = None
+        #: Evictions so far.  An evicted state is destroyed, so the
+        #: count is the repository's concept loss; it is checkpointed
+        #: and the same with or without a hook.
         self.evicted_dropped = 0
 
     def new_state(
@@ -441,85 +421,19 @@ class Repository:
                     f"protected ({sorted(protect)}); nothing can be evicted"
                 )
             victim = min(evictable, key=lambda s: s.last_active_step)
+            self.evicted_dropped += 1
             if self.on_evict is not None:
-                self.on_evict(victim.state_id, victim.state_dict())
-            else:
-                self.evicted_dropped += 1
-            self._drop(victim.state_id)
-
-    def admit(
-        self, state: ConceptState, protect: Iterable[int] = ()
-    ) -> ConceptState:
-        """Re-insert a previously evicted (rehydrated) concept state.
-
-        The state keeps its original id — ``_next_id`` is pushed past
-        it so future ids never collide — and is stored exactly as in
-        :meth:`new_state`.  The insertion may itself trigger an
-        eviction, never of the admitted state or of ``protect``.
-        """
-        if state.state_id in self._states:
-            raise ValueError(f"state {state.state_id} is already stored")
-        self._store(state)
-        self._next_id = max(self._next_id, state.state_id + 1)
-        self._evict_if_needed(protect={state.state_id, *protect})
-        return state
-
-    def compact_families(
-        self, radius: float, protect: Iterable[int] = ()
-    ) -> List[Tuple[int, int]]:
-        """Merge near-duplicate concepts into family representatives.
-
-        Walks stored states in insertion order: a state whose raw
-        fingerprint-mean cosine against an earlier surviving state (the
-        family *representative*) reaches ``radius`` is absorbed into it
-        via :meth:`ConceptState.absorb` and dropped, so repertoire
-        growth saturates at the number of genuinely distinct concepts
-        instead of exploding.  States in ``protect`` (the active
-        concept) and states with fewer than two incorporated
-        fingerprints are never absorbed; univariate fingerprints are
-        skipped entirely (scalar cosine is degenerate).  Returns the
-        ``(kept_id, absorbed_id)`` pairs, in merge order.
-        """
-        if not 0.0 < radius <= 1.0:
-            raise ValueError(f"radius must be in (0, 1], got {radius}")
-        protected = set(protect)
-        merged: List[Tuple[int, int]] = []
-        reps: List[ConceptState] = []
-        rep_means: List[np.ndarray] = []
-        for state in list(self.states()):
-            if state.fingerprint.n_dims == 1:
-                return merged
-            eligible = (
-                state.state_id not in protected
-                and state.fingerprint.count >= 2
-            )
-            if eligible and reps:
-                sims = weighted_cosine_many(
-                    np.array(rep_means), state.fingerprint.means
-                )
-                best = int(np.argmax(sims))
-                if sims[best] >= radius:
-                    rep = reps[best]
-                    rep.absorb(state)
-                    rep_means[best] = rep.fingerprint.means.copy()
-                    self._drop(state.state_id)
-                    merged.append((rep.state_id, state.state_id))
-                    continue
-            reps.append(state)
-            rep_means.append(state.fingerprint.means.copy())
-        return merged
-
-    def _drop(self, state_id: int) -> None:
-        self._states.pop(state_id, None)
-        self._states_list = None
-        if self._matrix is not None:
-            self._matrix.remove(state_id)
+                self.on_evict(victim)
+            self.remove(victim.state_id)
 
     def get(self, state_id: int) -> ConceptState:
         return self._states[state_id]
 
     def remove(self, state_id: int) -> None:
-        self._drop(state_id)
+        self._states.pop(state_id, None)
+        self._states_list = None
+        if self._matrix is not None:
+            self._matrix.remove(state_id)
 
     def states(self) -> List[ConceptState]:
         """All stored states (insertion order).

@@ -28,7 +28,9 @@ from typing import Any, Callable, Dict, Optional, Union
 #: tree is its ``state_dict`` (node tables and leaf blocks), no longer
 #: a graph of node objects.  Version 4: concept states, the framework
 #: and the normaliser drop the change counters that keyed per-step memos.
-SCHEMA_VERSION = 4
+#: Version 5: concept states drop the member count that concept
+#: families kept.
+SCHEMA_VERSION = 5
 
 MANIFEST_NAME = "manifest.json"
 

@@ -4,28 +4,22 @@ FiCSUM is a one-pass streaming algorithm: every distribution it tracks
 (meta-information features inside a concept fingerprint, the "normal"
 similarity of a concept, the observed range of each fingerprint dimension)
 must be maintained in constant space.  This module provides the
-building blocks used throughout the code base:
+building blocks used throughout the code base (the per-dimension
+Welford form is :class:`~repro.core.fingerprint.ConceptFingerprint`):
 
-* :class:`OnlineStats` — Welford mean / variance / count for scalars
-  (the per-dimension vector form is
-  :class:`~repro.core.fingerprint.ConceptFingerprint`).
-* :class:`OnlineMinMax` — running per-dimension range, used to scale
-  fingerprint dimensions into ``[0, 1]`` (Section III-A of the paper).
 * :class:`EwmaStats` — exponentially-forgetting mean/std, used for the
-  "normal similarity" records of each concept.
-* :class:`ReservoirSampler` — a fixed-size uniform sample (general
-  utility; e.g. for subsampling observation windows in user code).
+  "normal similarity" and error-rate records of each concept.
+* :class:`OnlineMinMax` — running per-dimension range, used to scale
+  fingerprint dimensions into ``[0, 1]`` (Section III-A of the paper),
+  with :func:`minmax_scale` the scaling it applies.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from typing import Any, Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import Any, Dict, Tuple
 
 import numpy as np
-
-T = TypeVar("T")
 
 #
 # Checkpointing convention (used throughout the code base): mutable
@@ -35,79 +29,6 @@ T = TypeVar("T")
 # trees to disk; restored objects must continue the stream bit-for-bit,
 # so every float, counter and ring position is captured verbatim.
 #
-
-
-class OnlineStats:
-    """Welford's online mean and standard deviation for a scalar stream.
-
-    >>> s = OnlineStats()
-    >>> for v in [1.0, 2.0, 3.0]:
-    ...     s.update(v)
-    >>> s.mean
-    2.0
-    """
-
-    __slots__ = ("count", "mean", "_m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, value: float) -> None:
-        """Fold one observation into the running statistics."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    @property
-    def variance(self) -> float:
-        """Population variance of everything seen so far (0 if < 2 values)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation of everything seen so far."""
-        return math.sqrt(self.variance)
-
-    def copy(self) -> "OnlineStats":
-        clone = OnlineStats()
-        clone.count = self.count
-        clone.mean = self.mean
-        clone._m2 = self._m2
-        return clone
-
-    def merge(self, other: "OnlineStats") -> None:
-        """Combine another accumulator into this one (Chan et al. merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self._m2 = other.count, other.mean, other._m2
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count = total
-
-    def reset(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {"count": self.count, "mean": self.mean, "m2": self._m2}
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self.count = int(state["count"])
-        self.mean = float(state["mean"])
-        self._m2 = float(state["m2"])
-
-    def __repr__(self) -> str:
-        return f"OnlineStats(count={self.count}, mean={self.mean:.4g}, std={self.std:.4g})"
 
 
 class EwmaStats:
@@ -155,30 +76,6 @@ class EwmaStats:
         self.count = 0
         self.mean = 0.0
         self._var = 0.0
-
-    def merge(self, other: "EwmaStats") -> None:
-        """Count-weighted fold of another record into this one.
-
-        Used when two concepts collapse into one family: the exact
-        exponential weighting of the interleaved update sequence is
-        unrecoverable, so the family record takes the count-weighted
-        mixture mean and the law-of-total-variance spread — the moments
-        the two records would report about their pooled history.
-        """
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self._var = other.count, other.mean, other._var
-            return
-        total = self.count + other.count
-        wa = self.count / total
-        wb = other.count / total
-        mean = wa * self.mean + wb * other.mean
-        self._var = wa * (self._var + (self.mean - mean) ** 2) + wb * (
-            other._var + (other.mean - mean) ** 2
-        )
-        self.mean = mean
-        self.count = total
 
     def state_dict(self) -> Dict[str, Any]:
         return {
@@ -320,31 +217,3 @@ class OnlineMinMax:
             )
         self.mins = mins.copy()
         self.maxs = np.asarray(state["maxs"], dtype=np.float64).copy()
-
-
-class ReservoirSampler(Generic[T]):
-    """Fixed-capacity uniform reservoir sample of a stream of items."""
-
-    def __init__(self, capacity: int, seed: Optional[int] = None) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._rng = random.Random(seed)
-        self._items: List[T] = []
-        self._seen = 0
-
-    def add(self, item: T) -> None:
-        self._seen += 1
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-            return
-        slot = self._rng.randrange(self._seen)
-        if slot < self.capacity:
-            self._items[slot] = item
-
-    @property
-    def items(self) -> List[T]:
-        return list(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)

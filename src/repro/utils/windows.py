@@ -3,28 +3,24 @@
 Algorithm 1 of the paper maintains two windows over the labelled
 observation stream: the **active window** ``A`` (the ``w`` most recent
 observations) and the **buffer window** ``B`` (observations delayed by
-``b`` steps, guaranteed to predate any undetected drift).
-:class:`DelayedWindowPair` implements that plumbing directly (lines
-12-15 of Algorithm 1).
+``b`` steps, guaranteed to predate any undetected drift; lines 12-15 of
+Algorithm 1).
 
-The production :class:`~repro.core.ficsum.Ficsum` loop uses a single
+:class:`~repro.core.ficsum.Ficsum` keeps a single
 :class:`ObservationWindow` plus a fingerprint cache instead — ``F_B(t)``
 equals ``F_A(t - b)`` when ``b`` is aligned to the fingerprint period,
 which halves extraction work — and the window's ring buffers expose the
 current contents as zero-copy ndarray views, so no Python lists are
-rebuilt on the fingerprint hot path.  :class:`DelayedWindowPair`
-remains the reference implementation of the paper's window semantics
-(and is what the tests verify the cache against).
+rebuilt on the fingerprint hot path.  The plain Algorithm 1 in
+``tests/reference.py`` makes the same choice with a dict of recent
+active fingerprints, and pins the cache through the traces.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
-
-T = TypeVar("T")
 
 
 class ArrayRing:
@@ -124,9 +120,8 @@ class ArrayRing:
 class ObservationWindow:
     """Sliding window of labelled observations with zero-copy array views.
 
-    Replaces ``SlidingWindow[(x, y, prediction)]`` on the FiCSUM hot
-    path: instead of rebuilding Python lists and re-stacking arrays at
-    every fingerprint period, the three behaviour streams live in ring
+    Instead of rebuilding Python lists and re-stacking arrays at every
+    fingerprint period, the three behaviour streams live in ring
     buffers and :meth:`arrays` hands out contiguous ndarray views.
     """
 
@@ -183,73 +178,3 @@ class ObservationWindow:
         self._x.load_state_dict(state["x"])
         self._y.load_state_dict(state["y"])
         self._p.load_state_dict(state["p"])
-
-
-class SlidingWindow(Generic[T]):
-    """A bounded FIFO window over the ``size`` most recent items."""
-
-    def __init__(self, size: int) -> None:
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        self.size = size
-        self._items: Deque[T] = deque(maxlen=size)
-
-    def append(self, item: T) -> None:
-        self._items.append(item)
-
-    def clear(self) -> None:
-        self._items.clear()
-
-    @property
-    def full(self) -> bool:
-        return len(self._items) == self.size
-
-    def items(self) -> List[T]:
-        return list(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(self._items)
-
-
-class DelayedWindowPair(Generic[T]):
-    """Maintains the active window ``A`` and delayed buffer window ``B``.
-
-    New items enter a delay queue of length ``delay`` (= ``b``); items
-    leaving the queue enter ``B``.  ``A`` always holds the ``size`` most
-    recent items.  Both windows hold at most ``size`` (= ``w``) items.
-    """
-
-    def __init__(self, size: int, delay: int) -> None:
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        self.size = size
-        self.delay = delay
-        self.active: SlidingWindow[T] = SlidingWindow(size)
-        self.buffer: SlidingWindow[T] = SlidingWindow(size)
-        self._queue: Deque[T] = deque()
-
-    def append(self, item: T) -> None:
-        """Add a new observation; items older than ``delay`` reach ``B``."""
-        self.active.append(item)
-        self._queue.append(item)
-        while len(self._queue) > self.delay:
-            self.buffer.append(self._queue.popleft())
-
-    def reset_buffer(self) -> None:
-        """Drop buffered state after a concept change.
-
-        The active window is intentionally preserved: after a drift it is
-        re-used for the recurrence check, and within ``w`` further
-        observations it becomes fully drawn from the emerging concept.
-        """
-        self.buffer.clear()
-        self._queue.clear()
-
-    @property
-    def buffer_full(self) -> bool:
-        return self.buffer.full

@@ -30,9 +30,8 @@ read), standalone :class:`ConceptState` records (each owning its
 statistics) kept in :class:`ReferenceStore`, a plain dict with LRU
 eviction (the engine's repository stores every concept's statistics in
 one matrix), :class:`OnlineMinMax` ``update`` / ``scale`` /
-``scale_std``, :func:`sim_fast` and :class:`Adwin`.  The big-R
-selection layer (``ann_prefilter``), family merging and label-outage
-mode are outside the paper's algorithm and are not restated.
+``scale_std``, :func:`sim_fast` and :class:`Adwin`.  Label-outage
+mode is outside the paper's algorithm and is not restated.
 
 The module also restates two kernels plainly.
 :class:`ReferenceHoeffdingTree` is the engine's VFDT with Gaussian
@@ -850,11 +849,6 @@ class ReferenceFicsum(AdaptiveSystem):
     def __init__(
         self, n_features: int, n_classes: int, config: FicsumConfig
     ) -> None:
-        if config.ann_prefilter or config.family_radius > 0.0:
-            raise NotImplementedError(
-                "the reference restates Algorithm 1 only: no ANN "
-                "prefilter, no family merging"
-            )
         self.config = cfg = config
         self.n_features = n_features
         self.n_classes = n_classes

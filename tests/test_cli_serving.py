@@ -78,46 +78,6 @@ def test_inspect_detects_tampered_payload(snapshot_dir, tmp_path, capsys):
     assert "integrity : skipped" in capsys.readouterr().out
 
 
-def _tier_store_with_states(root, n=2):
-    from repro.classifiers import MajorityClass
-    from repro.core import Repository, TieredConceptStore
-
-    repo = Repository(8)
-    store = TieredConceptStore(root)
-    for i in range(n):
-        state = repo.new_state(4, MajorityClass(2), step=i)
-        state.fingerprint.incorporate(
-            np.random.default_rng(i).normal(size=4)
-        )
-        store.store(state.state_id, state.state_dict(), step=i)
-    return store
-
-
-def test_repo_lists_and_verifies_tier_store(tmp_path, capsys):
-    _tier_store_with_states(tmp_path / "tier")
-    assert main(["repo", str(tmp_path / "tier"), "--verify"]) == 0
-    out = capsys.readouterr().out
-    assert "artifacts  : 2" in out
-    assert "state-00000000" in out and "state-00000001" in out
-    assert "verified (sha256)" in out
-
-
-def test_repo_missing_root(tmp_path, capsys):
-    assert main(["repo", str(tmp_path / "nope")]) == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def test_repo_flags_corrupt_artifact(tmp_path, capsys):
-    store = _tier_store_with_states(tmp_path / "tier")
-    blob = store.path_of(1) / "objects.pkl"
-    blob.write_bytes(b"\x00" + blob.read_bytes()[1:])
-    assert main(["repo", str(tmp_path / "tier"), "--verify"]) == 1
-    captured = capsys.readouterr()
-    assert "CORRUPT" in captured.out
-    assert "FAILED (1 corrupt)" in captured.out
-    assert "state-00000001" in captured.err
-
-
 def test_metrics_prints_observability_summary(tmp_path, capsys):
     audit_log = tmp_path / "audit.jsonl"
     assert main([

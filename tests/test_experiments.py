@@ -54,11 +54,22 @@ class TestConfigOverrides:
 
     @pytest.mark.parametrize(
         "field",
-        ["incremental", "extraction_cache", "vectorized_selection", "forest_routing"],
+        [
+            "incremental",
+            "extraction_cache",
+            "vectorized_selection",
+            "forest_routing",
+            "ann_prefilter",
+            "ann_exact",
+            "ann_shortlist_k",
+            "ann_projections",
+            "family_radius",
+        ],
     )
     def test_removed_toggle_rejected(self, field):
-        # Specs and artifacts naming a removed execution toggle fail
-        # loudly rather than run a different config.
+        # Specs and artifacts naming a removed execution toggle or a
+        # removed scale-layer field fail loudly rather than run a
+        # different config.
         with pytest.raises(ValueError, match="unknown FicsumConfig fields"):
             FicsumConfig.from_overrides({field: False})
 

@@ -49,7 +49,7 @@ def rule_ids(report):
 def test_all_rule_families_registered():
     assert {
         "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-        "RPR007", "RPR008",
+        "RPR007",
     } <= set(RULES.names())
 
 
@@ -688,89 +688,6 @@ def test_rpr007_silent_on_declared_sketch_and_exact_components(tmp_path):
             """,
         },
         rules=["RPR007"],
-    )
-    assert rule_ids(report) == []
-
-
-# ----------------------------------------------------------------------
-# RPR008 — shortlist / approximate-scoring declarations
-# ----------------------------------------------------------------------
-def test_rpr008_fires_on_undeclared_approximate_class(tmp_path):
-    report = lint_tree(
-        tmp_path,
-        {
-            "repro/core/mystery.py": """
-                class MysteryIndex:
-                    approximate = True
-
-                    def query(self, vectors):
-                        return vectors[:4]
-            """,
-        },
-        rules=["RPR008"],
-    )
-    ids = rule_ids(report)
-    assert ids == ["RPR008", "RPR008"]
-    joined = "\n".join(f.message for f in report.findings)
-    assert "recall_bound" in joined
-    assert "exact_reference" in joined
-
-
-def test_rpr008_shortlist_method_triggers_the_contract(tmp_path):
-    report = lint_tree(
-        tmp_path,
-        {
-            "repro/core/lists.py": """
-                class CandidateCutter:
-                    recall_bound = "top-1 in k=16 on 90% of populations"
-
-                    def shortlist(self, states, query, k):
-                        return list(range(k))
-            """,
-        },
-        rules=["RPR008"],
-    )
-    ids = rule_ids(report)
-    assert ids == ["RPR008"]
-    assert "exact_reference" in report.findings[0].message
-
-
-def test_rpr008_silent_on_declared_and_exact_classes(tmp_path):
-    report = lint_tree(
-        tmp_path,
-        {
-            "repro/core/declared.py": """
-                class DeclaredIndex:
-                    approximate = True
-                    recall_bound = "top-1 in k=16 on >= 90% of populations"
-                    exact_reference = "full weighted-cosine scan"
-
-                    def shortlist(self, states, query, k):
-                        return list(range(k))
-
-                class ExactScorer:
-                    def score(self, states, query):
-                        return [0.0 for _ in states]
-            """,
-        },
-        rules=["RPR008"],
-    )
-    assert rule_ids(report) == []
-
-
-def test_rpr008_out_of_scope_groups_are_ignored(tmp_path):
-    report = lint_tree(
-        tmp_path,
-        {
-            "repro/streams/sampler.py": """
-                class LooseSampler:
-                    approximate = True
-
-                    def shortlist(self, states, query, k):
-                        return list(range(k))
-            """,
-        },
-        rules=["RPR008"],
     )
     assert rule_ids(report) == []
 

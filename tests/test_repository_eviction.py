@@ -12,12 +12,14 @@ churn.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from equivalence import run_config, run_config_observed
 
 from repro.classifiers import HoeffdingTree, MajorityClass
-from repro.core.repository import Repository, RepositoryFullError
+from repro.core.repository import ConceptState, Repository, RepositoryFullError
 
 
 def _tree(seed, n_features=3, n_train=150):
@@ -122,11 +124,12 @@ class TestProtectSemantics:
 
 
 class TestEvictedDroppedAccounting:
-    """Evictions that destroy their payload are counted, never silent.
+    """Every eviction destroys its victim and is counted, never silent.
 
     Regression for the original ``_evict_if_needed``, which threw the
-    victim's serialized payload away without a trace whenever no
-    ``on_evict`` consumer was attached.
+    victim away without a trace whenever no ``on_evict`` consumer was
+    attached.  The repository counts each eviction itself, so the
+    count is the same with or without a hook.
     """
 
     def test_bare_eviction_counts_the_drop(self):
@@ -136,17 +139,16 @@ class TestEvictedDroppedAccounting:
             repo.new_state(2, MajorityClass(2), step=step)
         assert repo.evicted_dropped == 2
 
-    def test_hooked_eviction_is_not_a_drop(self):
-        """A consumer on ``on_evict`` received the payload — the
-        repository itself no longer counts the eviction as destroyed
-        (the consumer decides, e.g. observability vs a tiered store)."""
+    def test_hooked_eviction_is_counted(self):
+        """A hook on ``on_evict`` sees each victim, and the repository
+        still counts every eviction."""
         repo = Repository(max_size=1)
-        payloads = []
-        repo.on_evict = lambda sid, payload: payloads.append(sid)
+        victims = []
+        repo.on_evict = lambda victim: victims.append(victim.state_id)
         for step in range(1, 4):
             repo.new_state(2, MajorityClass(2), step=step)
-        assert len(payloads) == 2
-        assert repo.evicted_dropped == 0
+        assert victims == [0, 1]
+        assert repo.evicted_dropped == 2
 
     def test_drop_counter_survives_checkpoint(self):
         repo = Repository(max_size=1)
@@ -156,17 +158,21 @@ class TestEvictedDroppedAccounting:
         restored.load_state_dict(repo.state_dict())
         assert restored.evicted_dropped == 2
 
-    def test_observed_run_counts_drops_without_tier_store(self):
-        """Without a tiered store every observed eviction is a drop:
-        the metrics counter and the repository's own tally agree."""
-        trace, collector = run_config_observed({"max_repository_size": 2})
-        system = trace.system
+    def test_observed_run_counts_every_eviction(self):
+        """The metrics counter and the repository's own tally agree,
+        and no concept state is serialized to report an eviction."""
+        with mock.patch.object(
+            ConceptState,
+            "state_dict",
+            autospec=True,
+            side_effect=AssertionError("an eviction serialized its victim"),
+        ) as state_dict:
+            trace, collector = run_config_observed({"max_repository_size": 2})
         evictions = collector.counters.get("repository.evictions", 0)
         assert evictions > 0, "scenario must evict"
-        assert system.repository.evicted_dropped == evictions
-        assert (
-            collector.counters["repository.evicted_dropped"] == evictions
-        )
+        state_dict.assert_not_called()
+        assert trace.system.repository.evicted_dropped == evictions
+        assert "repository.evicted_dropped" not in collector.counters
 
 
 class TestMirrorAlignmentAfterCompaction:

@@ -10,8 +10,7 @@ engines (per-observation and chunked) and the ADWIN detection path.
 The remaining tests pin the artifact layer itself: manifests reject
 tampering, truncation and unknown schema versions; overwrites are
 atomic; the codec restores every array exactly and one state always
-writes the same bytes; evicted states surface their full serialized
-payload.
+writes the same bytes; the eviction hook is handed the victim itself.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from hypothesis.extra import numpy as hnp
 import repro
 from repro.classifiers import HoeffdingTree
 from repro.core import DelayedLabelAdapter
-from repro.core.repository import ConceptState, Repository
+from repro.core.repository import Repository
 from repro.serving.manifest import (
     MANIFEST_NAME,
     SCHEMA_VERSION,
@@ -580,24 +579,23 @@ def test_write_read_state_roundtrip_any_layout(arrays):
 # ---------------------------------------------------------------------
 # Eviction hook
 # ---------------------------------------------------------------------
-def test_eviction_hook_receives_full_payload():
+def test_eviction_hook_receives_the_victim():
     repo = Repository(max_size=2)
     evicted = []
-    repo.on_evict = lambda sid, payload: evicted.append((sid, payload))
+    repo.on_evict = lambda victim: evicted.append((victim, victim.state_id in repo))
+    states = []
     for step in range(3):
         tree = HoeffdingTree(n_classes=2, n_features=3, seed=step)
-        repo.new_state(4, tree, step=step)
+        states.append(repo.new_state(4, tree, step=step))
     assert len(repo) == 2
     assert len(evicted) == 1
-    victim_id, payload = evicted[0]
-    assert victim_id == 0  # LRU: the oldest last_active_step
-    assert victim_id not in [s.state_id for s in repo.states()]
-    # The payload is the victim's complete serialized form — it can be
-    # rehydrated into an equivalent state (warm/cold tiering).
-    revived = ConceptState.from_state_dict(payload)
-    assert revived.state_id == victim_id
-    assert revived.last_active_step == payload["last_active_step"]
-    assert isinstance(revived.classifier, HoeffdingTree)
+    victim, stored_at_call = evicted[0]
+    # LRU: the oldest last_active_step.  The hook sees the state object
+    # itself while it is still stored; then it is gone.
+    assert victim is states[0]
+    assert stored_at_call
+    assert victim.state_id not in repo
+    assert repo.evicted_dropped == 1
 
 
 def test_eviction_hook_absent_by_default():

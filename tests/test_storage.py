@@ -1,14 +1,13 @@
 """The repository's fingerprint matrix as the storage of every concept.
 
 Hypothesis drives a :class:`Repository` through random sequences of
-``new_state``, ``admit``, evictions (insertions past capacity),
-``remove``, ``compact_families``, incorporation into either
-fingerprint, ``reset_dims``, fingerprint ``merge`` and a
-``state_dict`` / ``load_state_dict`` round trip, at capacities 1–6 and
-fingerprints of 1 and 7 dimensions, with the matrix starting at 1, 2
-or 8 rows so that growth re-points the views.  A plain Welford shadow written
-here replays every update, and after each step the test compares, as
-raw bytes:
+``new_state``, evictions (insertions past capacity), ``remove``,
+incorporation into either fingerprint, ``reset_dims``, LRU touches and
+a ``state_dict`` / ``load_state_dict`` round trip, at capacities 1–6
+and fingerprints of 1 and 7 dimensions, with the matrix starting at 1,
+2 or 8 rows so that growth re-points the views.  A plain Welford shadow
+written here replays every update, and after each step the test
+compares, as raw bytes:
 
 * every stored concept's matrix rows and the state's own arrays (which
   must be views of those rows);
@@ -16,7 +15,6 @@ raw bytes:
 * ``make_weights`` in all four modes against the per-state loop of
   :func:`reference.reference_weights` over standalone copies of the
   shadow;
-* the prefilter's sketches of the stored rows;
 * every concept that has left the repository, which keeps the values
   it had when it left and shares no memory with the matrix.
 
@@ -36,7 +34,6 @@ from reference import reference_weights
 
 from repro.classifiers import MajorityClass
 from repro.core.repository import ConceptState, FingerprintMatrix, Repository
-from repro.core.store import ProjectionPrefilter
 from repro.core.weighting import make_weights
 from repro.utils.stats import OnlineMinMax
 
@@ -44,21 +41,18 @@ OPS = (
     "new",
     "new",
     "new",
-    "admit",
     "remove",
-    "compact",
     "incorporate",
     "incorporate",
     "incorporate",
     "incorporate_nonactive",
     "reset_dims",
-    "merge",
     "touch",
     "reload",
 )
 MODES = ("full", "sigma", "fisher", "none")
 #: Two directions incorporated vectors cluster around, so stored
-#: concepts become near-duplicates that family compaction merges.
+#: concepts share ranges and near-duplicate rows.
 CENTERS = {
     n: np.stack([np.linspace(1.0, 2.0, n), np.linspace(2.0, -1.0, n)])
     for n in (1, 7)
@@ -83,17 +77,6 @@ def _welford(triple: Triple, x: np.ndarray) -> None:
     delta = x - means
     means += delta / counts
     m2 += delta * (x - means)
-
-
-def _chan(into: Triple, other: Triple) -> None:
-    counts, means, m2 = into
-    o_counts, o_means, o_m2 = other
-    total = counts + o_counts
-    mask = total > 0
-    delta = o_means - means
-    m2[mask] += o_m2[mask] + delta[mask] ** 2 * counts[mask] * o_counts[mask] / total[mask]
-    means[mask] += delta[mask] * o_counts[mask] / total[mask]
-    counts[:] = total
 
 
 class Shadow:
@@ -135,7 +118,6 @@ def _check(
     shadow: Shadow,
     left: List[Tuple[ConceptState, Triple, Triple]],
     normalizer: OnlineMinMax,
-    prefilter: ProjectionPrefilter,
     n_dims: int,
 ) -> None:
     states = repo.states()
@@ -168,10 +150,6 @@ def _check(
     for state, _, _ in left:
         for array in _triple_of(state.fingerprint) + _triple_of(state.nonactive):
             assert not any(np.shares_memory(array, s) for s in storage)
-    means = np.stack([shadow.fp[sid][1] for sid in shadow.order])
-    assert _bits(prefilter.sketch_rows(matrix.fp_means[rows])) == _bits(
-        prefilter.sketch_rows(means)
-    )
     plain = [_standalone(sid, shadow, n_dims) for sid in shadow.order]
     for i in (0, len(states) - 1):
         for mode in MODES:
@@ -202,17 +180,17 @@ def _run_storage_ops(capacity, n_dims, ops):
     normalizer = OnlineMinMax(n_dims)
     normalizer.update(np.full(n_dims, -3.0))
     normalizer.update(np.full(n_dims, 3.0))
-    prefilter = ProjectionPrefilter(n_dims, 8, seed=SEED_OFFSET)
     repo = Repository(capacity)
     stored: Dict[int, ConceptState] = {}
+    evicted: List[int] = []
 
-    def on_evict(state_id, payload):
-        # The payload is the victim's state as the shadow knows it.
-        for key, block in (("fingerprint", shadow.fp), ("nonactive", shadow.na)):
-            _assert_triple(
-                tuple(payload[key][f] for f in FIELDS), block[state_id]
-            )
-        leaves(state_id)
+    def on_evict(victim):
+        # The victim is the stored state, as the shadow knows it.
+        assert victim is stored[victim.state_id]
+        _assert_triple(_triple_of(victim.fingerprint), shadow.fp[victim.state_id])
+        _assert_triple(_triple_of(victim.nonactive), shadow.na[victim.state_id])
+        evicted.append(victim.state_id)
+        leaves(victim.state_id)
 
     def leaves(state_id):
         fp, na = shadow.leave(state_id)
@@ -240,30 +218,9 @@ def _run_storage_ops(capacity, n_dims, ops):
             shadow.order.append(sid)
             shadow.fp[sid], shadow.na[sid] = _fresh(n_dims), _fresh(n_dims)
             stored[sid] = state
-        elif kind == "admit" and left:
-            state, fp, na = left.pop(int(rng.integers(len(left))))
-            if rng.random() < 0.5:
-                # Rehydrated from its serialized form, as the cold tier does.
-                state = ConceptState.from_state_dict(state.state_dict())
-            state.last_active_step = step
-            repo.admit(state, protect=protect)
-            shadow.order.append(state.state_id)
-            shadow.fp[state.state_id], shadow.na[state.state_id] = fp, na
-            stored[state.state_id] = state
         elif kind == "remove" and pick is not None:
             repo.remove(pick)
             leaves(pick)
-        elif kind == "compact":
-            merged = repo.compact_families(
-                float(rng.choice([0.5, 0.9, 0.999])),
-                protect=protect[: int(rng.integers(2))],
-            )
-            for kept, absorbed in merged:
-                _chan(shadow.fp[kept], shadow.fp[absorbed])
-                _chan(shadow.na[kept], shadow.na[absorbed])
-                # The absorbed state left with the values it had.
-                fp, na = shadow.leave(absorbed)
-                left.append((stored.pop(absorbed), fp, na))
         elif kind == "incorporate" and pick is not None:
             for x in xs:
                 stored[pick].fingerprint.incorporate(x)
@@ -280,11 +237,6 @@ def _run_storage_ops(capacity, n_dims, ops):
             counts, _, m2 = shadow.fp[pick]
             counts[mask] = 0
             m2[mask] = 0.0
-        elif kind == "merge" and pick is not None:
-            other_id = ids[int(rng.integers(len(ids)))]
-            if other_id != pick:
-                stored[pick].fingerprint.merge(stored[other_id].fingerprint)
-                _chan(shadow.fp[pick], shadow.fp[other_id])
         elif kind == "touch" and pick is not None:
             stored[pick].last_active_step = step
         elif kind == "reload":
@@ -293,4 +245,6 @@ def _run_storage_ops(capacity, n_dims, ops):
             repo.load_state_dict(payload)
             repo.on_evict = on_evict
             stored = {s.state_id: s for s in repo.states()}
-        _check(repo, shadow, left, normalizer, prefilter, n_dims)
+        _check(repo, shadow, left, normalizer, n_dims)
+        # Every eviction is counted, and the count survives a reload.
+        assert repo.evicted_dropped == len(evicted)

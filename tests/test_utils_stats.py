@@ -8,75 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fingerprint import ConceptFingerprint
-from repro.utils.stats import (
-    EwmaStats,
-    OnlineMinMax,
-    OnlineStats,
-    ReservoirSampler,
-)
+from repro.utils.stats import EwmaStats, OnlineMinMax
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
-
-
-class TestOnlineStats:
-    def test_empty(self):
-        s = OnlineStats()
-        assert s.count == 0
-        assert s.mean == 0.0
-        assert s.std == 0.0
-
-    def test_single_value(self):
-        s = OnlineStats()
-        s.update(5.0)
-        assert s.mean == 5.0
-        assert s.variance == 0.0
-
-    @given(st.lists(finite_floats, min_size=2, max_size=200))
-    @settings(max_examples=60)
-    def test_matches_numpy(self, values):
-        s = OnlineStats()
-        for v in values:
-            s.update(v)
-        assert s.count == len(values)
-        assert s.mean == pytest.approx(np.mean(values), rel=1e-8, abs=1e-6)
-        assert s.variance == pytest.approx(np.var(values), rel=1e-6, abs=1e-4)
-
-    @given(
-        st.lists(finite_floats, min_size=1, max_size=50),
-        st.lists(finite_floats, min_size=1, max_size=50),
-    )
-    @settings(max_examples=40)
-    def test_merge_equals_concatenation(self, a, b):
-        left = OnlineStats()
-        for v in a:
-            left.update(v)
-        right = OnlineStats()
-        for v in b:
-            right.update(v)
-        left.merge(right)
-        combined = a + b
-        assert left.count == len(combined)
-        assert left.mean == pytest.approx(np.mean(combined), rel=1e-8, abs=1e-6)
-        assert left.variance == pytest.approx(
-            np.var(combined), rel=1e-6, abs=1e-4
-        )
-
-    def test_merge_with_empty(self):
-        s = OnlineStats()
-        s.update(1.0)
-        s.merge(OnlineStats())
-        assert s.count == 1
-        empty = OnlineStats()
-        empty.merge(s)
-        assert empty.mean == 1.0
-
-    def test_reset(self):
-        s = OnlineStats()
-        s.update(3.0)
-        s.reset()
-        assert s.count == 0 and s.mean == 0.0
 
 
 class TestEwmaStats:
@@ -207,33 +143,3 @@ class TestOnlineMinMax:
         assert not m.initialised
         m.update(np.array([1.0, 2.0]))
         assert m.initialised
-
-
-class TestReservoirSampler:
-    def test_holds_all_items_under_capacity(self):
-        r = ReservoirSampler(10, seed=0)
-        for i in range(5):
-            r.add(i)
-        assert sorted(r.items) == [0, 1, 2, 3, 4]
-
-    def test_capacity_respected(self):
-        r = ReservoirSampler(3, seed=0)
-        for i in range(100):
-            r.add(i)
-        assert len(r) == 3
-
-    def test_approximately_uniform(self):
-        counts = np.zeros(20)
-        for seed in range(300):
-            r = ReservoirSampler(5, seed=seed)
-            for i in range(20):
-                r.add(i)
-            for item in r.items:
-                counts[item] += 1
-        # each item kept with p=5/20 -> expected 75 hits over 300 trials
-        assert counts.min() > 30
-        assert counts.max() < 130
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            ReservoirSampler(0)

@@ -559,10 +559,9 @@ WALK_FEATURES = 4
 def _walk_population(R: int, **overrides):
     """A system holding R synthetic concepts and a candidate stack.
 
-    Built like ``bench_repository_scale.build_system``: clustered
-    fingerprint histories, similarity and error records; the
-    classifiers are majority-class ones, since the walk scores a given
-    stack and never predicts.  In the stack, rows ``R // 3`` and
+    Synthetic, with no stream run: clustered fingerprint histories,
+    similarity and error records; the classifiers are majority-class
+    ones, since the walk scores a given stack and never predicts.  In the stack, rows ``R // 3`` and
     ``R // 2`` widen the normaliser's range mid-stack, and state
     ``R // 2 + 1`` duplicates state ``R // 2`` (history and stack row),
     so the two tie exactly.
