@@ -230,18 +230,21 @@ class _LeafNode:
     statistics (:meth:`HoeffdingTree._refresh_nb_terms`), so
     :meth:`learn` recomputes only the learned class's row and prior, and
     the terms stay equal to a full recompute.
+
+    A leaf holds no reference to its tree: the tree passes itself to
+    every method that reads its per-leaf scalars, so a tree and its
+    leaves form no reference cycle and a dropped tree is freed at once.
     """
 
-    __slots__ = ("tree", "slot", *_LEAF_VIEWS, "feature_subset")
+    __slots__ = ("slot", *_LEAF_VIEWS, "feature_subset")
 
     def __init__(self, tree: "HoeffdingTree", slot: int) -> None:
-        self.tree = tree
         self.slot = slot
-        self.point()
+        self.point(tree)
 
-    def point(self) -> None:
+    def point(self, tree: "HoeffdingTree") -> None:
         """Make the array attributes views of the slot's current rows."""
-        tree, slot = self.tree, self.slot
+        slot = self.slot
         for name in _LEAF_VIEWS:
             setattr(self, name, getattr(tree, name)[slot])
         subsets = tree.feature_subset
@@ -250,6 +253,7 @@ class _LeafNode:
     # -- learning ------------------------------------------------------
     def learn(
         self,
+        tree: "HoeffdingTree",
         x: np.ndarray,
         y: int,
         use_nb_adaptive: bool,
@@ -262,7 +266,7 @@ class _LeafNode:
         (the test step of test-then-train); they are computed here
         otherwise.
         """
-        tree, slot = self.tree, self.slot
+        slot = self.slot
         class_counts = self.class_counts
         if use_nb_adaptive and tree.total_weight[slot] > 0:
             # Evaluate both leaf predictors on the incoming example
@@ -312,10 +316,14 @@ class _LeafNode:
         return self.nb_log_prior + log_pdf.sum(axis=2)
 
     def predict_proba(
-        self, x: np.ndarray, mode: str, nb_scores: Optional[np.ndarray] = None
+        self,
+        tree: "HoeffdingTree",
+        x: np.ndarray,
+        mode: str,
+        nb_scores: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Class probabilities of ``x`` (``nb_scores`` as in :meth:`learn`)."""
-        tree, slot = self.tree, self.slot
+        slot = self.slot
         n_classes = len(self.class_counts)
         if tree.total_weight[slot] == 0:
             return np.full(n_classes, 1.0 / n_classes)
@@ -333,7 +341,9 @@ class _LeafNode:
             return np.full(n_classes, 1.0 / n_classes)
         return probs / total
 
-    def predict_proba_batch(self, X: np.ndarray, mode: str) -> np.ndarray:
+    def predict_proba_batch(
+        self, tree: "HoeffdingTree", X: np.ndarray, mode: str
+    ) -> np.ndarray:
         """Vectorised :meth:`predict_proba` over the rows of ``X``.
 
         Bit-identical per row to the scalar path: the leaf-predictor
@@ -341,7 +351,7 @@ class _LeafNode:
         it is hoisted out of the row dimension, and the NB scores come
         from :meth:`_nb_log_scores_batch`.
         """
-        tree, slot = self.tree, self.slot
+        slot = self.slot
         n = X.shape[0]
         n_classes = len(self.class_counts)
         if tree.total_weight[slot] == 0:
@@ -368,7 +378,7 @@ class _LeafNode:
         return probs / totals[:, None]
 
     # -- split search ----------------------------------------------------
-    def best_splits(self, n_split_points: int) -> List[tuple]:
+    def best_splits(self, tree: "HoeffdingTree", n_split_points: int) -> List[tuple]:
         """Rank candidate binary splits by information gain.
 
         Returns a list of ``(gain, feature, threshold)`` sorted best
@@ -384,7 +394,7 @@ class _LeafNode:
         skipped.
         """
         parent_entropy = _entropy(self.class_counts)
-        total = self.tree.total_weight[self.slot]
+        total = tree.total_weight[self.slot]
         candidates: List[tuple] = [(0.0, -1, math.nan)]
         if total <= 0:
             return candidates
@@ -543,7 +553,7 @@ class HoeffdingTree(Classifier):
                 grown[:live] = getattr(self, name)[:live]
             setattr(self, name, grown)
         for leaf in self._leaves:
-            leaf.point()
+            leaf.point(self)
 
     def _saved_blocks(self) -> Tuple[str, ...]:
         if self.feature_subset is None:
@@ -624,7 +634,7 @@ class HoeffdingTree(Classifier):
             raise ValueError(f"label {y} out of range [0, {self.n_classes})")
         node = self._reach(x)
         leaf = self._leaf_at(node)
-        leaf.learn(x, y, use_nb_adaptive=self.leaf_prediction == "nba")
+        leaf.learn(self, x, y, use_nb_adaptive=self.leaf_prediction == "nba")
         if self._split_due(leaf):
             self._attempt_split(node, leaf)
 
@@ -645,7 +655,7 @@ class HoeffdingTree(Classifier):
         self.weight_at_last_attempt[leaf.slot] = weight
         if np.count_nonzero(leaf.class_counts) < 2:
             return False  # pure leaf: nothing to gain
-        ranked = leaf.best_splits(self.n_split_points)
+        ranked = leaf.best_splits(self, self.n_split_points)
         if len(ranked) < 2 or ranked[0][1] == -1:
             return False
         best, second = ranked[0], ranked[1]
@@ -690,7 +700,7 @@ class HoeffdingTree(Classifier):
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         leaf = self._sort_to_leaf(x)
-        return leaf.predict_proba(x, self.leaf_prediction)
+        return leaf.predict_proba(self, x, self.leaf_prediction)
 
     # -- vectorised batch paths ------------------------------------------
     def _leaf_groups(self, X: np.ndarray) -> List[tuple]:
@@ -728,14 +738,14 @@ class HoeffdingTree(Classifier):
         X = np.asarray(X, dtype=np.float64)
         out = np.empty((X.shape[0], self.n_classes))
         for leaf, idx in self._leaf_groups(X):
-            out[idx] = leaf.predict_proba_batch(X[idx], self.leaf_prediction)
+            out[idx] = leaf.predict_proba_batch(self, X[idx], self.leaf_prediction)
         return out
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         out = np.empty(X.shape[0], dtype=np.int64)
         for leaf, idx in self._leaf_groups(X):
-            probs = leaf.predict_proba_batch(X[idx], self.leaf_prediction)
+            probs = leaf.predict_proba_batch(self, X[idx], self.leaf_prediction)
             out[idx] = np.argmax(probs, axis=1)
         return out
 
@@ -814,8 +824,8 @@ class HoeffdingTree(Classifier):
             if mode != "mc" and self.total_weight[leaf.slot] > 0
             else None
         )
-        prediction = leaf.predict_proba(x, mode, scores).argmax()
-        leaf.learn(x, y, mode == "nba", scores)
+        prediction = leaf.predict_proba(self, x, mode, scores).argmax()
+        leaf.learn(self, x, y, mode == "nba", scores)
         split = self._split_due(leaf) and self._attempt_split(node, leaf)
         return prediction, split
 

@@ -15,8 +15,9 @@ that extension as a wrapper usable around *any* adaptive system:
 Because the wrapped system still performs its own test-then-train on
 the delayed pair, its internal error statistics (and therefore FiCSUM's
 supervised meta-information) describe the stream ``delay`` steps late —
-exactly the degradation the future-work remark anticipates.  The
-accompanying tests and example quantify it.
+exactly the degradation the future-work remark anticipates.
+``tests/test_extensions.py::TestDelayedLabels`` checks it: a 300-step
+delay costs HTCD accuracy on STAGGER.
 """
 
 from __future__ import annotations

@@ -2,16 +2,13 @@
 
 FiCSUM feeds a sequence of fingerprint-similarity values into ADWIN to
 detect drift (Section III-A).  The comparison frameworks use error-rate
-detectors: HTCD uses ADWIN on the 0/1 error stream, RCD uses EDDM.  DDM,
-HDDM-A and Page-Hinkley are provided for completeness (they are discussed
-in the paper's related-work survey and used in ablation benches).
+detectors on the 0/1 error stream: HTCD uses ADWIN, ARF one ADWIN per
+tree for warnings and one for drifts, RCD uses EDDM and CPF uses DDM.
 """
 
 from repro.detectors.base import DriftDetector
 from repro.detectors.adwin import Adwin
 from repro.detectors.ddm import Ddm
 from repro.detectors.eddm import Eddm
-from repro.detectors.hddm import HddmA
-from repro.detectors.page_hinkley import PageHinkley
 
-__all__ = ["DriftDetector", "Adwin", "Ddm", "Eddm", "HddmA", "PageHinkley"]
+__all__ = ["DriftDetector", "Adwin", "Ddm", "Eddm"]

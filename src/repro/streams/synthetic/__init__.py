@@ -1,13 +1,14 @@
-"""Synthetic concept generators (scikit-multiflow equivalents)."""
+"""Synthetic concept generators (scikit-multiflow equivalents).
+
+These four build every synthetic dataset the registry serves: STAGGER,
+RBF and RTREE drift in p(y|X); HPLANE-U, RTREE-U and the Synth* family
+drift in p(X) over one fixed labeller (:mod:`repro.streams.datasets`).
+"""
 
 from repro.streams.synthetic.stagger import StaggerConcept, stagger_concepts
 from repro.streams.synthetic.rbf import RandomRbfConcept, rbf_concepts
 from repro.streams.synthetic.random_tree import RandomTreeConcept, random_tree_concepts
 from repro.streams.synthetic.hyperplane import HyperplaneConcept, hyperplane_concepts
-from repro.streams.synthetic.sea import SeaConcept, sea_concepts
-from repro.streams.synthetic.sine import SineConcept, sine_concepts
-from repro.streams.synthetic.agrawal import AgrawalConcept, agrawal_concepts
-from repro.streams.synthetic.led import LedConcept, led_concepts
 
 __all__ = [
     "StaggerConcept",
@@ -18,12 +19,4 @@ __all__ = [
     "random_tree_concepts",
     "HyperplaneConcept",
     "hyperplane_concepts",
-    "SeaConcept",
-    "sea_concepts",
-    "SineConcept",
-    "sine_concepts",
-    "AgrawalConcept",
-    "agrawal_concepts",
-    "LedConcept",
-    "led_concepts",
 ]

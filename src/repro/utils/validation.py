@@ -2,35 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-
-def check_positive(value: float, name: str) -> float:
-    """Raise ``ValueError`` unless ``value > 0``; return it unchanged."""
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
-
 
 def check_probability(value: float, name: str) -> float:
     """Raise ``ValueError`` unless ``0 < value < 1``; return it unchanged."""
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must be in (0, 1), got {value}")
     return value
-
-
-def check_fraction(value: float, name: str) -> float:
-    """Raise ``ValueError`` unless ``0 <= value <= 1``; return it unchanged."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
-def check_vector(x, name: str = "x") -> np.ndarray:
-    """Coerce ``x`` to a 1-D float array, raising on bad shape or NaN."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr

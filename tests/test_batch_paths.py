@@ -14,7 +14,6 @@ import pytest
 
 from repro.classifiers import HoeffdingTree
 from repro.classifiers.base import Classifier
-from repro.classifiers.knn import KnnClassifier
 from repro.classifiers.majority import MajorityClass
 from repro.classifiers.naive_bayes import GaussianNaiveBayes
 from repro.utils.windows import ArrayRing, ObservationWindow
@@ -36,8 +35,6 @@ def classifier_cases():
         ("ht-mc", lambda: HoeffdingTree(N_CLASSES, N_FEATURES, leaf_prediction="mc", grace_period=30, seed=3), 1500),
         ("ht-nb", lambda: HoeffdingTree(N_CLASSES, N_FEATURES, leaf_prediction="nb", grace_period=30, seed=3), 1500),
         ("ht-empty", lambda: HoeffdingTree(N_CLASSES, N_FEATURES, seed=3), 0),
-        ("knn", lambda: KnnClassifier(N_CLASSES, k=5, window_size=100), 300),
-        ("knn-empty", lambda: KnnClassifier(N_CLASSES), 0),
         ("gnb", lambda: GaussianNaiveBayes(N_CLASSES, N_FEATURES), 500),
         ("gnb-empty", lambda: GaussianNaiveBayes(N_CLASSES, N_FEATURES), 0),
         ("majority", lambda: MajorityClass(N_CLASSES), 50),
@@ -57,7 +54,7 @@ def test_predict_batch_matches_scalar_loop(name, factory, n_train):
         assert clf.n_splits >= 1  # the batch router must cross split nodes
 
     Xt, _ = make_stream(150, seed=8)
-    Xt[10] = Xt[11]  # exact duplicates exercise distance/score ties
+    Xt[10] = Xt[11]  # exact duplicates exercise score ties
 
     batch = clf.predict_batch(Xt)
     loop = np.array([clf.predict(x) for x in Xt], dtype=np.int64)

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.classifiers import (
-    GaussianNaiveBayes,
-    HoeffdingTree,
-    KnnClassifier,
-    MajorityClass,
-)
-from repro.streams.synthetic import SeaConcept, StaggerConcept
+from repro.classifiers import GaussianNaiveBayes, HoeffdingTree, MajorityClass
+from repro.streams.synthetic import HyperplaneConcept, StaggerConcept
 
 
 def prequential_accuracy(classifier, concept, rng, n=1000, skip=100):
@@ -41,10 +39,11 @@ class TestHoeffdingTree:
         acc = prequential_accuracy(tree, StaggerConcept(0), rng, n=1500)
         assert acc > 0.9, f"HT only reached {acc:.3f} on STAGGER"
 
-    def test_learns_sea(self, rng):
+    def test_learns_hyperplane(self, rng):
         tree = HoeffdingTree(n_classes=2, n_features=3, grace_period=25)
-        acc = prequential_accuracy(tree, SeaConcept(0), rng, n=2000)
-        assert acc > 0.85, f"HT only reached {acc:.3f} on SEA"
+        concept = HyperplaneConcept(seed=0, n_features=3, noise=0.0)
+        acc = prequential_accuracy(tree, concept, rng, n=2000)
+        assert acc > 0.85, f"HT only reached {acc:.3f} on a hyperplane"
 
     def test_beats_majority_class(self, rng):
         tree = HoeffdingTree(n_classes=2, n_features=3, grace_period=25)
@@ -64,6 +63,25 @@ class TestHoeffdingTree:
             tree.learn(x, y)
         assert tree.n_splits > 0
         assert tree.n_leaves == tree.n_splits + 1
+
+    def test_freed_without_cyclic_collector(self, rng):
+        """A leaf holds no reference to its tree, so a dropped split
+        tree is freed at once, with the cyclic collector off."""
+        tree = HoeffdingTree(
+            n_classes=2, n_features=3, grace_period=25, tie_threshold=0.2
+        )
+        concept = StaggerConcept(0)
+        for _ in range(2000):
+            x, y = concept.sample(rng)
+            tree.learn(x, y)
+        assert tree.n_splits > 0
+        ref = weakref.ref(tree)
+        gc.disable()
+        try:
+            del tree
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_change_marker_monotone(self, rng):
         tree = HoeffdingTree(
@@ -186,27 +204,3 @@ class TestMajorityClass:
         m = MajorityClass(n_classes=2)
         with pytest.raises(ValueError):
             m.learn(np.zeros(1), -1)
-
-
-class TestKnn:
-    def test_learns_blobs(self, rng):
-        knn = KnnClassifier(n_classes=2, k=3, window_size=100)
-        for _ in range(200):
-            y = int(rng.random() < 0.5)
-            knn.learn(rng.normal(loc=4.0 * y, scale=0.5, size=2), y)
-        assert knn.predict(np.array([0.0, 0.0])) == 0
-        assert knn.predict(np.array([4.0, 4.0])) == 1
-
-    def test_window_forgetting(self, rng):
-        knn = KnnClassifier(n_classes=2, k=1, window_size=10)
-        for _ in range(50):
-            knn.learn(np.array([0.0, 0.0]), 0)
-        for _ in range(10):  # fills the whole window
-            knn.learn(np.array([0.0, 0.0]), 1)
-        assert knn.predict(np.array([0.0, 0.0])) == 1
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            KnnClassifier(n_classes=2, k=0)
-        with pytest.raises(ValueError):
-            KnnClassifier(n_classes=2, k=5, window_size=3)

@@ -1,104 +1,15 @@
-"""Tests for the extension modules: AGRAWAL/LED generators, CPF,
-delayed-label adaptation and the CLI."""
+"""Tests for the extension modules: CPF, delayed-label adaptation and
+the CLI."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.baselines import Cpf, Htcd
 from repro.cli import main as cli_main
 from repro.core import DelayedLabelAdapter, Ficsum, FicsumConfig
 from repro.evaluation import prequential_run
-from repro.streams import RecurrentStream, make_dataset
-from repro.streams.synthetic import (
-    AgrawalConcept,
-    LedConcept,
-    agrawal_concepts,
-    led_concepts,
-)
-
-
-class TestAgrawal:
-    def test_shapes_and_labels(self, rng):
-        concept = AgrawalConcept(0)
-        for _ in range(100):
-            x, y = concept.sample(rng)
-            assert x.shape == (9,)
-            assert y in (0, 1)
-
-    def test_function0_semantics(self, rng):
-        concept = AgrawalConcept(0)
-        for _ in range(200):
-            x, y = concept.sample(rng)
-            age = x[2]
-            assert y == int(age < 40 or age >= 60)
-
-    def test_commission_rule(self, rng):
-        concept = AgrawalConcept(0)
-        for _ in range(300):
-            x, _ = concept.sample(rng)
-            salary, commission = x[0], x[1]
-            if salary >= 75000:
-                assert commission == 0.0
-
-    @pytest.mark.parametrize("function", range(10))
-    def test_all_functions_produce_both_classes(self, function, rng):
-        concept = AgrawalConcept(function)
-        _, ys = concept.take(800, rng)
-        assert len(np.unique(ys)) == 2
-
-    def test_perturbation_changes_features_not_labels(self):
-        clean = AgrawalConcept(6, perturbation=0.0)
-        noisy = AgrawalConcept(6, perturbation=0.3)
-        xs_c, ys_c = clean.take(200, np.random.default_rng(1))
-        xs_n, ys_n = noisy.take(200, np.random.default_rng(1))
-        assert not np.allclose(xs_c[:, 0], xs_n[:, 0])
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            AgrawalConcept(10)
-        with pytest.raises(ValueError):
-            AgrawalConcept(0, perturbation=2.0)
-
-    def test_pool_and_stream(self):
-        pool = agrawal_concepts(4)
-        stream = RecurrentStream(pool, segment_length=50, n_repeats=2, seed=0)
-        observations = list(stream)
-        assert len(observations) == stream.meta.length
-
-
-class TestLed:
-    def test_shapes(self, rng):
-        concept = LedConcept(seed=1)
-        x, y = concept.sample(rng)
-        assert x.shape == (24,)
-        assert 0 <= y < 10
-
-    def test_noiseless_display_is_decodable(self, rng):
-        concept = LedConcept(seed=2, noise=0.0, n_irrelevant=0)
-        inverse = np.argsort(concept.permutation)
-        from repro.streams.synthetic.led import _SEGMENTS
-
-        for _ in range(100):
-            x, y = concept.sample(rng)
-            segments = x[inverse]
-            np.testing.assert_array_equal(segments, _SEGMENTS[y])
-
-    def test_permutations_differ_between_concepts(self):
-        pool = led_concepts(3, seed=5)
-        assert not np.array_equal(pool[0].permutation, pool[1].permutation)
-
-    def test_noise_validation(self):
-        with pytest.raises(ValueError):
-            LedConcept(seed=0, noise=0.7)
-        with pytest.raises(ValueError):
-            LedConcept(seed=0, n_irrelevant=-1)
-
-    def test_all_digits_appear(self, rng):
-        concept = LedConcept(seed=0, noise=0.05)
-        _, ys = concept.take(500, rng)
-        assert len(np.unique(ys)) == 10
+from repro.streams import make_dataset
 
 
 class TestCpf:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,23 @@ class TestFicsumBehaviour:
         result = prequential_run(system, stream)
         assert result.accuracy > 0.55
         assert result.n_observations == stream.meta.length
+
+    def test_trained_system_freed_without_cyclic_collector(self):
+        """A dropped FiCSUM and every tree it stored are freed at once,
+        with the cyclic collector off: nothing it holds is a cycle."""
+        stream = small_stream()
+        system = Ficsum(stream.meta.n_features, stream.meta.n_classes, FAST)
+        prequential_run(system, stream)
+        refs = [weakref.ref(system)] + [
+            weakref.ref(state.classifier) for state in system.repository.states()
+        ]
+        assert len(refs) > 2
+        gc.disable()
+        try:
+            del system
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
     def test_detects_drift_on_stagger(self):
         stream = make_dataset(

@@ -273,7 +273,7 @@ def test_rpr003_fires_on_validating_kernel(tmp_path):
         {
             "repro/core/similarity.py": """
                 import numpy as np
-                from repro.utils.validation import check_vector
+                from repro.utils.validation import check_probability
 
                 def cosine_kernel(a, b):
                     a = np.asarray(a, dtype=np.float64)
@@ -284,7 +284,7 @@ def test_rpr003_fires_on_validating_kernel(tmp_path):
                     return A @ b
 
                 def sim_fast(a, b):
-                    a = check_vector(a)
+                    a = check_probability(a, "a")
                     return float(a @ b)
             """,
         },
@@ -293,7 +293,7 @@ def test_rpr003_fires_on_validating_kernel(tmp_path):
     assert rule_ids(report) == ["RPR003"] * 3
     assert "np.asarray" in report.findings[0].message
     assert "np.atleast_2d" in report.findings[1].message
-    assert "check_vector" in report.findings[2].message
+    assert "check_probability" in report.findings[2].message
 
 
 def test_rpr003_silent_on_clean_kernels_and_wrappers(tmp_path):

@@ -14,7 +14,7 @@ FAST = FicsumConfig(
     fingerprint_period=10, repository_period=100, window_size=50
 )
 
-CORE_SYSTEMS = ["ficsum", "er", "smi", "umi", "htcd", "rcd", "dwm", "arf"]
+CORE_SYSTEMS = ["ficsum", "er", "smi", "umi", "htcd", "rcd", "dwm", "arf", "cpf"]
 
 
 class TestBuilders:

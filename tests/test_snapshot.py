@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from equivalence import (
+    SEED_OFFSET,
     RunTrace,
     assert_identical_traces,
     build_system,
@@ -41,6 +42,7 @@ import repro
 from repro.classifiers import HoeffdingTree
 from repro.core import DelayedLabelAdapter
 from repro.core.repository import Repository
+from repro.evaluation.runner import prepare_run
 from repro.serving.manifest import (
     MANIFEST_NAME,
     SCHEMA_VERSION,
@@ -263,6 +265,32 @@ def test_snapshot_roundtrip_er_variant(tmp_path):
     reference = run_config({}, variant="er")
     resumed = _interrupted_run({}, tmp_path, variant="er")
     assert_identical_traces(resumed, reference)
+
+
+@pytest.mark.parametrize("name", ["htcd", "rcd", "dwm", "arf", "cpf"])
+def test_baseline_interrupt_restore_identical(name, tmp_path):
+    """Every Table VI baseline resumes bit for bit: checkpointed halfway
+    through a recurring HPLANE-U stream, restored onto a fresh stream
+    and finished, it reproduces the uninterrupted run observation by
+    observation.  These systems checkpoint as pickled payloads."""
+
+    def cell():
+        return prepare_run(
+            name, "HPLANE-U", seed=1 + SEED_OFFSET, segment_length=100,
+            n_repeats=2,
+        )
+
+    reference = StreamRunner(*cell()).run()
+    runner = StreamRunner(*cell())
+    runner.run(max_observations=reference.n_observations // 2)
+    path = runner.save_checkpoint(tmp_path / "ckpt")
+    _, fresh_stream = cell()
+    result = StreamRunner.restore(path, fresh_stream).run()
+    for field in (
+        "accuracy", "kappa", "c_f1", "n_observations", "n_drifts",
+        "n_states", "state_ids",
+    ):
+        assert getattr(result, field) == getattr(reference, field), field
 
 
 def test_from_snapshot_classmethod(tmp_path):

@@ -20,8 +20,6 @@ from repro.streams.synthetic import (
     HyperplaneConcept,
     RandomRbfConcept,
     RandomTreeConcept,
-    SeaConcept,
-    SineConcept,
     StaggerConcept,
 )
 from repro.streams.transforms import drifting_pool
@@ -32,8 +30,6 @@ ALL_GENERATORS = [
     RandomRbfConcept(seed=1),
     RandomTreeConcept(seed=1),
     HyperplaneConcept(seed=1),
-    SeaConcept(0),
-    SineConcept(0),
 ]
 
 

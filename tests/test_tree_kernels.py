@@ -59,8 +59,8 @@ def recorded_splits(leaf_class) -> Iterator[List[list]]:
     calls: List[list] = []
     original = leaf_class.best_splits
 
-    def record(leaf, n_split_points):
-        ranked = original(leaf, n_split_points)
+    def record(leaf, *args):
+        ranked = original(leaf, *args)
         calls.append(_ranked_bytes(ranked))
         return ranked
 
