@@ -26,6 +26,7 @@ Per observation the framework
 from __future__ import annotations
 
 import pickle
+import weakref
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -168,18 +169,23 @@ class Ficsum(AdaptiveSystem):
         Also sets :attr:`Repository.on_evict`, so every eviction is
         counted (``repository.evictions``) and audited with the victim's
         id and last active step — silent concept loss must be
-        observable.
+        observable.  The hook holds the system weakly (no reference
+        cycle).
         """
         if metrics is not None:
             self.metrics = metrics
         if audit is not None:
             self.audit = audit
+        system = weakref.ref(self)
 
         def _on_evict(victim: ConceptState) -> None:
-            self.metrics.inc("repository.evictions")
-            self.audit.log(
+            owner = system()
+            if owner is None:
+                return
+            owner.metrics.inc("repository.evictions")
+            owner.audit.log(
                 "eviction",
-                self._step,
+                owner._step,
                 state_id=victim.state_id,
                 last_active_step=victim.last_active_step,
             )
@@ -536,18 +542,20 @@ class Ficsum(AdaptiveSystem):
 
         self._refresh_weights()
 
+        scores = None
         if fp_buffer is not None:
-            self._incorporate_buffer(fp_buffer)
+            scores = self._incorporate_buffer(fp_buffer)
 
+        active = self._active
         if (
-            self._active.fingerprint.count >= 2
-            and self._active.sim_stats.count >= 3
+            active.fingerprint.count >= 2
+            and active.sim_stats.count >= 3
             and not self._in_warmup
         ):
             # What _sim computes, keeping the scaled pair for the
             # univariate detector input below.
             scaled = self.normalizer.scale(
-                np.stack((self._active.fingerprint.means, fp_active))
+                np.stack((active.fingerprint.means, fp_active))
             )
             drift_sim = sim_fast(scaled[0], scaled[1], self._weights)
             # The detector monitors how *abnormal* the similarity is
@@ -555,8 +563,12 @@ class Ficsum(AdaptiveSystem):
             # (mu_c, sigma_c): under stationarity the z-deviation stays
             # small; after a drift it jumps and stays high until the
             # concept representation changes.  Squashing z/(1+z) keeps
-            # the ADWIN input in [0, 1].
-            mu, sigma = self._gated_record(self._active)
+            # the ADWIN input in [0, 1].  The record is re-expressed from
+            # the incorporation's re-scores (same range, same weights).
+            mu, sigma = (
+                self._gated_record(active) if scores is None
+                else self._gated(active, *scores)
+            )
             z = abs(drift_sim - mu) / (self.config.similarity_gate * sigma)
             if self.n_dims == 1:
                 # The univariate (ER) similarity 1/|M-P| is heavy-tailed
@@ -575,7 +587,9 @@ class Ficsum(AdaptiveSystem):
             if alert and not cfg.oracle_drift:
                 self._on_drift()
 
-    def _incorporate_buffer(self, fp_buffer: np.ndarray) -> None:
+    def _incorporate_buffer(
+        self, fp_buffer: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Fold a buffer fingerprint into ``F_c`` — if it looks stationary.
 
         Algorithm 1 protects the concept fingerprint from post-drift
@@ -587,28 +601,41 @@ class Ficsum(AdaptiveSystem):
         additionally excluded — unless the abnormality persists past
         ``_freeze_limit`` consecutive windows, in which case the
         concept is accepted as having genuinely evolved.
+
+        The record's pairs and ``(F_c, F_B)`` are scored in one batch;
+        returns the re-scores and recorded values of the pairs the record
+        keeps after the step (None when ``F_c`` was empty).
         """
         active = self._active
+        scores = None
         if active.fingerprint.count >= 1:
-            norm_sim = self._sim(active.fingerprint.means, fp_buffer)
+            means = active.fingerprint.means
+            a, b, old = active.sim_pairs.views()
+            both = self.normalizer.scale(
+                np.concatenate((a, means[None], b, fp_buffer[None]))
+            ).reshape(2, len(old) + 1, self.n_dims)
+            sims = sim_pairs_many(both[0], both[1], self._weights)
+            norm_sim = float(sims[-1])
+            scores = sims[:-1], old
             if active.sim_stats.count >= 10 and not self._in_warmup:
-                mu, sigma = self._gated_record(active)
+                mu, sigma = self._gated(active, *scores)
                 z = abs(norm_sim - mu) / (self.config.similarity_gate * sigma)
                 if z > 1.0:
                     if self._freeze_streak < self._freeze_limit:
                         self._freeze_streak += 1
-                        return
+                        return scores
                     # The concept has genuinely moved without a drift
                     # ever being confirmed: restart the record around
                     # the new normal instead of dragging the old one.
                     active.reset_similarity_record()
             self._freeze_streak = 0
-            active.record_similarity(
-                active.fingerprint.means, fp_buffer, norm_sim
-            )
+            active.record_similarity(means, fp_buffer, norm_sim)
+            old = active.sim_pairs.views()[2]
+            scores = sims[len(sims) - len(old) :], old
         if self._error_dim >= 0:
             active.error_stats.update(float(fp_buffer[self._error_dim]))
         active.fingerprint.incorporate(fp_buffer)
+        return scores
 
     # ------------------------------------------------------------------
     # Step III-A (model selection) and Section IV mechanisms
@@ -646,21 +673,25 @@ class Ficsum(AdaptiveSystem):
                 mins[rows],
                 maxs[rows],
             )
-        univariate = self.n_dims == 1
-        min_std = self.config.min_similarity_std
         mus = np.empty(len(states))
         sigmas = np.empty(len(states))
         offset = 0
         for i, (state, (_, _, old)) in enumerate(zip(states, pairs)):
-            mu, sigma = state.sim_stats.mean, state.sim_stats.std
-            span = len(old)
-            if span:
-                sims = sims_all[offset : offset + span]
-                offset += span
-                mu, sigma = rescale_record(mu, sigma, sims, old, univariate)
-            mus[i] = mu
-            sigmas[i] = max(sigma, min_std * max(1.0, abs(mu)))
+            sims = sims_all[offset : offset + len(old)]
+            offset += len(old)
+            mus[i], sigmas[i] = self._gated(state, sims, old)
         return mus, sigmas
+
+    def _gated(
+        self, state: ConceptState, sims: np.ndarray, old: np.ndarray
+    ) -> Tuple[float, float]:
+        """``state``'s (mu, sigma) moved by its pairs' current ``sims``
+        from their recorded ``old`` values, with the numerical floor."""
+        mu, sigma = state.sim_stats.mean, state.sim_stats.std
+        if len(old):
+            mu, sigma = rescale_record(mu, sigma, sims, old, self.n_dims == 1)
+        floor = self.config.min_similarity_std * max(1.0, abs(mu))
+        return mu, max(sigma, floor)
 
     def _candidate_states(self) -> List[ConceptState]:
         return [
@@ -668,17 +699,6 @@ class Ficsum(AdaptiveSystem):
             for state in self.repository.states()
             if state.fingerprint.count >= 2 and state.sim_stats.count >= 2
         ]
-
-    def _window_fingerprint(
-        self, xa: np.ndarray, ya: np.ndarray, state: ConceptState
-    ) -> np.ndarray:
-        """The active window's fingerprint under ``state``'s classifier.
-
-        The single-candidate case of :meth:`_stack_window_fingerprints`;
-        callers run at most once per event (re-check, discrimination
-        sample).
-        """
-        return self._stack_window_fingerprints(xa, ya, [state])[0]
 
     def _error_gate(self, state: ConceptState, fp: np.ndarray) -> bool:
         """Is the window error rate of ``state``'s classifier normal?
@@ -859,7 +879,7 @@ class Ficsum(AdaptiveSystem):
         if active.fingerprint.count < 2 or active.sim_stats.count < 2:
             return True
         xa, ya, _ = self.window.arrays()
-        fp = self._window_fingerprint(xa, ya, active)
+        fp = self._stack_window_fingerprints(xa, ya, [active])[0]
         sim = self._sim(active.fingerprint.means, fp)
         mu, sigma = self._gated_record(active)
         if abs(sim - mu) > self.config.similarity_gate * sigma:
@@ -926,7 +946,7 @@ class Ficsum(AdaptiveSystem):
         states = [others[i] for i in tracked]
         sims = self._score_stack(states, fps[tracked], mins[tracked], maxs[tracked])
         mus, sigmas = self._gated_records_many(states, mins[tracked], maxs[tracked])
-        fp = self._window_fingerprint(xa, ya, active)
+        fp = self._stack_window_fingerprints(xa, ya, [active])[0]
         sim = self._sim(active.fingerprint.means, fp)
         mu, sigma = self._gated_record(active)
         z_active = (sim - mu) / sigma

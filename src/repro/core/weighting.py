@@ -116,17 +116,22 @@ def make_weights(
     fp_stds, na_stds = stds.reshape(2, n, n_dims)
     fp_trained, na_trained = (counts.max(axis=1) >= 2).reshape(2, n)
     v_s = np.ones(n_dims)
-    if np.count_nonzero(fp_trained) >= 2:
-        between = fp_means[fp_trained].std(axis=0)
+    n_trained = np.count_nonzero(fp_trained)
+    if n_trained >= 2:
+        # np.std's reductions, without its Python wrappers.
+        dev = fp_means[fp_trained]
+        dev -= dev.sum(axis=0) / n_trained
+        between = np.sqrt((dev * dev).sum(axis=0) / n_trained)
         within = np.maximum(fp_stds[fp_trained].max(axis=0), _SIGMA_EPS)
         v_s = np.minimum(between / within, _WEIGHT_CAP)
     v_sc = np.ones(n_dims)
     both = fp_trained & na_trained
-    if both.any():
+    n_both = np.count_nonzero(both)
+    if n_both:
         ratios = np.abs(fp_means[both] - na_means[both]) / (
             2.0 * np.maximum(na_stds[both], _SIGMA_EPS)
         )
-        v_sc = np.minimum(np.mean(ratios, axis=0), _WEIGHT_CAP)
+        v_sc = np.minimum(ratios.sum(axis=0) / n_both, _WEIGHT_CAP)
     w_d = np.maximum(v_s, v_sc)
     if mode == "fisher":
         return w_d

@@ -120,6 +120,10 @@ def build_system(
 #: single authority callers inherit by passing ``n_repeats=None``.
 PAPER_N_REPEATS = 9
 
+#: Rows per ``process_chunk`` call of :func:`run_on_dataset`; a chunked
+#: run is observation for observation the per-observation run.
+CHUNK_SIZE = 32
+
 
 def prepare_run(
     system_name: str,
@@ -180,5 +184,6 @@ def run_on_dataset(
         oracle_drift=oracle_drift,
     )
     return prequential_run(
-        system, stream, oracle_drift=oracle_drift, keep_history=keep_history
+        system, stream, oracle_drift=oracle_drift, keep_history=keep_history,
+        chunk_size=CHUNK_SIZE,
     )

@@ -715,32 +715,33 @@ class FingerprintPipeline:
         rolling: bool,
     ) -> np.ndarray:
         window_x = self._checked_window(window_x, len(labels))
-        needs_matrix = (
-            self._needs_matrix_rolling if rolling else self._needs_matrix_batch
-        )
-        # The window matrix (and the float casts feeding it) is only
-        # materialised when some selected component recomputes from it.
+        # The window matrix is only materialised when some selected
+        # component recomputes from it: the rolling path copies it from
+        # the accumulators' ring, the batch path lays it out.
         ctx: Optional[WindowContext] = None
         errors: Optional[np.ndarray] = None
-        if needs_matrix or not (rolling and self._error_tracker is not None):
+        tracker = self._error_tracker if rolling else None
+        if rolling:
+            if self._needs_matrix_rolling:
+                ctx = WindowContext(self._rolling.window_matrix())
+        else:
             labels = np.asarray(labels, dtype=np.float64)
             preds = np.asarray(preds, dtype=np.float64)
             errors = (labels != preds).astype(np.float64)
-        if needs_matrix:
-            ctx = WindowContext(
-                self._row_matrix(self._all_rows, window_x, labels, preds, errors)
-            )
+            if self._needs_matrix_batch:
+                ctx = WindowContext(
+                    self._row_matrix(self._all_rows, window_x, labels, preds, errors)
+                )
 
         dists: Optional[np.ndarray] = None
         gap_stats = None
         if self._has_error_dists:
-            if rolling and self._error_tracker is not None:
-                if self._error_tracker.n_gaps >= 1:
-                    gap_stats = self._error_tracker.stats
-                else:
-                    dists = self._error_tracker.gaps()
-            else:
+            if tracker is None:
                 dists = self._error_gaps(errors)
+            elif tracker.n_gaps >= 1:
+                gap_stats = tracker.stats
+            else:
+                dists = tracker.gaps()
 
         # Assembly: the error-distance source is always the last schema
         # source, so the matrix-source block is a contiguous prefix and

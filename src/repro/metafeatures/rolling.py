@@ -240,6 +240,10 @@ class RollingWindowStats:
     def full(self) -> bool:
         return len(self._ring) == self.window_size
 
+    def window_matrix(self) -> np.ndarray:
+        """C-contiguous ``(n_rows, n)`` copy of the window, oldest first."""
+        return self._ring.view().T.copy()
+
     def push(self, values: np.ndarray) -> None:
         """Slide the window forward by one ``(n_rows,)`` observation."""
         values = np.asarray(values, dtype=np.float64)

@@ -57,17 +57,24 @@ def window_permutation_importance(
     base_x = window_x[eval_idx]
     n_eval = len(eval_idx)
     importances = np.zeros(d)
-    # One within-window shuffle per feature, drawn in feature order.
+    # One within-window shuffle per feature, drawn in feature order (one
+    # ``permuted`` call draws what d ``rng.permutation(w)`` calls would).
     # Features whose shuffle matches the evaluated rows (np.allclose)
     # cannot change a prediction and are skipped; the evaluated rows and
     # every remaining feature's perturbed copy ride one predict_batch
     # call.  Per-row predictions are independent, so each equals the
     # one a separate call would give, and with nothing to perturb the
     # classifier is not called at all.
-    shuffled = np.empty((d, n_eval))
-    for j in range(d):
-        shuffled[j] = window_x[rng.permutation(w)[:n_eval], j]
-    features = np.flatnonzero(~np.isclose(shuffled, base_x.T).all(axis=1))
+    order = np.empty((d, w), dtype=np.intp)
+    order[:] = np.arange(w)
+    rng.permuted(order, axis=1, out=order)
+    shuffled = window_x[order[:, :n_eval], np.arange(d)[:, None]]
+    base = base_x.T
+    if np.isfinite(base).all():  # np.isclose's test, without its wrapper
+        close = np.abs(shuffled - base) <= 1e-08 + 1e-05 * np.abs(base)
+    else:
+        close = np.isclose(shuffled, base)
+    features = np.flatnonzero(~close.all(axis=1))
     k = features.size
     if k:
         probes = np.repeat(base_x[None], k + 1, axis=0)

@@ -123,7 +123,13 @@ def minmax_scale(
     elementwise, so each output row is bit-for-bit that row scaled
     alone.
     """
-    ok, span = _usable_span(mins, maxs)
+    return _scale_in(values, mins, *_usable_span(mins, maxs))
+
+
+def _scale_in(
+    values: np.ndarray, mins: np.ndarray, ok: np.ndarray, span: np.ndarray
+) -> np.ndarray:
+    """:func:`minmax_scale` given the range's ``(ok, span)`` terms."""
     out = np.where(ok, (values - mins) / span, 0.5)
     return np.clip(out, 0.0, 1.0, out=out)
 
@@ -135,6 +141,10 @@ class OnlineMinMax:
     ... to the range [0, 1]".  Fingerprints are stored raw and scaled on
     the fly through this object so that stored and fresh fingerprints are
     always expressed in the same, current, normalisation.
+
+    The range's ``(usable, safe_span)`` terms (:func:`_usable_span`) are
+    recomputed by the writers of ``mins``/``maxs`` (:meth:`update`,
+    :meth:`update_rows`, :meth:`load_state_dict`) and read by scalings.
     """
 
     def __init__(self, n_dims: int) -> None:
@@ -143,6 +153,10 @@ class OnlineMinMax:
         self.n_dims = n_dims
         self.mins = np.full(n_dims, np.inf)
         self.maxs = np.full(n_dims, -np.inf)
+        self._range_moved()
+
+    def _range_moved(self) -> None:
+        self.usable, self.safe_span = _usable_span(self.mins, self.maxs)
 
     @property
     def initialised(self) -> bool:
@@ -152,6 +166,7 @@ class OnlineMinMax:
         values = np.asarray(values, dtype=np.float64)
         np.minimum(self.mins, values, out=self.mins)
         np.maximum(self.maxs, values, out=self.maxs)
+        self._range_moved()
 
     def update_rows(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Fold a ``(r, n_dims)`` stack in row order, keeping every prefix.
@@ -173,6 +188,7 @@ class OnlineMinMax:
         maxs = np.maximum.accumulate(extended, axis=0)
         self.mins[:] = mins[-1]
         self.maxs[:] = maxs[-1]
+        self._range_moved()
         return mins[1:], maxs[1:]
 
     # Unused by the engine; kept because perfbench/tracing.py wraps it.
@@ -191,8 +207,9 @@ class OnlineMinMax:
         so a ``(r, n_dims)`` batch is bit-for-bit its rows scaled one
         by one.
         """
-        return minmax_scale(
-            np.asarray(values, dtype=np.float64), self.mins, self.maxs
+        return _scale_in(
+            np.asarray(values, dtype=np.float64),
+            self.mins, self.usable, self.safe_span,
         )
 
     def scale_std(self, stds: np.ndarray) -> np.ndarray:
@@ -203,8 +220,9 @@ class OnlineMinMax:
         Dimensions without a usable range (see :func:`minmax_scale`)
         get 0.
         """
-        ok, span = _usable_span(self.mins, self.maxs)
-        return np.where(ok, np.asarray(stds, dtype=np.float64) / span, 0.0)
+        return np.where(
+            self.usable, np.asarray(stds, dtype=np.float64) / self.safe_span, 0.0
+        )
 
     def state_dict(self) -> Dict[str, Any]:
         return {"mins": self.mins.copy(), "maxs": self.maxs.copy()}
@@ -217,3 +235,4 @@ class OnlineMinMax:
             )
         self.mins = mins.copy()
         self.maxs = np.asarray(state["maxs"], dtype=np.float64).copy()
+        self._range_moved()

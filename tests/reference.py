@@ -29,8 +29,10 @@ accumulators at once, where the engine queues rows and folds them per
 read), standalone :class:`ConceptState` records (each owning its
 statistics) kept in :class:`ReferenceStore`, a plain dict with LRU
 eviction (the engine's repository stores every concept's statistics in
-one matrix), :class:`OnlineMinMax` ``update`` / ``scale`` /
-``scale_std``, :func:`sim_fast` and :class:`Adwin`.  Label-outage
+one matrix), :class:`OnlineMinMax` ``update`` with every scaling
+through :func:`minmax_scale` on its bounds (the engine's scalings read
+range terms the normaliser holds), :func:`sim_fast` and
+:class:`Adwin`.  Label-outage
 mode is outside the paper's algorithm and is not restated.
 
 The module also restates two kernels plainly.
@@ -66,7 +68,7 @@ from repro.evaluation.prequential import RunResult
 from repro.metafeatures import FingerprintPipeline
 from repro.streams.base import Stream
 from repro.system import AdaptiveSystem
-from repro.utils.stats import OnlineMinMax
+from repro.utils.stats import OnlineMinMax, minmax_scale
 
 
 # ----------------------------------------------------------------------
@@ -686,6 +688,22 @@ def rescaled_similarity_record(
 
 
 # ----------------------------------------------------------------------
+# Scaling into [0, 1] (Section III-A), from the normaliser's bounds
+# ----------------------------------------------------------------------
+def scaled(values: np.ndarray, normalizer: OnlineMinMax) -> np.ndarray:
+    """``values`` in [0, 1] by the normaliser's current bounds."""
+    return minmax_scale(values, normalizer.mins, normalizer.maxs)
+
+
+def scaled_std(stds: np.ndarray, normalizer: OnlineMinMax) -> np.ndarray:
+    """Raw deviations in the scaled space: divided by the range's span
+    where it is positive and finite, 0 elsewhere."""
+    span = normalizer.maxs - normalizer.mins
+    with np.errstate(all="ignore"):
+        return np.where((span > 0) & np.isfinite(span), stds / span, 0.0)
+
+
+# ----------------------------------------------------------------------
 # Dynamic weights (Section III-B), one stored concept at a time
 # ----------------------------------------------------------------------
 #: Reproduction choice: a sigma floor and a weight cap (in the scaled
@@ -706,8 +724,8 @@ def inter_concept_variation(
     trained = [s for s in states if s.fingerprint.count >= 2]
     if len(trained) < 2:
         return np.ones(normalizer.n_dims)
-    means = np.stack([normalizer.scale(s.fingerprint.means) for s in trained])
-    stds = np.stack([normalizer.scale_std(s.fingerprint.stds) for s in trained])
+    means = np.stack([scaled(s.fingerprint.means, normalizer) for s in trained])
+    stds = np.stack([scaled_std(s.fingerprint.stds, normalizer) for s in trained])
     between = means.std(axis=0)
     within = np.maximum(stds.max(axis=0), SIGMA_EPS)
     return np.minimum(between / within, WEIGHT_CAP)
@@ -727,10 +745,10 @@ def intra_classifier_variation(
     for state in states:
         if state.fingerprint.count < 2 or state.nonactive.count < 2:
             continue
-        mu_self = normalizer.scale(state.fingerprint.means)
-        mu_cross = normalizer.scale(state.nonactive.means)
+        mu_self = scaled(state.fingerprint.means, normalizer)
+        mu_cross = scaled(state.nonactive.means, normalizer)
         sigma_cross = np.maximum(
-            normalizer.scale_std(state.nonactive.stds), SIGMA_EPS
+            scaled_std(state.nonactive.stds, normalizer), SIGMA_EPS
         )
         # std of the two-point set {mu_self, mu_cross} is |diff| / 2.
         ratios.append(np.abs(mu_self - mu_cross) / (2.0 * sigma_cross))
@@ -749,7 +767,7 @@ def reference_weights(
     if mode == "none":
         return np.ones(normalizer.n_dims)
     # w_sigma = 1 / sigma_c; neutral 1 until a dimension has a deviation.
-    scaled_stds = normalizer.scale_std(active.fingerprint.stds)
+    scaled_stds = scaled_std(active.fingerprint.stds, normalizer)
     measured = active.fingerprint.counts >= 2
     w_sigma = np.ones_like(scaled_stds)
     w_sigma[measured] = 1.0 / np.maximum(scaled_stds[measured], SIGMA_EPS)
@@ -979,7 +997,8 @@ class ReferenceFicsum(AdaptiveSystem):
 
     def _sim(self, a: np.ndarray, b: np.ndarray) -> float:
         """Weighted similarity in the normalised fingerprint space."""
-        return sim_fast(self.normalizer.scale(a), self.normalizer.scale(b), self._weights)
+        norm = self.normalizer
+        return sim_fast(scaled(a, norm), scaled(b, norm), self._weights)
 
     def _record(self, state: ConceptState) -> Tuple[float, float]:
         """(mu_s, sigma_s) re-expressed under the current weights."""
@@ -1048,9 +1067,8 @@ class ReferenceFicsum(AdaptiveSystem):
         z = abs(sim - mu) / (cfg.similarity_gate * sigma)
         if self.n_dims == 1:
             # Reproduction choice: ER feeds ADWIN the bounded |M - P|.
-            gap = self.normalizer.scale(active.fingerprint.means) - self.normalizer.scale(
-                fp_active
-            )
+            norm = self.normalizer
+            gap = scaled(active.fingerprint.means, norm) - scaled(fp_active, norm)
             alert = self._detector.update(min(1.0, float(abs(gap[0]))))
         else:
             # Section III-A: ADWIN monitors how abnormal Sim(F_c, F_A) is.

@@ -17,6 +17,8 @@ from repro.core.variants import (
     make_unsupervised_variant,
 )
 from repro.evaluation import prequential_run
+from repro.serving.audit import AuditLog
+from repro.serving.metrics import StatsCollector
 from repro.streams import make_dataset
 
 FAST = FicsumConfig(fingerprint_period=5, repository_period=50, window_size=50)
@@ -101,6 +103,35 @@ class TestFicsumBehaviour:
         gc.disable()
         try:
             del system
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_observed_system_freed_without_cyclic_collector(self, tmp_path):
+        """With a metrics collector and an audit log attached, evictions
+        are still counted and audited, and a dropped system is still
+        freed with every tree it stored: the eviction hook holds the
+        system weakly."""
+        stream = small_stream()
+        cfg = FicsumConfig(
+            fingerprint_period=5, repository_period=50, window_size=50,
+            max_repository_size=2,
+        )
+        system = Ficsum(stream.meta.n_features, stream.meta.n_classes, cfg)
+        metrics = StatsCollector()
+        system.attach_observability(metrics, AuditLog(tmp_path / "audit.jsonl"))
+        prequential_run(system, stream)
+        evictions = system.repository.evicted_dropped
+        assert evictions > 0
+        assert metrics.counters["repository.evictions"] == evictions
+        lines = (tmp_path / "audit.jsonl").read_text().splitlines()
+        assert sum('"eviction"' in line for line in lines) == evictions
+        refs = [weakref.ref(system), weakref.ref(metrics)] + [
+            weakref.ref(state.classifier) for state in system.repository.states()
+        ]
+        gc.disable()
+        try:
+            del system, metrics
             assert [ref() for ref in refs] == [None] * len(refs)
         finally:
             gc.enable()

@@ -79,6 +79,18 @@ FORBIDDEN = {
     "FingerprintMatrix",
     "new_state",
     "admit",
+    # The work a fingerprint step shares: the normaliser's held range
+    # terms and the scalings that read them, the record re-expressed
+    # from the incorporation's re-scores, and the ring's window matrix.
+    # The reference scales through minmax_scale on the bounds.
+    "usable",
+    "safe_span",
+    "_range_moved",
+    "_scale_in",
+    "scale",
+    "scale_std",
+    "_gated",
+    "window_matrix",
 }
 
 

@@ -231,7 +231,9 @@ class TestScaleMany:
         """``minmax_scale`` and ``scale_std`` share one range test; on
         zero, infinite, NaN and uninitialised spans both still give,
         bit for bit, the expressions that each tested its range on its
-        own (copied below)."""
+        own (copied below).  Each range is set through
+        ``load_state_dict``, which recomputes the range terms that
+        ``scale`` and ``scale_std`` read."""
         rng = np.random.default_rng(7)
         specials = np.array(
             [0.0, -0.0, 0.3, 1.0, 1.0 + 2**-52, 4.0, -3.0, 1e308, -1e308,
@@ -245,7 +247,7 @@ class TestScaleMany:
                 maxs[1] = mins[1]
                 norm = OnlineMinMax(9)
                 for row in range(3):
-                    norm.mins, norm.maxs = mins[row].copy(), maxs[row].copy()
+                    norm.load_state_dict({"mins": mins[row], "maxs": maxs[row]})
                     for v in (values, values[row]):
                         expected = _minmax_scale_copy(v, mins[row], maxs[row])
                         assert _bits(norm.scale(v)) == _bits(expected)
